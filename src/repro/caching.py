@@ -1,14 +1,15 @@
 """A bounded, thread-safe LRU cache with hit/miss accounting.
 
-Shared by the annotator's column-statistics cache and the serving
-layer's translation cache.  Kept dependency-free (``collections`` +
-``threading`` only) so any layer of the library may use it without
-import cycles.
+Shared by the annotator's per-table schema-encoding cache and the
+serving layer's translation cache, both keyed by the table's content
+fingerprint (computed once per request).  Kept dependency-free
+(``collections`` + ``threading`` only) so any layer of the library may
+use it without import cycles.
 
 Beyond plain ``get``/``put``, :meth:`LRUCache.get_or_compute` gives
 single-flight semantics: concurrent misses on one key block behind a
 single computation instead of duplicating it — the behaviour a hot
-per-table statistics cache needs under parallel traffic.
+per-table cache needs under parallel traffic.
 """
 
 from __future__ import annotations

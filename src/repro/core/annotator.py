@@ -35,7 +35,6 @@ from repro.sqlengine import Table, table_fingerprint
 from repro.text import (
     KnowledgeBase,
     WordEmbeddings,
-    column_statistics,
     parse_dependency,
     tokenize,
 )
@@ -57,19 +56,20 @@ from repro.core.mention import (
     locate_mention,
     resolve_mentions,
 )
-from repro.core.schema import SchemaEncoding, build_schema_encoding
+from repro.core.schema import (
+    SchemaEncoding,
+    _try_float,
+    build_schema_encoding,
+)
 
 __all__ = ["AnnotatorConfig", "Annotator", "ANNOTATION_MODES"]
 
-#: Capacity of the per-annotator column-statistics cache.  Statistics
-#: are keyed by table *content* fingerprint, so the cache survives table
-#: object recreation but never outlives a data or schema edit.
-STATS_CACHE_SIZE = 64
-
-#: Capacity of the per-annotator schema-encoding cache (column-RNN
-#: states, unit embeddings, header token vectors — see
-#: :mod:`repro.core.schema`).  Encodings are larger than raw statistics,
-#: so the bound is tighter.
+#: Capacity of the per-annotator schema-encoding cache, the one
+#: per-table artifact (value statistics, numeric ranges, cell index,
+#: column-RNN states, header token vectors — see
+#: :mod:`repro.core.schema`).  Keyed by table *content* fingerprint, so
+#: it survives table object recreation but never outlives a data or
+#: schema edit.
 SCHEMA_CACHE_SIZE = 32
 
 #: The annotation pipeline variants: the paper's full adversarial
@@ -111,7 +111,6 @@ class Annotator:
             embeddings, classifier_config
             or ClassifierConfig(word_dim=embeddings.dim))
         self.value_classifier = ValueDetectionClassifier(embeddings)
-        self._column_stats_cache = LRUCache(maxsize=STATS_CACHE_SIZE)
         self._schema_cache = LRUCache(maxsize=SCHEMA_CACHE_SIZE)
         self._pipeline: Pipeline | None = None  # built lazily, stateless
         self._fitted = False
@@ -134,8 +133,8 @@ class Annotator:
 
         value_rows = self._value_rows(examples, rng)
         self.value_classifier.fit(value_rows, epochs=value_epochs)
-        # Cached schema encodings embed the (now stale) classifier's
-        # column-RNN states; drop them so inference re-encodes.
+        # Cached schema encodings hold the (now stale) classifier's
+        # column encoder; drop them so inference re-encodes.
         self._schema_cache.clear()
         self._fitted = True
 
@@ -159,7 +158,7 @@ class Annotator:
         rows = []
         for example in examples:
             q = example.question_tokens
-            stats = self._stats_for(example.table)
+            stats = self.schema_encoding(example.table)[0].stats
             for cond in example.query.conditions:
                 value_tokens = tokenize(str(cond.value))
                 start = _find_subsequence(q, value_tokens)
@@ -185,49 +184,37 @@ class Annotator:
         return rows
 
     # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-
-    def _stats_for(self, table: Table) -> dict[str, np.ndarray]:
-        # Keyed by content fingerprint: a recreated-but-equal table hits
-        # the warm entry, while any mutation (new row, renamed column)
-        # changes the key and recomputes.  The bounded LRU keeps the
-        # cache from growing without limit under many-table traffic.
-        key = table_fingerprint(table)
-        return self._column_stats_cache.get_or_compute(key, lambda: {
-            column.name.lower(): column_statistics(
-                table.column_values(column.name), self.embeddings.vector,
-                self.embeddings.dim)
-            for column in table.columns
-        })
-
-    # ------------------------------------------------------------------
     # Schema encodings (the fingerprint-keyed fast-path artifact)
     # ------------------------------------------------------------------
 
-    def schema_encoding(self, table: Table) -> tuple[SchemaEncoding, str]:
+    def schema_encoding(self, table: Table, key: str | None = None,
+                        ) -> tuple[SchemaEncoding, str]:
         """The table's cached :class:`SchemaEncoding`, building on miss.
 
+        ``key`` is the table's fingerprint, computed here if not given.
         Returns ``(encoding, status)`` with status ``"hit"`` or
         ``"miss"`` — derived from the cache's miss counter so a
         coalesced concurrent build still reports as a hit.
         """
-        key = table_fingerprint(table)
+        if key is None:
+            key = table_fingerprint(table)
         misses_before = self._schema_cache.misses
         encoding = self._schema_cache.get_or_compute(
-            key, lambda: build_schema_encoding(self, table))
+            key, lambda: build_schema_encoding(self, table, key))
         status = "miss" if self._schema_cache.misses > misses_before \
             else "hit"
         return encoding, status
 
-    def peek_schema_encoding(self, table: Table) -> SchemaEncoding | None:
-        """The cached encoding if present — never builds, never counts.
-
-        The translate stage uses this to piggyback on an encoding the
-        column stage already built, without forcing one on paths (e.g.
-        context-free degraded annotation) that skipped it.
-        """
-        return self._schema_cache.get(table_fingerprint(table), count=False)
+    def context_schema(self, ctx) -> tuple[SchemaEncoding, str]:
+        """:meth:`schema_encoding` of ``ctx.table``, fetched once per
+        context; hashes the table only if ``ctx.table_key`` is unset."""
+        fetched = ctx.artifacts.get("schema_encoding")
+        if fetched is None:
+            if ctx.table_key is None:
+                ctx.table_key = table_fingerprint(ctx.table)
+            fetched = ctx.artifacts["schema_encoding"] = \
+                self.schema_encoding(ctx.table, ctx.table_key)
+        return fetched
 
     def schema_cache_stats(self) -> dict:
         """Hit/miss/eviction counters of the schema-encoding cache."""
@@ -240,29 +227,6 @@ class Annotator:
             "evictions": cache.evictions,
             "hit_rate": cache.hit_rate(),
         }
-
-    @staticmethod
-    def _numeric_ranges(table: Table) -> dict[str, tuple[float, float]]:
-        """Value ranges of numeric-looking columns (database statistics).
-
-        Used to bind bare numbers in the question to columns whose value
-        range covers them — the classic query-optimizer statistic reused
-        for NL understanding (Section II).
-        """
-        ranges: dict[str, tuple[float, float]] = {}
-        for column in table.columns:
-            numbers = []
-            for cell in table.column_values(column.name):
-                try:
-                    numbers.append(float(str(cell)))
-                except ValueError:
-                    numbers.clear()
-                    break
-            if numbers:
-                lo, hi = min(numbers), max(numbers)
-                margin = (hi - lo) * 0.5 + 1.0
-                ranges[column.name.lower()] = (lo - margin, hi + margin)
-        return ranges
 
     # ------------------------------------------------------------------
     # Annotation
@@ -360,17 +324,21 @@ class Annotator:
 
     def _detect_values(self, tokens: list[str], table: Table,
                        use_classifier: bool = True,
+                       schema: SchemaEncoding | None = None,
                        ) -> list[ValueCandidate]:
         # ``use_classifier=False`` is the context-free mode: only exact
-        # cell matches survive as value candidates.
+        # cell matches survive as value candidates.  ``schema`` is the
+        # table's cached encoding (fetched here when not given).
         cfg = self.config
-        stats = self._stats_for(table)
+        if schema is None:
+            schema, _status = self.schema_encoding(table)
+        stats = schema.stats
         by_span: dict[tuple[int, int], dict[str, float]] = {}
 
         # Exact cell matches (context-free case).
         for column in table.column_names:
             for cand in self.matcher.find_cell_values(
-                    tokens, column, table.column_values(column)):
+                    tokens, column, schema.cells[column]):
                 by_span.setdefault((cand.start, cand.end), {})[column] = 1.0
 
         # Statistics-based detection (counterfactual-safe).  Spans made
@@ -378,9 +346,8 @@ class Annotator:
         # value candidates — a literal column word in the question is a
         # column mention, not a value (exact cell matches above already
         # cover the rare case where a cell equals a column word).
-        schema_words = {w for name in table.column_names
-                        for w in tokenize(name)}
-        ranges = self._numeric_ranges(table)
+        schema_words = set(schema.header_tokens)
+        ranges = schema.numeric_ranges
         if (use_classifier and cfg.use_value_classifier
                 and self.value_classifier._trained):
             for start, end in candidate_spans(tokens, cfg.max_value_span):
@@ -589,8 +556,10 @@ class _ValueDetectionStage(_AnnotatorStage):
         if not tokens:
             raise ModelError("cannot annotate an empty question")
         use_classifier = ctx.mode == "full"
+        schema, _status = self.annotator.context_schema(ctx)
         spans = self.annotator._detect_values(tokens, ctx.table,
-                                              use_classifier=use_classifier)
+                                              use_classifier=use_classifier,
+                                              schema=schema)
         ctx.artifacts["value_spans"] = spans
         ctx.note(classifier=use_classifier
                  and self.annotator.config.use_value_classifier,
@@ -610,13 +579,13 @@ class _ColumnDetectionStage(_AnnotatorStage):
         blocked = {i for candidate in value_spans
                    for i in range(candidate.start, candidate.end)}
         use_classifier = ctx.mode == "full"
-        # Fetch (or build) the cached per-table encoding only when the
-        # classifier will actually run; the context-free rung must stay
+        # The cached column-RNN states are encoded only when the
+        # classifier actually runs; the context-free rung must stay
         # cheap and model-independent.
         schema, cache_status = None, "off"
         if (use_classifier and annotator.config.use_column_classifier
                 and annotator.column_classifier._trained):
-            schema, cache_status = annotator.schema_encoding(ctx.table)
+            schema, cache_status = annotator.context_schema(ctx)
         info: dict = {}
         spans = annotator._detect_columns(ctx.question_tokens, ctx.table,
                                           blocked,
@@ -664,13 +633,6 @@ class _LinearTree:
 
     def span_distance(self, a: tuple[int, int], b: tuple[int, int]) -> int:
         return min(abs(i - j) for i in range(*a) for j in range(*b))
-
-
-def _try_float(text: str) -> float | None:
-    try:
-        return float(text)
-    except ValueError:
-        return None
 
 
 def _find_subsequence(haystack: list[str], needle: list[str]) -> int | None:

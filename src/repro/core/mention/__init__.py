@@ -12,7 +12,11 @@ from repro.core.mention.column_classifier import (
     EmbeddedWord,
     EncodedColumns,
 )
-from repro.core.mention.matcher import ColumnMatcher, MentionCandidate
+from repro.core.mention.matcher import (
+    ColumnMatcher,
+    MentionCandidate,
+    cell_index,
+)
 from repro.core.mention.resolution import (
     ResolvedPair,
     ValueCandidate,
@@ -28,7 +32,7 @@ __all__ = [
     "EncodedColumns",
     "InfluenceProfile", "compute_influence", "contrastive_profile",
     "locate_mention",
-    "ColumnMatcher", "MentionCandidate",
+    "ColumnMatcher", "MentionCandidate", "cell_index",
     "ValueDetectionClassifier", "candidate_spans",
     "ValueCandidate", "ResolvedPair", "resolve_mentions",
 ]

@@ -11,6 +11,7 @@ Section II (phrases ``P_c`` and describing expressions ``D_c``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.text import (
     KnowledgeBase,
@@ -20,7 +21,7 @@ from repro.text import (
     tokenize,
 )
 
-__all__ = ["MentionCandidate", "ColumnMatcher"]
+__all__ = ["MentionCandidate", "ColumnMatcher", "cell_index"]
 
 
 @dataclass(frozen=True)
@@ -111,25 +112,37 @@ class ColumnMatcher:
     # ------------------------------------------------------------------
 
     def find_cell_values(self, tokens: list[str], column: str,
-                         cells: list) -> list[MentionCandidate]:
+                         index: dict) -> list[MentionCandidate]:
         """Exact question-span matches of a column's cell values.
 
         The obvious context-free value case: the value literally appears
         in the question.  Counterfactual values are handled separately
         by :class:`~repro.core.mention.value_classifier.ValueDetectionClassifier`.
+
+        ``index`` is the column's :func:`cell_index` (cached per table),
+        so the cost is one lookup per question token, not per row.
+        Candidates come in cell order, then by position.
         """
-        candidates = []
-        seen_spans: set[tuple[int, int]] = set()
-        for cell in cells:
-            cell_tokens = tokenize(str(cell))
-            if not cell_tokens:
-                continue
-            for i in range(len(tokens) - len(cell_tokens) + 1):
-                span = (i, i + len(cell_tokens))
-                if span in seen_spans:
-                    continue
-                if tokens[i:span[1]] == cell_tokens:
-                    seen_spans.add(span)
-                    candidates.append(MentionCandidate(
-                        column, span[0], span[1], 1.0, "exact"))
-        return candidates
+        hits = []
+        for i, token in enumerate(tokens):
+            for rank, cell_tokens in index.get(token, ()):
+                end = i + len(cell_tokens)
+                if tuple(tokens[i:end]) == cell_tokens:
+                    hits.append((rank, i, end))
+        hits.sort()
+        return [MentionCandidate(column, start, end, 1.0, "exact")
+                for _rank, start, end in hits]
+
+
+def cell_index(cell_tokens: Iterable[list[str]]) -> dict:
+    """One column's distinct cell token sequences keyed by first token,
+    each as ``(rank of first occurrence, tokens)``; cells that tokenize
+    to nothing are skipped."""
+    index: dict = {}
+    seen: set[tuple[str, ...]] = set()
+    for tokens in cell_tokens:
+        key = tuple(tokens)
+        if key and key not in seen:
+            index.setdefault(key[0], []).append((len(seen), key))
+            seen.add(key)
+    return index

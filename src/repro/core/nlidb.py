@@ -322,24 +322,24 @@ class NLIDB:
 
     def context(self, question: str | list[str], table: Table,
                 mode: str = "full", beam_width: int | None = None,
-                header_tokens: list[str] | None = None,
                 deadline: Deadline | None = None,
                 trace: StageTrace | None = None, attempt: int = 1,
-                artifacts: dict | None = None) -> PipelineContext:
+                artifacts: dict | None = None,
+                table_key: str | None = None) -> PipelineContext:
         """Build the per-request context :meth:`pipeline` executes over.
 
         Pass ``artifacts`` (e.g. a precomputed ``annotation``) to let
         the artifact-cache middleware skip the stages that would
         recompute them; pass ``trace`` to accumulate several runs into
-        one request-level trace.
+        one request-level trace; pass ``table_key`` (the table's
+        fingerprint) when known.
         """
         tokens = (tokenize(question) if isinstance(question, str)
                   else list(question))
         return PipelineContext(
-            question_tokens=tokens, table=table, mode=mode,
-            beam_width=beam_width, header_tokens=header_tokens,
-            deadline=deadline, attempt=attempt,
-            artifacts=dict(artifacts) if artifacts else {},
+            question_tokens=tokens, table=table, table_key=table_key,
+            mode=mode, beam_width=beam_width, deadline=deadline,
+            attempt=attempt, artifacts=dict(artifacts) if artifacts else {},
             trace=trace if trace is not None else StageTrace())
 
     def translate(self, question: str | list[str], table: Table,
@@ -395,13 +395,15 @@ class NLIDB:
 
     def cohort_artifacts(self, requests: list[tuple[list[str], "Table",
                                                     int | None]],
+                         *, keys: list[str] | None = None,
                          ) -> tuple[list[dict | None], dict]:
         """Run the coalescible stages of several full-mode requests.
 
         ``requests`` is a list of ``(question_tokens, table,
-        beam_width)`` triples.  The per-request phases (value detection,
-        the column matcher plan, adversarial localization, mention
-        resolution, symbol allocation) run per lane exactly as the
+        beam_width)`` triples; ``keys``, when given, holds each table's
+        fingerprint in the same order.  The per-request phases (value
+        detection, the column matcher plan, adversarial localization,
+        mention resolution, symbol allocation) run per lane exactly as the
         sequential pipeline would; the two model-bound hot stages are
         coalesced across lanes — one
         :meth:`~repro.core.mention.ColumnMentionClassifier.
@@ -417,26 +419,23 @@ class NLIDB:
         batch shape and the shared-kernel wall times.
         """
         annotator = self.annotator
-        cfg = annotator.config
         n = len(requests)
         lanes: list[dict | None] = [None] * n
         plans: list[tuple | None] = [None] * n
         stats = {"lanes": n, "score_batch": 0}
 
         start = perf_counter()
-        # Phase A (per lane): values, matcher plan, schema encoding.
+        # Phase A (per lane): schema encoding, values, matcher plan.
         for i, (tokens, table, _width) in enumerate(requests):
             try:
                 if not tokens:
                     raise ModelError("cannot annotate an empty question")
-                value_spans = annotator._detect_values(tokens, table,
-                                                       use_classifier=True)
+                schema, _status = annotator.schema_encoding(
+                    table, keys[i] if keys is not None else None)
+                value_spans = annotator._detect_values(
+                    tokens, table, use_classifier=True, schema=schema)
                 blocked = {j for cand in value_spans
                            for j in range(cand.start, cand.end)}
-                schema = None
-                if (cfg.use_column_classifier
-                        and annotator.column_classifier._trained):
-                    schema, _status = annotator.schema_encoding(table)
                 scored, needed = annotator.column_scoring_plan(
                     tokens, table, blocked, use_classifier=True)
                 plans[i] = (value_spans, blocked, schema, scored, needed)
@@ -479,11 +478,8 @@ class NLIDB:
                 source = annotation.annotated_tokens(
                     append=self.config.column_name_appending,
                     header_encoding=self.config.header_encoding)
-                header_tokens = (schema.header_tokens if schema is not None
-                                 else self.header_tokens(table))
                 token_vectors = None
-                if schema is not None and getattr(
-                        self.translator, "accepts_token_vectors", False):
+                if getattr(self.translator, "accepts_token_vectors", False):
                     token_vectors = (
                         schema.token_vectors32 if getattr(
                             getattr(self.translator, "config", None),
@@ -497,7 +493,7 @@ class NLIDB:
                     "source": source,
                 }
                 decode_requests.append({
-                    "source": source, "header_tokens": header_tokens,
+                    "source": source, "header_tokens": schema.header_tokens,
                     "extra_symbols": self._symbols(annotation),
                     "beam_width": width, "token_vectors": token_vectors,
                 })
@@ -593,29 +589,22 @@ class _TranslateStage(_NLIDBStage):
     provides = ("source", "predicted")
 
     def run(self, ctx: PipelineContext) -> None:
-        # Reuse the schema cache's warm artifact when one exists: its
-        # header tokens and frozen candidate-token vectors are
-        # question-independent.  peek never *builds* an encoding, so
-        # degraded modes that skipped the annotator's cache stay cheap.
-        header_tokens = ctx.header_tokens
-        token_vectors = None
-        schema = self.nlidb.annotator.peek_schema_encoding(ctx.table)
-        if schema is not None:
-            if header_tokens is None:
-                header_tokens = schema.header_tokens
-            token_vectors = (
-                schema.token_vectors32 if getattr(
-                    getattr(self.nlidb.translator, "config", None),
-                    "arena_inference", False)
-                else schema.token_vectors)
+        # The table's encoding (normally fetched by annotation) holds the
+        # question-independent header tokens and frozen candidate-token
+        # vectors.
+        schema, _status = self.nlidb.annotator.context_schema(ctx)
+        arena = getattr(getattr(self.nlidb.translator, "config", None),
+                        "arena_inference", False)
         source, predicted = self.nlidb.predict_annotated(
             ctx.artifacts["annotation"], beam_width=ctx.beam_width,
-            header_tokens=header_tokens, token_vectors=token_vectors)
+            header_tokens=schema.header_tokens,
+            token_vectors=(schema.token_vectors32 if arena
+                           else schema.token_vectors))
         ctx.artifacts["source"] = source
         ctx.artifacts["predicted"] = predicted
         decode = getattr(self.nlidb.translator, "last_decode", None) or {}
         ctx.note(source_len=len(source), predicted_len=len(predicted),
-                 schema_encoding="hit" if schema is not None else "none",
+                 schema_encoding="hit",
                  **({"decode_path": decode["path"],
                      "decode_steps": decode["steps"]} if decode else {}))
 

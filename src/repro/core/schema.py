@@ -4,25 +4,30 @@ Like SQLNet/TypeSQL-style column-attention models, the column side of
 the paper's annotation step is *question-independent*: the column-RNN
 states the mention classifier attends from, the unit-normalized column
 word embeddings its similarity features use, the value classifier's
-per-column statistics, and the translator's header tokens and their
-frozen embedding vectors all depend only on the table.  A
-:class:`SchemaEncoding` bundles that work so one table's encoding is
-computed once and reused for every question asked against it — the
-annotator caches these in an LRU keyed by the table's *content*
-fingerprint (:func:`repro.sqlengine.table_fingerprint`), so a
-recreated-but-equal table hits the warm entry while any schema or data
-edit recomputes.
+per-column statistics ``s_c`` (Section IV-D), the numeric value ranges
+bare numbers bind by, an index of cell values for exact cell matching,
+and the translator's header tokens and their frozen embedding vectors
+all depend only on the table.  A :class:`SchemaEncoding` bundles that
+work so one table's encoding is computed once and reused for every
+question asked against it.  The annotator keeps these in its single
+per-table LRU, keyed by the table's *content* fingerprint
+(:func:`repro.sqlengine.table_fingerprint`) — computed once per request
+and carried on the pipeline context — so a recreated-but-equal table
+hits the warm entry while any schema or data edit recomputes.
+
+The column-RNN states are encoded on first use, so the context-free
+rung, which never runs the column classifier, never triggers it.
 
 The classifier-derived fields become stale when the mention classifier
 is retrained; :meth:`repro.core.annotator.Annotator.fit` therefore
-drops the cache.  The ``token_vectors`` are frozen hash embeddings and
-would survive retraining, but rebuilding them is cheap enough that the
-simpler whole-cache invalidation wins.
+drops the cache.  The rest would survive retraining, but rebuilding it
+is cheap enough that the simpler whole-cache invalidation wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from repro.nn import no_grad
 from repro.sqlengine import Table, table_fingerprint
 from repro.text import tokenize
 
-from repro.core.mention import EncodedColumns
+from repro.core.mention import EncodedColumns, cell_index
 from repro.core.seq2seq.vocab import is_symbol, structural_tokens
 
 __all__ = ["SchemaEncoding", "build_schema_encoding"]
@@ -44,18 +49,37 @@ class SchemaEncoding:
     column_names: list[str]
     column_tokens: dict[str, list[str]]
     column_index: dict[str, int]
-    #: Lockstep column-RNN states + unit embeddings for the mention
-    #: classifier's batched scoring; ``None`` when it is untrained.
-    columns: EncodedColumns | None
-    #: Per-column value statistics (the value classifier's ``s_c``).
+    #: Per-column value statistics (the value classifier's ``s_c``),
+    #: keyed by lower-cased column name.
     stats: dict[str, np.ndarray]
+    #: Value ranges, margin included, of the columns whose every cell
+    #: parses as a number (lower-cased name → ``(lo, hi)``).
+    numeric_ranges: dict[str, tuple[float, float]]
+    #: Per-column :func:`~repro.core.mention.cell_index` of the cell
+    #: values, for exact cell matching.
+    cells: dict[str, dict]
     #: Tokenized headers fed to the translator's copy space.
     header_tokens: list[str]
     #: Frozen embedding vectors of the non-symbol candidate tokens the
     #: translator can always see for this table (structural + header).
     token_vectors: dict[str, np.ndarray] = field(repr=False)
+    #: The trained mention classifier's column encoder, run once by
+    #: :attr:`columns` on first use.
+    _encode: Callable[[list[list[str]]], EncodedColumns] | None = field(
+        default=None, repr=False, compare=False)
+    _columns: EncodedColumns | None = field(
+        default=None, repr=False, compare=False)
     _vectors32: dict[str, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+
+    @property
+    def columns(self) -> EncodedColumns | None:
+        """Lockstep column-RNN states + unit embeddings for the mention
+        classifier's batched scoring; ``None`` when it is untrained."""
+        if self._columns is None and self._encode is not None:
+            self._columns = self._encode(
+                [self.column_tokens[name] for name in self.column_names])
+        return self._columns
 
     @property
     def token_vectors32(self) -> dict[str, np.ndarray]:
@@ -78,9 +102,11 @@ class SchemaEncoding:
                                     for name in names])
 
 
-def build_schema_encoding(annotator, table: Table) -> SchemaEncoding:
+def build_schema_encoding(annotator, table: Table,
+                          key: str | None = None) -> SchemaEncoding:
     """Encode one table's column side for the given annotator.
 
+    ``key`` is the table's fingerprint, if the caller has it.
     Everything runs under ``no_grad``; the artifact holds plain numpy
     (no autodiff graph), so it is safe to share across requests.
     """
@@ -92,12 +118,8 @@ def build_schema_encoding(annotator, table: Table) -> SchemaEncoding:
         header_tokens.extend(column_tokens[name])
 
     classifier = annotator.column_classifier
-    encoded = None
-    if getattr(classifier, "_trained", False):
-        encoded = classifier.encode_columns(
-            [column_tokens[name] for name in column_names])
-
     embeddings = annotator.embeddings
+    stats, numeric_ranges, cells = _profile_cells(table, embeddings)
     token_vectors: dict[str, np.ndarray] = {}
     with no_grad():
         # Extended-grammar tokens are included unconditionally: legacy
@@ -108,11 +130,79 @@ def build_schema_encoding(annotator, table: Table) -> SchemaEncoding:
                 token_vectors[token] = embeddings.vector(token)
 
     return SchemaEncoding(
-        fingerprint=table_fingerprint(table),
+        fingerprint=key if key is not None else table_fingerprint(table),
         column_names=column_names,
         column_tokens=column_tokens,
         column_index={name: i for i, name in enumerate(column_names)},
-        columns=encoded,
-        stats=annotator._stats_for(table),
+        stats=stats,
+        numeric_ranges=numeric_ranges,
+        cells=cells,
         header_tokens=header_tokens,
-        token_vectors=token_vectors)
+        token_vectors=token_vectors,
+        _encode=(classifier.encode_columns
+                 if getattr(classifier, "_trained", False) else None))
+
+
+def _profile_cells(table: Table, embeddings):
+    """``s_c``, numeric ranges and cell indexes of every column, in one
+    pass that tokenizes, embeds and parses each distinct cell string once.
+    Averaging in row order keeps ``s_c`` bit-identical to
+    :func:`repro.text.column_statistics`."""
+    slot_of: dict[str, int] = {}
+    cell_tokens: list[list[str]] = []
+    numbers: list[float | None] = []
+    column_slots: list[list[int]] = []
+    for j in range(len(table.columns)):
+        slots = []
+        for row in table.rows:
+            text = str(row[j])
+            slot = slot_of.get(text)
+            if slot is None:
+                slot = slot_of[text] = len(cell_tokens)
+                cell_tokens.append(tokenize(text))
+                numbers.append(_try_float(text))
+            slots.append(slot)
+        column_slots.append(slots)
+
+    vectors = _cell_vectors(cell_tokens, embeddings)
+    stats: dict[str, np.ndarray] = {}
+    ranges: dict[str, tuple[float, float]] = {}
+    cells: dict[str, dict] = {}
+    for column, slots in zip(table.columns, column_slots):
+        name = column.name.lower()
+        stats[name] = (vectors[slots].mean(axis=0) if slots
+                       else np.zeros(embeddings.dim))
+        values = [numbers[slot] for slot in slots]
+        if values and None not in values:  # bare numbers bind by range
+            lo, hi = min(values), max(values)
+            margin = (hi - lo) * 0.5 + 1.0
+            ranges[name] = (lo - margin, hi + margin)
+        cells[column.name] = cell_index(cell_tokens[slot] for slot in slots)
+    return stats, ranges, cells
+
+
+def _cell_vectors(cell_tokens: list[list[str]], embeddings) -> np.ndarray:
+    """Mean word embedding of each distinct cell (zeros when it has no
+    words), one gather-and-mean per token count."""
+    vectors = np.zeros((len(cell_tokens), embeddings.dim))
+    word_ids: dict[str, int] = {}
+    by_length: dict[int, list[int]] = {}
+    for slot, tokens in enumerate(cell_tokens):
+        if tokens:
+            by_length.setdefault(len(tokens), []).append(slot)
+            for word in tokens:
+                word_ids.setdefault(word, len(word_ids))
+    if word_ids:
+        matrix = np.stack([embeddings.vector(word) for word in word_ids])
+        for slots in by_length.values():
+            ids = [[word_ids[word] for word in cell_tokens[slot]]
+                   for slot in slots]
+            vectors[slots] = matrix[ids].mean(axis=1)
+    return vectors
+
+
+def _try_float(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None

@@ -1,8 +1,8 @@
 """The mutable state one question carries through the stage graph.
 
 A :class:`PipelineContext` is created per translation attempt and
-threaded through every stage: inputs (question tokens, table, mode,
-beam width, precomputed header tokens), cross-cutting controls (the
+threaded through every stage: inputs (question tokens, table and its
+content fingerprint, mode, beam width), cross-cutting controls (the
 deadline, an optional RNG), the ``artifacts`` dict stages read from
 and write to, and the append-only :class:`~repro.pipeline.trace.
 StageTrace` the executor fills in.
@@ -39,9 +39,11 @@ class PipelineContext:
 
     question_tokens: list[str]
     table: "Table | None" = None
+    #: The table's content fingerprint; the first stage that needs it
+    #: fills it in when the caller did not.
+    table_key: str | None = None
     mode: str = "full"
     beam_width: int | None = None
-    header_tokens: list[str] | None = None
     deadline: Deadline | None = None
     rng: random.Random | None = None
     #: 1-based attempt ordinal, stamped into every trace record.

@@ -69,7 +69,7 @@ from repro.serving.results import TranslationResult
 from repro.serving.router import RendezvousRouter
 from repro.serving.scheduler import QueueClosed
 from repro.serving.service import DEFAULT_CACHE_SIZE, TranslationService
-from repro.sqlengine import Table, table_fingerprint
+from repro.sqlengine import Table
 
 __all__ = ["ClusterPolicy", "Replica", "ClusterService"]
 
@@ -319,10 +319,6 @@ class ClusterService:
                 results[i] = future.result()
         return results
 
-    def fingerprint(self, table: Table) -> str:
-        """The shard key of a table (content fingerprint)."""
-        return table_fingerprint(table)
-
     def close(self) -> None:
         """Stop admitting; every replica drains its in-flight work."""
         self._closed = True
@@ -391,7 +387,7 @@ class ClusterService:
         for shard_key, table in hot:
             try:
                 with self._model_lock:
-                    annotator.schema_encoding(table)
+                    annotator.schema_encoding(table, shard_key)
                 replica.observe(shard_key, table)
                 warmed += 1
             except ReproError:
@@ -425,7 +421,7 @@ class ClusterService:
     def _submit_request(self, request: TranslationRequest,
                         ) -> "Future[TranslationResult]":
         outer: Future = Future()
-        shard_key = table_fingerprint(request.table)
+        shard_key = request.fingerprint
         self.metrics.increment("requests")
         if self._closed:
             raise QueueClosed("cluster is closed")

@@ -47,7 +47,6 @@ class TranslationRequest:
     question: tuple[str, ...]
     table: Table
     beam_width: int | None = None
-    # Lazily memoized content fingerprint backing __hash__.
     _fingerprint: str | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -57,16 +56,21 @@ class TranslationRequest:
         object.__setattr__(self, "question",
                            normalize_question(self.question))
 
-    def __hash__(self) -> int:
-        # Table is a mutable dataclass (no __hash__); hash its *content*
-        # fingerprint instead.  Equal tables have equal fingerprints, so
-        # the eq/hash contract holds — but do not mutate a table while
-        # using requests over it as dict/set keys.
+    @property
+    def fingerprint(self) -> str:
+        """The table's content fingerprint, computed once per request
+        and reused by every cache and router the request meets."""
         fingerprint = self._fingerprint
         if fingerprint is None:
             fingerprint = table_fingerprint(self.table)
             object.__setattr__(self, "_fingerprint", fingerprint)
-        return hash((self.question, fingerprint, self.beam_width))
+        return fingerprint
+
+    def __hash__(self) -> int:
+        # Table is a mutable dataclass (no __hash__); hash its *content*
+        # fingerprint instead.  Equal tables have equal fingerprints, so
+        # the eq/hash contract holds.
+        return hash((self.question, self.fingerprint, self.beam_width))
 
 
 def as_request(item) -> TranslationRequest:

@@ -19,7 +19,9 @@ without touching model semantics:
   per step — under a max-wait/max-batch admission policy whose default
   (natural batching) keeps single-request p50 unregressed at low load;
 * a bounded LRU **translation cache** keyed on
-  ``(question tokens, table content fingerprint, beam width)``, plus
+  ``(question tokens, table content fingerprint, beam width)`` — the
+  fingerprint is computed once per request, at admission, and travels
+  with it to the annotator's per-table cache — plus
   within-batch request deduplication (identical concurrent requests
   compute once);
 * a :class:`~repro.serving.metrics.MetricsRegistry` with request /
@@ -322,7 +324,7 @@ class TranslationService:
                ) -> tuple[Future, _Pending | None]:
         """Count the request and either resolve it warm or queue it."""
         self.metrics.increment("requests")
-        key = (request.question, table_fingerprint(request.table),
+        key = (request.question, request.fingerprint,
                self._resolve_width(request.beam_width))
         future: Future = Future()
         cached = self._cache.get(key)
@@ -405,7 +407,8 @@ class TranslationService:
         try:
             artifacts, stats = self.nlidb.cohort_artifacts(
                 [(list(p.request.question), p.request.table,
-                  p.request.beam_width) for p in lanes])
+                  p.request.beam_width) for p in lanes],
+                keys=[p.request.fingerprint for p in lanes])
         except ReproError:
             self.metrics.increment("coalesce_fallbacks", len(lanes))
             return served
@@ -422,11 +425,9 @@ class TranslationService:
             trace = StageTrace()
             try:
                 translation = self._run_pipeline(
-                    list(p.request.question), p.request.table,
-                    p.request.beam_width, None, mode="full",
-                    deadline=p.deadline, trace=trace, attempt=1,
-                    timings=timings, artifacts=seeded,
-                    batch=info.for_lane(lane))
+                    p.request, mode="full", deadline=p.deadline,
+                    trace=trace, attempt=1, timings=timings,
+                    artifacts=seeded, batch=info.for_lane(lane))
             except ReproError:
                 # Only the deadline can fire here (the model stages are
                 # pre-seeded; recovery reports errors in-band) — the
@@ -452,9 +453,8 @@ class TranslationService:
     def _serve_sequential(self, p: _Pending) -> None:
         """One lane through the degradation ladder; resolves its future."""
         try:
-            result, cacheable = self._compute_resilient(
-                list(p.request.question), p.request.table,
-                p.request.beam_width, None, p.deadline)
+            result, cacheable = self._compute_resilient(p.request,
+                                                        p.deadline)
             if cacheable and result.translation is not None:
                 self._cache.put(p.key, result.translation)
             p.future.set_result(self._finish(result))
@@ -496,9 +496,7 @@ class TranslationService:
         self.metrics.increment(f"served_{result.status}")
         return result
 
-    def _compute_resilient(self, question_tokens: list[str], table: Table,
-                           beam_width: int | None,
-                           header_tokens: list[str] | None,
+    def _compute_resilient(self, request: TranslationRequest,
                            deadline: Deadline,
                            ) -> tuple[TranslationResult, bool]:
         """Walk the degradation ladder; always return an envelope.
@@ -521,8 +519,7 @@ class TranslationService:
         if self.breaker.allow():
             try:
                 translation = self._attempt_full(
-                    question_tokens, table, beam_width, header_tokens,
-                    deadline, timings, trace, attempts_box)
+                    request, deadline, timings, trace, attempts_box)
                 self.breaker.record_success()
                 return TranslationResult.from_translation(
                     translation, attempts=attempts_box[0],
@@ -550,9 +547,8 @@ class TranslationService:
         if self.policy.degradation and not deadline.expired():
             try:
                 translation = self._run_pipeline(
-                    question_tokens, table, beam_width, header_tokens,
-                    mode="context_free", deadline=deadline, trace=trace,
-                    attempt=1, timings=timings)
+                    request, mode="context_free", deadline=deadline,
+                    trace=trace, attempt=1, timings=timings)
                 self.metrics.increment("degraded_fallbacks")
                 return TranslationResult.from_translation(
                     translation, degraded=True, cause=failure,
@@ -571,9 +567,7 @@ class TranslationService:
             attempts=attempts_box[0], timings=timings,
             trace=tuple(trace)), False
 
-    def _attempt_full(self, question_tokens: list[str], table: Table,
-                      beam_width: int | None,
-                      header_tokens: list[str] | None, deadline: Deadline,
+    def _attempt_full(self, request: TranslationRequest, deadline: Deadline,
                       timings: dict[str, float], trace: StageTrace,
                       attempts_box: list[int]) -> Translation:
         """The full pipeline with bounded retry on retryable failures."""
@@ -582,8 +576,7 @@ class TranslationService:
             attempts_box[0] += 1
             try:
                 return self._run_pipeline(
-                    question_tokens, table, beam_width, header_tokens,
-                    mode="full", deadline=deadline, trace=trace,
+                    request, mode="full", deadline=deadline, trace=trace,
                     attempt=attempts_box[0], timings=timings)
             except ReproError as exc:
                 if (isinstance(exc, DeadlineExceeded)
@@ -597,9 +590,7 @@ class TranslationService:
                 if delay > 0:
                     self._sleep(delay)
 
-    def _run_pipeline(self, question_tokens: list[str], table: Table,
-                      beam_width: int | None,
-                      header_tokens: list[str] | None, *, mode: str,
+    def _run_pipeline(self, request: TranslationRequest, *, mode: str,
                       deadline: Deadline, trace: StageTrace, attempt: int,
                       timings: dict[str, float],
                       artifacts: dict | None = None,
@@ -618,11 +609,11 @@ class TranslationService:
         # Caller holds the model lock (the arena buffers and weight
         # snapshots are shared, so inference must not interleave).
         prefix = "" if mode == "full" else "degraded."
-        ctx = self.nlidb.context(question_tokens, table, mode=mode,
-                                 beam_width=beam_width,
-                                 header_tokens=header_tokens,
+        ctx = self.nlidb.context(list(request.question), request.table,
+                                 mode=mode, beam_width=request.beam_width,
                                  deadline=deadline, trace=trace,
-                                 attempt=attempt, artifacts=artifacts)
+                                 attempt=attempt, artifacts=artifacts,
+                                 table_key=request.fingerprint)
         pipeline = self._pipelines[mode]
         if batch is not None:
             pipeline = self.nlidb.pipeline(

@@ -8,8 +8,9 @@ value produces a different digest.  The digest is computed with
 :mod:`hashlib`, so it is stable across processes (unlike the built-in
 ``hash()``, which is salted per interpreter).
 
-The serving layer keys its translation cache on this fingerprint, and
-the annotator keys its column-statistics cache on it, so recreating an
+The serving layer computes it once per request and keys its translation
+cache, cluster routing and the annotator's per-table
+:class:`~repro.core.schema.SchemaEncoding` cache on it, so recreating an
 equal table (e.g. after reloading a dataset) still hits warm entries
 while any schema or data edit is an automatic invalidation.
 """
@@ -22,22 +23,16 @@ from repro.sqlengine.table import Table
 
 __all__ = ["table_fingerprint"]
 
-_SEPARATOR = b"\x00"
 
-
-def _feed(digest, part: str) -> None:
+def _field(data: bytes) -> bytes:
     # Length-prefix every field so concatenations cannot collide
     # ("ab"+"c" vs "a"+"bc") and type tags stay unambiguous.
-    data = part.encode("utf-8")
-    digest.update(str(len(data)).encode("ascii"))
-    digest.update(_SEPARATOR)
-    digest.update(data)
+    return b"%d\x00%s" % (len(data), data)
 
 
-def _feed_cell(digest, cell) -> None:
-    # Tag the Python type so 1, 1.0, "1", and True all hash apart.
-    _feed(digest, type(cell).__name__)
-    _feed(digest, str(cell))
+#: Length-prefixed type-name field per cell type, so 1, 1.0, "1", and
+#: True all hash apart; built once per type.
+_TYPE_TAGS: dict[type, bytes] = {}
 
 
 def table_fingerprint(table: Table) -> str:
@@ -47,14 +42,17 @@ def table_fingerprint(table: Table) -> str:
     translation depend only on schema and data, so content-equal tables
     under different names may share cached work.
     """
-    digest = hashlib.sha256()
-    digest.update(b"schema")
+    parts = [b"schema"]
     for column in table.columns:
-        _feed(digest, column.name)
-        _feed(digest, column.dtype.value)
-    digest.update(b"rows")
+        parts += (_field(column.name.encode("utf-8")),
+                  _field(column.dtype.value.encode("utf-8")))
+    parts.append(b"rows")
     for row in table.rows:
-        digest.update(b"row")
+        parts.append(b"row")
         for cell in row:
-            _feed_cell(digest, cell)
-    return digest.hexdigest()
+            tag = _TYPE_TAGS.get(type(cell))
+            if tag is None:
+                tag = _TYPE_TAGS[type(cell)] = _field(
+                    type(cell).__name__.encode("utf-8"))
+            parts += (tag, _field(str(cell).encode("utf-8")))
+    return hashlib.sha256(b"".join(parts)).hexdigest()

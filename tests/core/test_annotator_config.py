@@ -28,24 +28,30 @@ def census_table():
                   ("galway", "aran", 1225)])
 
 
+def numeric_ranges(table):
+    """The numeric value ranges of a table's cached encoding."""
+    encoding, _status = Annotator(EMB).schema_encoding(table)
+    return encoding.numeric_ranges
+
+
 class TestNumericRanges:
     def test_detects_numeric_columns(self):
-        ranges = Annotator._numeric_ranges(census_table())
+        ranges = numeric_ranges(census_table())
         assert "population" in ranges
         assert "county" not in ranges
 
     def test_margin_extends_range(self):
-        ranges = Annotator._numeric_ranges(census_table())
+        ranges = numeric_ranges(census_table())
         lo, hi = ranges["population"]
         assert lo < 356 and hi > 1225
 
     def test_numeric_strings_count(self):
         table = Table("t", [Column("v")], [("10",), ("20",)])
-        assert "v" in Annotator._numeric_ranges(table)
+        assert "v" in numeric_ranges(table)
 
     def test_mixed_column_not_numeric(self):
         table = Table("t", [Column("v")], [("10",), ("abc",)])
-        assert Annotator._numeric_ranges(table) == {}
+        assert numeric_ranges(table) == {}
 
     def test_try_float(self):
         assert _try_float("3.5") == 3.5

@@ -12,6 +12,7 @@ from repro.core.mention import (
     ValueCandidate,
     ValueDetectionClassifier,
     candidate_spans,
+    cell_index,
     compute_influence,
     contrastive_profile,
     locate_mention,
@@ -21,6 +22,10 @@ from repro.errors import ModelError
 from repro.text import KnowledgeBase, WordEmbeddings, tokenize
 
 EMB = WordEmbeddings(dim=32, seed=0)
+
+
+def index_cells(cells):
+    return cell_index(tokenize(str(cell)) for cell in cells)
 
 
 class TestColumnMatcher:
@@ -85,13 +90,15 @@ class TestColumnMatcher:
     def test_find_cell_values(self):
         tokens = tokenize("films by jerzy antczak in 2002")
         cands = self.matcher.find_cell_values(
-            tokens, "director", ["jerzy antczak", "nana djordjadze"])
+            tokens, "director",
+            index_cells(["jerzy antczak", "nana djordjadze"]))
         assert len(cands) == 1
         assert (cands[0].start, cands[0].end) == (2, 4)
 
     def test_find_cell_values_numeric(self):
         tokens = tokenize("which one has 2002 ?")
-        cands = self.matcher.find_cell_values(tokens, "year", [2002, 1999])
+        cands = self.matcher.find_cell_values(tokens, "year",
+                                              index_cells([2002, 1999]))
         assert len(cands) == 1
 
 

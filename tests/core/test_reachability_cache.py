@@ -1,4 +1,5 @@
-"""Tests for target reachability filtering and the annotator stats cache."""
+"""Tests for target reachability filtering and the annotator's
+per-table statistics cache."""
 
 import numpy as np
 
@@ -9,6 +10,11 @@ from repro.sqlengine import Column, Table
 from repro.text import WordEmbeddings
 
 EMB = WordEmbeddings(dim=32, seed=0)
+
+
+def stats_for(annotator, table):
+    encoding, _status = annotator.schema_encoding(table)
+    return encoding.stats
 
 
 class TestReachability:
@@ -55,14 +61,14 @@ class TestStatsCache:
     def test_same_table_cached(self):
         annotator = Annotator(EMB)
         table = Table("t", [Column("a")], [("x",)])
-        assert annotator._stats_for(table) is annotator._stats_for(table)
+        assert stats_for(annotator, table) is stats_for(annotator, table)
 
     def test_different_table_same_name_not_confused(self):
         annotator = Annotator(EMB)
         t1 = Table("t", [Column("a")], [("x",)])
         t2 = Table("t", [Column("a")], [("completely different",)])
-        s1 = annotator._stats_for(t1)
-        s2 = annotator._stats_for(t2)
+        s1 = stats_for(annotator, t1)
+        s2 = stats_for(annotator, t2)
         assert not np.allclose(s1["a"], s2["a"])
 
     def test_recycled_id_detected(self):
@@ -74,8 +80,8 @@ class TestStatsCache:
         """
         annotator = Annotator(EMB)
         t1 = Table("t", [Column("a")], [("x",)])
-        s1 = annotator._stats_for(t1)
+        s1 = stats_for(annotator, t1)
         del t1  # its id may now be recycled by any new object
         t2 = Table("t", [Column("a")], [("other words entirely",)])
-        s2 = annotator._stats_for(t2)
+        s2 = stats_for(annotator, t2)
         assert not np.allclose(s1["a"], s2["a"])

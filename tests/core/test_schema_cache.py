@@ -9,7 +9,7 @@ from repro.core.mention import ClassifierConfig
 from repro.core.seq2seq.vocab import STRUCTURAL_TOKENS, is_symbol
 from repro.data import generate_wikisql_style
 from repro.serving import TranslationService
-from repro.sqlengine import Table
+from repro.sqlengine import Table, table_fingerprint
 from repro.text import WordEmbeddings
 
 
@@ -45,15 +45,6 @@ class TestSchemaCache:
                        rows=[tuple(row) for row in table.rows[:-1]])
         _, status = annotator.schema_encoding(edited)
         assert status == "miss"
-
-    def test_peek_never_builds(self, nlidb, table):
-        annotator = nlidb.annotator
-        annotator._schema_cache.clear()
-        misses = annotator._schema_cache.misses
-        assert annotator.peek_schema_encoding(table) is None
-        assert annotator._schema_cache.misses == misses
-        annotator.schema_encoding(table)
-        assert annotator.peek_schema_encoding(table) is not None
 
     def test_stats_shape(self, nlidb, table):
         annotator = nlidb.annotator
@@ -115,11 +106,11 @@ class TestInvalidation:
                               classifier_config=ClassifierConfig(
                                   word_dim=16, hidden=8))
         annotator.fit(dataset.train, classifier_epochs=1, value_epochs=2)
-        table = dataset.train[0].table
-        annotator.schema_encoding(table)
-        assert annotator.peek_schema_encoding(table) is not None
+        key = table_fingerprint(dataset.train[0].table)
+        annotator.schema_encoding(dataset.train[0].table)
+        assert key in annotator._schema_cache
         annotator.fit(dataset.train, classifier_epochs=1, value_epochs=2)
-        assert annotator.peek_schema_encoding(table) is None
+        assert key not in annotator._schema_cache
 
 
 class TestServingVisibility:

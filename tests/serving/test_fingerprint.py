@@ -1,10 +1,12 @@
 """Property-based tests for the table content fingerprint.
 
-The serving cache and the annotator's statistics cache both key on
-:func:`repro.sqlengine.table_fingerprint`; these properties are what
-make that keying sound: content-equal tables collide, any content edit
-separates, and the digest is process-stable (no dependence on the
-interpreter's salted ``hash()``).
+The serving cache, cluster routing and the annotator's per-table
+cache all key on :func:`repro.sqlengine.table_fingerprint`; these
+properties are what make that keying sound: content-equal tables
+collide, any content edit separates, and the digest is process-stable
+(no dependence on the interpreter's salted ``hash()``).  A golden digest
+and a differential against the field-at-a-time reference
+(``tests/oracles.py``) pin that the digest never changes.
 """
 
 import os
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqlengine import Column, DataType, Table, table_fingerprint
+from tests import oracles
 
 WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "omega",
                          "kilo", "mega", "turbo"])
@@ -117,6 +120,7 @@ _SNIPPET = """
 import sys
 sys.path.insert(0, {src!r})
 from repro.sqlengine import Column, DataType, Table, table_fingerprint
+from tests import oracles
 table = Table("films", [Column("film"), Column("year", DataType.REAL)],
               [("solaris", 1972), ("stalker", 1979)])
 print(table_fingerprint(table))
@@ -138,3 +142,53 @@ class TestProcessStability:
         table = Table("films", [Column("film"), Column("year", DataType.REAL)],
                       [("solaris", 1972), ("stalker", 1979)])
         assert digests[0] == digests[1] == table_fingerprint(table)
+
+
+#: Every cell type the digest tags, plus non-ASCII and empty strings.
+GOLDEN_TABLE = Table(
+    "golden",
+    [Column("name"), Column("score", DataType.REAL), Column("flag"),
+     Column("note")],
+    [("Łódź café", 3, True, None),
+     ("", 2.5, False, "naïve — 東京"),
+     ("x y", -0.0, 0, ""),
+     ("1", 1, 1.0, "True")])
+GOLDEN_DIGEST = \
+    "0aea3f4fbd25fc29f65bfce7b8757f730c8a946a12fff00956b08ecdc75a79e4"
+
+ANY_CELL = st.one_of(
+    st.text(max_size=12), st.integers(-10**12, 10**12),
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    st.none())
+
+
+@st.composite
+def any_tables(draw):
+    n_cols = draw(st.integers(1, 4))
+    names = draw(st.lists(st.text(min_size=1, max_size=8).filter(
+        lambda name: name.strip()), min_size=n_cols, max_size=n_cols,
+        unique_by=lambda name: name.lower()))
+    columns = [Column(name, draw(DTYPES)) for name in names]
+    rows = [tuple(draw(ANY_CELL) for _ in range(n_cols))
+            for _ in range(draw(st.integers(0, 6)))]
+    return Table("t", columns, rows)
+
+
+class TestDigestStability:
+    def test_golden_digest(self):
+        assert table_fingerprint(GOLDEN_TABLE) == GOLDEN_DIGEST
+        assert oracles.table_fingerprint(GOLDEN_TABLE) == GOLDEN_DIGEST
+
+    @given(any_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_field_at_a_time_reference(self, table):
+        assert table_fingerprint(table) == oracles.table_fingerprint(table)
+
+    def test_untagged_cell_type_matches_reference(self):
+        class Code(str):
+            pass
+
+        table = Table("t", [Column("a")], [(Code("x"),), (b"raw",)])
+        assert table_fingerprint(table) == oracles.table_fingerprint(table)
+        assert table_fingerprint(table) != table_fingerprint(
+            Table("t", [Column("a")], [("x",), (b"raw",)]))
