@@ -6,8 +6,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test test-faults test-pipeline test-eval lint bench-serving \
-	bench-inference bench-scheduler bench-cluster bench-robustness \
-	bench-accuracy bench-smoke bench
+	bench-scheduler bench-cluster bench-robustness bench-accuracy \
+	bench-smoke bench
 
 # Tier-1: the full unit/integration/property suite.
 test:
@@ -42,19 +42,6 @@ lint:
 # degraded-ladder availability check, as JSON, at the tiny smoke scale.
 bench-serving:
 	REPRO_BENCH_SCALE=smoke $(PYTHON) -m pytest benchmarks/bench_serving.py -q
-
-# Vectorized-inference benchmark: batched column scoring, lockstep vs
-# per-beam decoding, the float32 arena-vs-tensor allocation comparison,
-# and schema-cache cold/warm latency.  Writes BENCH_inference.json at
-# the repo root; fails if the batched paths are slower than the
-# per-item reference.  ARENA=0 runs the end-to-end cells on the float64
-# tensor path; QUANT=1 scores the frozen classifier head from int8.
-ARENA ?= 1
-QUANT ?= 0
-bench-inference:
-	REPRO_BENCH_SCALE=smoke REPRO_BENCH_ARENA=$(ARENA) \
-		REPRO_BENCH_QUANT=$(QUANT) \
-		$(PYTHON) -m pytest benchmarks/bench_inference.py -q
 
 # Micro-batching scheduler benchmark: coalesced vs single-request
 # dispatch at concurrency 1/8/32, with every request differentially
@@ -94,10 +81,9 @@ bench-accuracy:
 		$(PYTHON) -m pytest benchmarks/bench_accuracy.py -q
 
 # CI-friendly alias: the smoke benchmarks — the fastest end-to-end
-# exercise of the serving path, the inference fast path, and the
-# robustness harness.
-bench-smoke: bench-serving bench-inference bench-scheduler bench-cluster \
-	bench-robustness bench-accuracy
+# exercise of the serving path and the robustness harness.
+bench-smoke: bench-serving bench-scheduler bench-cluster bench-robustness \
+	bench-accuracy
 
 # Full paper-table benchmark suite (slow; standard scale by default).
 bench:

@@ -2,7 +2,7 @@
 
 Runs the :mod:`repro.eval` harness over the headline model and writes
 one ``BENCH_robustness.json`` record at the repo root — a *tracked
-metric* artifact (uploaded by CI next to ``BENCH_inference.json``),
+metric* artifact (uploaded by CI next to ``BENCH_accuracy.json``),
 not a pass/fail gate:
 
 * attack suite — clean accuracy and per-attack accuracy/robustness

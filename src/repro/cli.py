@@ -316,7 +316,7 @@ def _cmd_serve_stats(args) -> int:
               f"coalesced_batches={sched['coalesced_batches']} "
               f"dispatched={sched['dispatched']} "
               f"max_batch={sched['max_batch']}", file=sys.stderr)
-    # Which numeric inference path served the run (arena/f32/int8).
+    # How much float32 arena memory the inference kernels hold.
     if clustered:
         replica = next(iter(report["replicas"].values()), {})
         inference = replica.get("service", {}).get("inference")
@@ -325,11 +325,7 @@ def _cmd_serve_stats(args) -> int:
     if inference:
         arena_bytes = sum(a.get("bytes", 0)
                           for a in inference.get("arenas", {}).values())
-        print(f"[inference] dtype={inference['dtype']} "
-              f"arena={'on' if inference['arena_inference'] else 'off'} "
-              f"arena_bytes={arena_bytes} "
-              f"quantized={'on' if inference['quantized_scoring'] else 'off'}",
-              file=sys.stderr)
+        print(f"[inference] arena_bytes={arena_bytes}", file=sys.stderr)
     return 0
 
 

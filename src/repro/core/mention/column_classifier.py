@@ -35,13 +35,11 @@ from repro.nn import (
     InferenceArena,
     LSTM,
     LSTMCell,
-    Linear,
     Module,
     Tensor,
     binary_cross_entropy_with_logits,
     clip_grad_norm,
     concat,
-    merge_steps,
     no_grad,
     pack_steps,
     sigmoid_,
@@ -189,13 +187,8 @@ class ColumnMentionClassifier(Module):
         # never flow into a non-leaf zeros tensor).
         self._feature_pad = Tensor.zeros(1, 2 * cfg.hidden + 2)
         self._trained = False
-        # Arena inference state (serving fast path).  ``arena_inference``
-        # and ``quantized_scoring`` are plain attributes (not config
-        # fields) so persisted configs stay wire-compatible; NLIDB
-        # mirrors its flags onto them at construction.
+        # Reused float32 buffers of the batched inference path.
         self.arena = InferenceArena()
-        self.arena_inference = True
-        self.quantized_scoring = False
         self._wordvec32: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -232,9 +225,9 @@ class ColumnMentionClassifier(Module):
                        ) -> tuple[list[EmbeddedWord], Tensor, Tensor]:
         """Column-independent work: ``(embedded, memory S^q, q_unit)``.
 
-        Computed once per question and shared by every column — both by
-        :meth:`forward` (one column) and :meth:`score_columns` (all of
-        a table's columns in one batch).
+        The float64 question side of :meth:`forward`;
+        :meth:`_question_side_np` is its float32 form for batched
+        scoring.
         """
         q_embedded = self.embed_words(question, capture=capture)
         s_q = self.question_rnn([e.combined for e in q_embedded])
@@ -374,77 +367,22 @@ class ColumnMentionClassifier(Module):
                       encoded: EncodedColumns | None = None) -> np.ndarray:
         """Mention probabilities of many columns in one batched pass.
 
-        The question side (embedding, question LSTM, unit matrix) runs
-        once; the attentive BiLSTM advances all columns in lockstep with
-        batched attention.  Equals per-column :meth:`predict_proba` to
-        working precision — float32 on the default arena path, float64
-        with ``arena_inference`` off (BLAS path differences only).  Pass
+        A one-request :meth:`score_columns_multi`: the question side
+        runs once and the attentive BiLSTM advances all columns in
+        lockstep with batched attention.  Equals per-column
+        :meth:`predict_proba` to float32 working precision.  Pass
         ``encoded`` to reuse a cached :meth:`encode_columns` artifact.
         """
         if not question:
             raise ModelError("question and column must be non-empty")
-        cfg = self.config
-        with no_grad():
-            if encoded is None:
-                if not columns:
-                    raise ModelError(
-                        "score_columns() needs columns or encoded=")
-                encoded = self.encode_columns(columns)
-            if self.arena_inference:
-                return self._score_columns_np(question, encoded)
-            batch = len(encoded)
-            total = len(encoded.states)
-            _, memory, q_unit = self._question_side(question)
-
-            needs_mask = int(encoded.lengths.min()) < total
-            masks = [(encoded.lengths > t).astype(np.float64).reshape(-1, 1)
-                     for t in range(total)] if needs_mask else None
-
-            def run_direction(cell, reverse):
-                h, c = cell.initial_state(batch)
-                outputs: list[Tensor | None] = [None] * total
-                order = range(total - 1, -1, -1) if reverse \
-                    else range(total)
-                for t in order:
-                    s_t = Tensor(encoded.states[t])
-                    query = concat([s_t, h], axis=-1)
-                    context, _ = self.attention.forward_batch(memory, query)
-                    z_t = concat([s_t, context], axis=-1)
-                    h_new, c_new = cell(z_t, h, c)
-                    if masks is not None:
-                        m = Tensor(masks[t])
-                        h = h_new * m + h * (1.0 - m)
-                        c = c_new * m + c * (1.0 - m)
-                    else:
-                        h, c = h_new, c_new
-                    outputs[t] = h
-                return outputs
-
-            fwd = run_direction(self.fwd_cell, reverse=False)
-            bwd = run_direction(self.bwd_cell, reverse=True)
-
-            # Similarity features for all (column word, question) pairs:
-            # (B, T, emb) × (n, emb) → (B, T, n), then max/mean over n.
-            sims = encoded.units @ q_unit.numpy().T
-            sim_max = sims.max(axis=2)
-            sim_mean = sims.mean(axis=2)
-
-            # Assemble the zero-padded feature matrix exactly as the
-            # per-item path does: valid steps get [d_t; max; mean],
-            # steps past a column's length stay zero.
-            width = 2 * cfg.hidden + 2
-            features = np.zeros((batch, width * cfg.max_column_words))
-            for t in range(total):
-                block = np.concatenate(
-                    [fwd[t].numpy(), bwd[t].numpy(),
-                     sim_max[:, t:t + 1], sim_mean[:, t:t + 1]], axis=1)
-                valid = encoded.lengths > t
-                features[valid, t * width:(t + 1) * width] = block[valid]
-            logits = self.head(Tensor(features)).numpy().reshape(batch)
-        return 1.0 / (1.0 + np.exp(-logits))
+        if encoded is None:
+            if not columns:
+                raise ModelError("score_columns() needs columns or encoded=")
+            encoded = self.encode_columns(columns)
+        return self.score_columns_multi([(question, encoded)])[0]
 
     # ------------------------------------------------------------------
-    # Arena inference twins (float32, allocation-free when warm)
+    # Float32 arena kernels (allocation-free when warm)
     # ------------------------------------------------------------------
 
     def _embed_word_np(self, word: str, out: np.ndarray) -> None:
@@ -462,7 +400,7 @@ class ColumnMentionClassifier(Module):
 
     def _question_side_np(self, question: list[str], tag: str,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arena twin of :meth:`_question_side`.
+        """Float32 arena form of :meth:`_question_side`.
 
         Returns ``(memory (n, hidden), memory_proj (n, attn), q_unit
         (n, emb))`` — all arena-owned under ``tag``-scoped keys, so
@@ -493,9 +431,9 @@ class ColumnMentionClassifier(Module):
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Run both attentive-LSTM directions over ``(T, B, 2H)`` states.
 
-        ``attend(query, tag)`` computes the per-request attention
-        contexts (single memory or grouped); returns the ``(T, B, H)``
-        forward and backward output slabs.
+        ``attend(query, tag)`` computes the attention contexts, each
+        request's rows over its own question memory; returns the
+        ``(T, B, H)`` forward and backward output slabs.
         """
         cfg = self.config
         arena = self.arena
@@ -576,40 +514,28 @@ class ColumnMentionClassifier(Module):
         np.mean(sims, axis=2, out=sim_mean)
         return sim_max, sim_mean
 
-    def _score_columns_np(self, question: list[str],
-                          encoded: EncodedColumns) -> np.ndarray:
-        """Arena/float32 twin of the batched :meth:`score_columns` body."""
-        cfg = self.config
-        arena = self.arena
-        batch = len(encoded)
-        states32, units32 = encoded.as_f32()
-        total = states32.shape[0]
-        memory, mp, q_unit = self._question_side_np(question, "q")
-
-        def attend(query, dtag):
-            contexts, _ = self.attention.forward_batch_np(
-                memory, mp, query, arena, f"{dtag}.att")
-            return contexts
-
-        fwd, bwd = self._attentive_pass_np(
-            states32, encoded.lengths, attend, "col")
-        sim_max, sim_mean = self._sims_np(units32, q_unit, "col")
-        width = 2 * cfg.hidden + 2
-        features = arena.take("col.feats", (batch, width * cfg.max_column_words))
-        features[...] = 0.0
-        self._features_np(fwd, bwd, sim_max, sim_mean, encoded.lengths,
-                          slice(0, batch), features)
-        logits = self.head.forward_np(features, arena, "col.head",
-                                      quantized=self.quantized_scoring)
-        probs = sigmoid_(logits)
-        # Small per-request copy: callers hold the result across requests,
-        # so it must not alias a reused slab.
-        return probs.reshape(batch).astype(np.float64)
-
-    def _score_columns_multi_np(
+    def score_columns_multi(
             self, items: list[tuple[list[str], EncodedColumns]],
             ) -> list[np.ndarray]:
-        """Arena/float32 twin of :meth:`score_columns_multi`."""
+        """Score several requests' columns in ONE attentive-BiLSTM pass.
+
+        ``items`` pairs each question with the encoded columns it should
+        score — usually different schemas with ragged column counts and
+        word lengths.  The column states are stacked into one
+        zero-padded union batch, the attentive-BiLSTM cells and the MLP
+        head advance that batch, and attention runs per request so each
+        request attends over its *own* question memory.
+
+        Everything whose reduction shape depends on the request — the
+        question side, attention softmax/context, similarity features —
+        is computed per request with exactly the shapes a one-request
+        call uses, so item ``i``'s probabilities match a stand-alone
+        :meth:`score_columns` call up to BLAS batch-size differences in
+        the shared matmuls (empirically bit-equal on this substrate;
+        pinned by the kernel differential tests).
+        """
+        if not items:
+            return []
         cfg = self.config
         arena = self.arena
         hs = cfg.hidden
@@ -622,13 +548,13 @@ class ColumnMentionClassifier(Module):
         total = max(len(encoded.states) for _q, encoded in items)
         union = arena.take("m.states", (total, batch, 2 * hs))
         union[...] = 0.0
-        per_request = []
+        units = []
         for rows, (question, encoded) in zip(slices, items):
             if not question:
                 raise ModelError("question and column must be non-empty")
             states32, units32 = encoded.as_f32()
             union[:states32.shape[0], rows] = states32
-            per_request.append((states32, units32))
+            units.append(units32)
         lengths = np.concatenate(
             [encoded.lengths for _q, encoded in items])
 
@@ -648,111 +574,13 @@ class ColumnMentionClassifier(Module):
         width = 2 * hs + 2
         features = arena.take("m.feats", (batch, width * cfg.max_column_words))
         features[...] = 0.0
-        for g, (rows, (question, encoded)) in enumerate(zip(slices, items)):
-            _states32, units32 = per_request[g]
-            sim_max, sim_mean = self._sims_np(units32, sides[g][2], f"m.s{g}")
+        for g, (rows, (_question, encoded)) in enumerate(zip(slices, items)):
+            sim_max, sim_mean = self._sims_np(units[g], sides[g][2], f"m.s{g}")
             self._features_np(fwd, bwd, sim_max, sim_mean, encoded.lengths,
                               rows, features)
-        logits = self.head.forward_np(features, arena, "m.head",
-                                      quantized=self.quantized_scoring)
+        logits = self.head.forward_np(features, arena, "m.head")
         probs = sigmoid_(logits).reshape(batch)
         return [probs[rows].astype(np.float64) for rows in slices]
-
-    def score_columns_multi(
-            self, items: list[tuple[list[str], EncodedColumns]],
-            ) -> list[np.ndarray]:
-        """Score several requests' columns in ONE attentive-BiLSTM pass.
-
-        The cross-request form of :meth:`score_columns`: ``items`` pairs
-        each question with the encoded columns it should score — usually
-        different schemas with ragged column counts and word lengths.
-        The column-side packings are fused with
-        :func:`repro.nn.merge_steps`, the attentive-BiLSTM cells and the
-        MLP head advance the union batch, and attention runs grouped so
-        every request attends over its *own* question memory
-        (:meth:`AdditiveAttention.forward_grouped`).
-
-        Everything whose reduction shape depends on the request — the
-        question side, attention softmax/context, similarity features —
-        is computed per request with exactly the shapes
-        :meth:`score_columns` would use, so item ``i``'s probabilities
-        match a stand-alone call up to BLAS batch-size differences in
-        the shared matmuls (empirically bit-equal on this substrate;
-        pinned by the kernel differential tests).
-        """
-        if not items:
-            return []
-        if self.arena_inference:
-            return self._score_columns_multi_np(items)
-        cfg = self.config
-        with no_grad():
-            sizes = [len(encoded) for _question, encoded in items]
-            merged, lengths, offsets = merge_steps(
-                [(encoded.states, encoded.lengths)
-                 for _question, encoded in items])
-            slices = [slice(int(off), int(off) + size)
-                      for off, size in zip(offsets, sizes)]
-            batch = int(sum(sizes))
-            total = len(merged)
-
-            memories: list[Tensor] = []
-            q_units: list[np.ndarray] = []
-            for question, _encoded in items:
-                if not question:
-                    raise ModelError("question and column must be non-empty")
-                _, memory, q_unit = self._question_side(question)
-                memories.append(memory)
-                q_units.append(q_unit.numpy())
-
-            needs_mask = int(lengths.min()) < total
-            masks = [(lengths > t).astype(np.float64).reshape(-1, 1)
-                     for t in range(total)] if needs_mask else None
-
-            def run_direction(cell, reverse):
-                h, c = cell.initial_state(batch)
-                outputs: list[Tensor | None] = [None] * total
-                order = range(total - 1, -1, -1) if reverse \
-                    else range(total)
-                for t in order:
-                    s_t = Tensor(merged[t])
-                    query = concat([s_t, h], axis=-1)
-                    contexts, _ = self.attention.forward_grouped(
-                        memories, query, slices)
-                    z_t = concat([s_t, contexts], axis=-1)
-                    h_new, c_new = cell(z_t, h, c)
-                    if masks is not None:
-                        m = Tensor(masks[t])
-                        h = h_new * m + h * (1.0 - m)
-                        c = c_new * m + c * (1.0 - m)
-                    else:
-                        h, c = h_new, c_new
-                    outputs[t] = h
-                return outputs
-
-            fwd = run_direction(self.fwd_cell, reverse=False)
-            bwd = run_direction(self.bwd_cell, reverse=True)
-
-            # Per-request similarity features and feature assembly: the
-            # reductions run over each request's own question words, so
-            # the blocks equal the single-request path's exactly.
-            width = 2 * cfg.hidden + 2
-            features = np.zeros((batch, width * cfg.max_column_words))
-            for rows, (_question, encoded), q_unit in zip(
-                    slices, items, q_units):
-                sims = encoded.units @ q_unit.T
-                sim_max = sims.max(axis=2)
-                sim_mean = sims.mean(axis=2)
-                block_rows = features[rows.start:rows.stop]
-                for t in range(len(encoded.states)):
-                    block = np.concatenate(
-                        [fwd[t].numpy()[rows.start:rows.stop],
-                         bwd[t].numpy()[rows.start:rows.stop],
-                         sim_max[:, t:t + 1], sim_mean[:, t:t + 1]], axis=1)
-                    valid = encoded.lengths > t
-                    block_rows[valid, t * width:(t + 1) * width] = block[valid]
-            logits = self.head(Tensor(features)).numpy().reshape(batch)
-            probs = 1.0 / (1.0 + np.exp(-logits))
-        return [probs[rows.start:rows.stop] for rows in slices]
 
     def predict(self, question: list[str], column: list[str],
                 threshold: float = 0.5) -> bool:

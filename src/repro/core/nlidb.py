@@ -56,15 +56,6 @@ class NLIDBConfig:
     # Mirrored into ``seq2seq.extended_grammar`` at construction so the
     # candidate sets of every decode path agree.
     extended_grammar: bool = False
-    # Inference fast path: route lockstep decoding and frozen-classifier
-    # scoring through the float32 arena kernels (reused buffers, no
-    # autodiff graph).  Training always stays float64.  Mirrored into
-    # the seq2seq config and the column classifier at construction.
-    arena_inference: bool = True
-    # Score the frozen column-classifier head from int8 weights with
-    # per-row scales (two-plane residual quantization; scores stay
-    # within 1e-4 of float32).  Requires ``arena_inference``.
-    quantized_scoring: bool = False
     # Translator.
     seq2seq: Seq2SeqConfig = field(default_factory=Seq2SeqConfig)
     # Annotation pipeline.
@@ -140,17 +131,12 @@ class NLIDB:
         self.config = config or NLIDBConfig()
         if self.config.extended_grammar:
             self.config.seq2seq.extended_grammar = True
-        self.config.seq2seq.arena_inference = self.config.arena_inference
         classifier_config = (self.config.classifier
                              or ClassifierConfig(word_dim=self.embeddings.dim))
         self.annotator = Annotator(self.embeddings,
                                    config=self.config.annotator,
                                    classifier_config=classifier_config,
                                    knowledge=knowledge)
-        self.annotator.column_classifier.arena_inference = \
-            self.config.arena_inference
-        self.annotator.column_classifier.quantized_scoring = \
-            self.config.quantized_scoring
         # The translator is pluggable: the "+Transformer" ablation swaps
         # in a TransformerTranslator with the same fit/translate API.
         self.translator = translator or AnnotatedSeq2Seq(self.embeddings,
@@ -389,9 +375,7 @@ class NLIDB:
         ``False``.
         """
         return (self._fitted
-                and callable(getattr(self.translator, "translate_many", None))
-                and getattr(getattr(self.translator, "config", None),
-                            "lockstep_beam", False))
+                and callable(getattr(self.translator, "translate_many", None)))
 
     def cohort_artifacts(self, requests: list[tuple[list[str], "Table",
                                                     int | None]],
@@ -480,11 +464,7 @@ class NLIDB:
                     header_encoding=self.config.header_encoding)
                 token_vectors = None
                 if getattr(self.translator, "accepts_token_vectors", False):
-                    token_vectors = (
-                        schema.token_vectors32 if getattr(
-                            getattr(self.translator, "config", None),
-                            "arena_inference", False)
-                        else schema.token_vectors)
+                    token_vectors = schema.token_vectors32
                 lanes[i] = {
                     "value_spans": value_spans,
                     "column_spans": column_spans,
@@ -517,10 +497,10 @@ class NLIDB:
         return lanes, stats
 
     def inference_info(self) -> dict:
-        """Active inference configuration and arena occupancy.
+        """Occupancy of the float32 inference arenas.
 
         Surfaced by ``TranslationService.stats()`` / the ``serve-stats``
-        CLI so operators can see which numeric path is live.
+        CLI.
         """
         arenas = {}
         translator_arena = getattr(self.translator, "arena", None)
@@ -529,12 +509,7 @@ class NLIDB:
         classifier = self.annotator.column_classifier
         if getattr(classifier, "arena", None) is not None:
             arenas["classifier"] = classifier.arena.stats()
-        return {
-            "arena_inference": self.config.arena_inference,
-            "dtype": "float32" if self.config.arena_inference else "float64",
-            "quantized_scoring": self.config.quantized_scoring,
-            "arenas": arenas,
-        }
+        return {"arenas": arenas}
 
     def to_sql(self, question: str | list[str], table: Table) -> str:
         """Convenience: question text in, SQL text out.
@@ -593,13 +568,10 @@ class _TranslateStage(_NLIDBStage):
         # question-independent header tokens and frozen candidate-token
         # vectors.
         schema, _status = self.nlidb.annotator.context_schema(ctx)
-        arena = getattr(getattr(self.nlidb.translator, "config", None),
-                        "arena_inference", False)
         source, predicted = self.nlidb.predict_annotated(
             ctx.artifacts["annotation"], beam_width=ctx.beam_width,
             header_tokens=schema.header_tokens,
-            token_vectors=(schema.token_vectors32 if arena
-                           else schema.token_vectors))
+            token_vectors=schema.token_vectors32)
         ctx.artifacts["source"] = source
         ctx.artifacts["predicted"] = predicted
         decode = getattr(self.nlidb.translator, "last_decode", None) or {}

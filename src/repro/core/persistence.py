@@ -32,6 +32,11 @@ __all__ = ["save_nlidb", "load_nlidb"]
 
 _FORMAT_VERSION = 1
 
+#: Seq2SeqConfig fields that once chose between equivalent decoders.
+#: Models saved while they existed still carry them; loading drops
+#: exactly these, so any other unknown key still fails loudly.
+_RETIRED_SEQ2SEQ_KEYS = ("lockstep_beam", "arena_inference")
+
 
 def save_nlidb(model: NLIDB, directory: str | os.PathLike) -> None:
     """Persist a trained NLIDB to ``directory`` (created if missing)."""
@@ -98,7 +103,9 @@ def load_nlidb(directory: str | os.PathLike) -> NLIDB:
         classifier_epochs=config["nlidb"]["classifier_epochs"],
         seq2seq_epochs=config["nlidb"]["seq2seq_epochs"],
         seed=config["nlidb"]["seed"],
-        seq2seq=Seq2SeqConfig(**config["seq2seq"]),
+        seq2seq=Seq2SeqConfig(**{
+            key: value for key, value in config["seq2seq"].items()
+            if key not in _RETIRED_SEQ2SEQ_KEYS}),
         annotator=AnnotatorConfig(**config["annotator"]),
         classifier=classifier_config,
     )

@@ -74,14 +74,6 @@ class Seq2SeqConfig:
     #: BY/HAVING, ORDER BY/LIMIT, parens) in every candidate set.  Off
     #: by default so legacy models keep a byte-identical output space.
     extended_grammar: bool = False
-    #: Advance all live beams through one batched decoder/attention call
-    #: per step (the vectorized fast path).  The per-beam Python loop is
-    #: kept as the differential-testing reference.
-    lockstep_beam: bool = True
-    #: Run lockstep inference through the float32 arena kernels (reused
-    #: preallocated buffers, no autodiff graph, no per-step heap
-    #: allocation).  Training and the per-beam reference stay float64.
-    arena_inference: bool = True
 
 
 @dataclass
@@ -102,15 +94,14 @@ class TrainingPair:
 class _DecodeLane:
     """Per-request beam-search state inside :meth:`translate_many`.
 
-    The tensor path stores ``memory``/``memory_proj`` as Tensors and
-    ``copy_map`` as the ``(C, T)`` matrix; the arena path stores float32
-    arena views for everything and ``copy_map`` transposed to ``(T, C)``
-    (the layout its in-place copy-mass matmul wants).
+    Every array is a float32 view into the translator's arena;
+    ``copy_map`` is stored transposed to ``(T, C)`` (the layout the
+    in-place copy-mass matmul wants).
     """
 
     candidates: list[str]
-    memory: Tensor | np.ndarray
-    memory_proj: Tensor | np.ndarray
+    memory: np.ndarray
+    memory_proj: np.ndarray
     cand_rows: np.ndarray
     copy_map: np.ndarray
     d_mat: np.ndarray
@@ -320,7 +311,7 @@ class AnnotatedSeq2Seq(Module):
         return losses
 
     # ------------------------------------------------------------------
-    # Inference (beam search)
+    # Inference: float32 arena beam search
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -330,8 +321,8 @@ class AnnotatedSeq2Seq(Module):
         ``argpartition`` + a small sort instead of a full argsort of the
         candidate vocabulary.  Ties break toward the lower candidate
         index (partition indices are pre-sorted, the rank sort is
-        stable), so the per-beam and lockstep paths — which both route
-        through here — expand candidates in the same order.
+        stable), so the decoder and the per-beam test oracle — which
+        both route through here — expand candidates in the same order.
         """
         if k >= probs.shape[0]:
             idx = np.arange(probs.shape[0])
@@ -339,83 +330,12 @@ class AnnotatedSeq2Seq(Module):
             idx = np.sort(np.argpartition(probs, -k)[-k:])
         return idx[np.argsort(-probs[idx], kind="stable")]
 
-    def _attend_batch(self, memory: Tensor, memory_proj: Tensor,
-                      d_batch: Tensor, query_proj: Tensor | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`_attend`: B decoder states against one memory.
-
-        Returns numpy ``(scores (B, T), contexts (B, enc_dim))`` — the
-        lockstep decoder is inference-only, so no graph is needed.
-        ``query_proj`` optionally supplies ``att_query(d_batch)`` rows
-        computed as part of a larger (cross-request) projection.
-        """
-        t = memory.shape[0]
-        b = d_batch.shape[0]
-        attn = self.config.attention_dim
-        if query_proj is None:
-            query_proj = self.att_query(d_batch)
-        hidden = (memory_proj.reshape(1, t, attn)
-                  + query_proj.reshape(b, 1, attn)).tanh()
-        scores = self.att_v(hidden.reshape(b * t, attn)).numpy().reshape(b, t)
-        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        return scores, weights @ memory.numpy()
-
-    def _step_distribution_batch(self, d_batch: np.ndarray,
-                                 contexts: np.ndarray,
-                                 attention_scores: np.ndarray,
-                                 copy_map: np.ndarray,
-                                 candidate_matrix: np.ndarray,
-                                 projected: np.ndarray | None = None,
-                                 ) -> np.ndarray:
-        """Batched :meth:`_step_distribution`: ``(B, C)`` probabilities.
-
-        Row ``b`` applies the paper's ``∝ exp(U[d,β]) + M_i`` rule with
-        the same shared shift (max over that row's generation logits and
-        attention scores) the per-beam path uses.  ``projected``
-        optionally supplies ``out_proj([d, β])`` rows computed as part
-        of a larger (cross-request) projection.
-        """
-        if projected is None:
-            projected = self.out_proj(
-                Tensor(np.concatenate([d_batch, contexts], axis=1))).numpy()
-        gen_logits = projected @ candidate_matrix.T
-        if self.config.use_copy:
-            shift = np.maximum(gen_logits.max(axis=1),
-                               attention_scores.max(axis=1))[:, None]
-            mass = (np.exp(gen_logits - shift)
-                    + np.exp(attention_scores - shift) @ copy_map.T)
-        else:
-            shift = gen_logits.max(axis=1, keepdims=True)
-            mass = np.exp(gen_logits - shift)
-        return mass / mass.sum(axis=1, keepdims=True)
-
-    def _inference_candidate_matrix(self, candidates: list[str],
-                                    token_vectors: dict | None) -> Tensor:
-        """The ``(C, dim)`` tied-embedding matrix, from cached vectors.
-
-        Bit-identical to :meth:`TokenEmbedder.candidate_matrix`: frozen
-        hash vectors come straight from ``token_vectors`` (or the
-        embedder) as numpy rows, symbols still go through the trainable
-        type ⊕ index embeddings.
-        """
-        rows = np.empty((len(candidates), self.embedder.dim))
-        for i, token in enumerate(candidates):
-            vector = token_vectors.get(token) if token_vectors else None
-            if vector is None:
-                vector = self.embedder.embed(token).numpy().reshape(-1)
-            rows[i] = vector
-        return Tensor(rows)
-
-    # ------------------------------------------------------------------
-    # Float32 arena inference kernels
-    # ------------------------------------------------------------------
-
     def _encode_np(self, tokens: list[str], tag: str,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arena twin of encode + init: ``(memory, memory_proj, d0)``.
+        """Float32 encode + initial state: ``(memory, memory_proj, d0)``.
 
-        All three live in reused float32 slabs keyed by ``tag`` (one tag
+        The arena form of :meth:`encode` and :meth:`_initial_state`; all
+        three live in reused float32 slabs keyed by ``tag`` (one tag
         per lane, so concurrent lanes never alias).
         """
         if not tokens:
@@ -443,7 +363,7 @@ class AnnotatedSeq2Seq(Module):
                    d: np.ndarray, tag: str,
                    query_proj: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Arena twin of :meth:`_attend_batch`: ``(scores, contexts)``.
+        """Batched float32 :meth:`_attend`: ``(scores, contexts)``.
 
         Raw scores survive in their own slab (the copy rule needs them);
         the softmax runs in a separate weights slab, in place.
@@ -472,9 +392,11 @@ class AnnotatedSeq2Seq(Module):
     def _step_distribution_np(self, attention_scores: np.ndarray,
                               lane: "_DecodeLane", projected: np.ndarray,
                               tag: str) -> np.ndarray:
-        """Arena twin of :meth:`_step_distribution_batch`: ``(B, C)``.
+        """Batched float32 :meth:`_step_distribution`: ``(B, C)``.
 
-        Same shared-shift copy rule, every exponential and the
+        Row ``b`` applies the same shared-shift copy rule (max over that
+        row's generation logits and attention scores); every exponential
+        and the
         normalization in place; the lane's ``copy_map`` is stored
         transposed ``(T, C)`` so the copy mass is one matmul.
         """
@@ -504,10 +426,10 @@ class AnnotatedSeq2Seq(Module):
         gen /= shift
         return gen
 
-    def _prepare_lane_np(self, source: list[str], header_tokens: list[str],
-                         extra_symbols, width: int | None,
-                         token_vectors: dict | None,
-                         lane_index: int) -> "_DecodeLane":
+    def _prepare_lane(self, source: list[str], header_tokens: list[str],
+                      extra_symbols, width: int | None,
+                      token_vectors: dict | None,
+                      lane_index: int) -> "_DecodeLane":
         """Encode one request into a float32 arena decode lane."""
         candidates = build_candidates(source, header_tokens, extra_symbols,
                                       extended=self.config.extended_grammar)
@@ -538,16 +460,19 @@ class AnnotatedSeq2Seq(Module):
                            copy_map=copy_map, d_mat=d_mat, ctx_mat=ctx_mat,
                            width=width or self.config.beam_width)
 
-    def _decode_lockstep_many_np(self, lanes: list["_DecodeLane"],
-                                 ) -> tuple[list[list[str]], list[int]]:
-        """Arena twin of :meth:`_decode_lockstep_many` (handles ≥1 lanes).
+    def _decode_lanes(self, lanes: list["_DecodeLane"],
+                      ) -> tuple[list[list[str]], list[int]]:
+        """Beam-search every lane; return ``(outputs, steps)`` per lane.
 
-        One fused GRU-cell call advances the union of all live beams per
-        step; attention, the copy rule, and top-k pruning stay per lane.
-        Every intermediate lives in a reused slab — a warm decode
-        performs no Tensor construction and no slab growth.  Expansion
-        order and the stable sorts match the float64 paths, so the SQL
-        comes out byte-identical (pinned by the differential tests).
+        One fused GRU-cell call advances the union of all live beams of
+        all lanes per step; attention, the copy rule, and top-k pruning
+        stay per lane.  Lanes finish independently (EOS everywhere or
+        ``max_decode_len``) and drop out of the union.  Every
+        intermediate lives in a reused slab — a warm decode performs no
+        Tensor construction and no slab growth.  Expansion order
+        (beam-major, best candidate first) and the stable sorts match the
+        float64 per-beam loop of the training forward, so the SQL comes
+        out byte-identical (pinned by the differential tests).
         """
         arena = self.arena
         dim = self.embedder.dim
@@ -640,69 +565,17 @@ class AnnotatedSeq2Seq(Module):
     def translate(self, source: list[str], header_tokens: list[str],
                   extra_symbols: tuple[str, ...] = (),
                   beam_width: int | None = None,
-                  lockstep: bool | None = None,
                   token_vectors: dict | None = None) -> list[str]:
         """Decode the most likely annotated SQL token sequence.
 
-        ``lockstep`` overrides ``config.lockstep_beam`` (``True`` stacks
-        all live beams into one decoder/attention call per step;
-        ``False`` is the reference per-beam loop — both produce
-        identical SQL).  ``token_vectors`` optionally supplies
-        precomputed frozen embeddings for candidate tokens (the schema
-        cache provides header + structural vectors).
+        A one-lane :meth:`translate_many`.  ``token_vectors`` optionally
+        supplies precomputed frozen float32 embeddings for candidate
+        tokens (the schema cache provides header + structural vectors).
         """
-        width = beam_width or self.config.beam_width
-        use_lockstep = (self.config.lockstep_beam if lockstep is None
-                        else lockstep)
-        if use_lockstep and self.config.arena_inference:
-            with no_grad():
-                start = perf_counter()
-                lane = self._prepare_lane_np(source, header_tokens,
-                                             extra_symbols, width,
-                                             token_vectors, 0)
-                if self.timing_hook is not None:
-                    self.timing_hook("encode", perf_counter() - start)
-                start = perf_counter()
-                outputs, steps = self._decode_lockstep_many_np([lane])
-                if self.timing_hook is not None:
-                    self.timing_hook("beam_search", perf_counter() - start)
-            self.last_decode = {
-                "path": "lockstep", "steps": steps[0], "beam_width": width,
-                "candidates": len(lane.candidates),
-                "dtype": "float32", "arena": True,
-            }
-            return outputs[0]
-        candidates = build_candidates(source, header_tokens, extra_symbols,
-                                      extended=self.config.extended_grammar)
-        with no_grad():
-            start = perf_counter()
-            states = self.encode(source)
-            memory = concat(states, axis=0)
-            memory_proj = self.att_memory(memory)
-            candidate_matrix = self._inference_candidate_matrix(
-                candidates, token_vectors)
-            copy_map = self._copy_map(candidates, source)
-            d0 = self._initial_state(states)
-            _, context0 = self._attend(memory, memory_proj, d0)
-            if self.timing_hook is not None:
-                self.timing_hook("encode", perf_counter() - start)
-
-            start = perf_counter()
-            decode = self._decode_lockstep if use_lockstep \
-                else self._decode_per_beam
-            finished, steps = decode(candidates, memory, memory_proj,
-                                     candidate_matrix, copy_map,
-                                     d0, context0, width)
-            if self.timing_hook is not None:
-                self.timing_hook("beam_search", perf_counter() - start)
-        finished.sort(key=lambda b: b[0])
-        self.last_decode = {
-            "path": "lockstep" if use_lockstep else "per_beam",
-            "steps": steps, "beam_width": width,
-            "candidates": len(candidates),
-            "dtype": "float64", "arena": False,
-        }
-        return finished[0][1]
+        return self.translate_many([{
+            "source": source, "header_tokens": header_tokens,
+            "extra_symbols": extra_symbols, "beam_width": beam_width,
+            "token_vectors": token_vectors}])[0]
 
     def translate_many(self, requests: list[dict]) -> list[list[str]]:
         """Decode several sources in ONE cross-request lockstep batch.
@@ -712,268 +585,39 @@ class AnnotatedSeq2Seq(Module):
         ``token_vectors`` — the :meth:`translate` signature in mapping
         form.  Encoding, the candidate/copy machinery, and everything
         whose reduction shape is per-request (attention softmax +
-        context, generation/copy mass, top-k pruning) run per lane
-        exactly as :meth:`translate` would; only the row-sliced shared
-        projections (decoder cell, attention query, output projection)
-        advance the union of all lanes' live beams per step.  Lane ``i``
-        therefore returns the same SQL tokens as a stand-alone
-        :meth:`translate` call (pinned by the differential tests).
-
-        Falls back to sequential :meth:`translate` calls when the
-        lockstep path is disabled or only one request is given.
+        context, generation/copy mass, top-k pruning) run per lane; only
+        the row-sliced shared projections (decoder cell, attention
+        query, output projection) advance the union of all lanes' live
+        beams per step.  Lane ``i`` therefore returns the same SQL
+        tokens as a stand-alone :meth:`translate` call (pinned by the
+        differential tests).
         """
         if not requests:
             return []
-        if not self.config.lockstep_beam or len(requests) == 1:
-            return [self.translate(req["source"], req["header_tokens"],
-                                   req.get("extra_symbols", ()),
-                                   beam_width=req.get("beam_width"),
-                                   token_vectors=req.get("token_vectors"))
-                    for req in requests]
-        if self.config.arena_inference:
-            with no_grad():
-                start = perf_counter()
-                lanes = [self._prepare_lane_np(
-                    req["source"], req["header_tokens"],
-                    req.get("extra_symbols", ()), req.get("beam_width"),
-                    req.get("token_vectors"), li)
-                    for li, req in enumerate(requests)]
-                if self.timing_hook is not None:
-                    self.timing_hook("encode", perf_counter() - start)
-                start = perf_counter()
-                outputs, steps = self._decode_lockstep_many_np(lanes)
-                if self.timing_hook is not None:
-                    self.timing_hook("beam_search", perf_counter() - start)
+        with no_grad():
+            start = perf_counter()
+            lanes = [self._prepare_lane(
+                req["source"], req["header_tokens"],
+                req.get("extra_symbols", ()), req.get("beam_width"),
+                req.get("token_vectors"), li)
+                for li, req in enumerate(requests)]
+            if self.timing_hook is not None:
+                self.timing_hook("encode", perf_counter() - start)
+            start = perf_counter()
+            outputs, steps = self._decode_lanes(lanes)
+            if self.timing_hook is not None:
+                self.timing_hook("beam_search", perf_counter() - start)
+        if len(lanes) == 1:
             self.last_decode = {
-                "path": "lockstep_many", "lanes": len(requests),
+                "path": "lockstep", "steps": steps[0],
+                "beam_width": lanes[0].width,
+                "candidates": len(lanes[0].candidates),
+            }
+        else:
+            self.last_decode = {
+                "path": "lockstep_many", "lanes": len(lanes),
                 "steps": steps,
                 "beam_width": [lane.width for lane in lanes],
                 "candidates": [len(lane.candidates) for lane in lanes],
-                "dtype": "float32", "arena": True,
             }
-            return outputs
-        lanes = []
-        with no_grad():
-            start = perf_counter()
-            for req in requests:
-                source = req["source"]
-                candidates = build_candidates(
-                    source, req["header_tokens"],
-                    req.get("extra_symbols", ()),
-                    extended=self.config.extended_grammar)
-                states = self.encode(source)
-                memory = concat(states, axis=0)
-                memory_proj = self.att_memory(memory)
-                candidate_matrix = self._inference_candidate_matrix(
-                    candidates, req.get("token_vectors"))
-                copy_map = self._copy_map(candidates, source)
-                d0 = self._initial_state(states)
-                _, context0 = self._attend(memory, memory_proj, d0)
-                lanes.append(_DecodeLane(
-                    candidates=candidates, memory=memory,
-                    memory_proj=memory_proj,
-                    cand_rows=candidate_matrix.numpy(), copy_map=copy_map,
-                    d_mat=d0.numpy(), ctx_mat=context0.numpy().reshape(1, -1),
-                    width=req.get("beam_width") or self.config.beam_width))
-            if self.timing_hook is not None:
-                self.timing_hook("encode", perf_counter() - start)
-
-            start = perf_counter()
-            outputs, steps = self._decode_lockstep_many(lanes)
-            if self.timing_hook is not None:
-                self.timing_hook("beam_search", perf_counter() - start)
-        self.last_decode = {
-            "path": "lockstep_many", "lanes": len(requests), "steps": steps,
-            "beam_width": [lane.width for lane in lanes],
-            "candidates": [len(lane.candidates) for lane in lanes],
-            "dtype": "float64", "arena": False,
-        }
         return outputs
-
-    def _decode_lockstep_many(self, lanes: list["_DecodeLane"],
-                              ) -> tuple[list[list[str]], list[int]]:
-        """Advance every lane's live beams as one batch per step.
-
-        The cross-request extension of :meth:`_decode_lockstep`: the
-        union of all live beam rows goes through one decoder-cell /
-        attention-query / output-projection call per step, then each
-        lane scores, expands, and prunes its own rows with the exact
-        single-request code.  Lanes finish independently (EOS everywhere
-        or ``max_decode_len``) and simply drop out of the union.
-        """
-        embed_cache: dict[str, np.ndarray] = {}
-        for _ in range(self.config.max_decode_len):
-            live = [lane for lane in lanes if not lane.done]
-            if not live:
-                break
-            inputs, d_rows, slices = [], [], []
-            offset = 0
-            for lane in live:
-                lane.steps += 1
-                prev_embs = np.zeros((len(lane.meta), self.embedder.dim))
-                for b, (_, _, prev) in enumerate(lane.meta):
-                    if prev is not None:
-                        vec = embed_cache.get(prev)
-                        if vec is None:
-                            vec = self.embedder.embed(prev).numpy().reshape(-1)
-                            embed_cache[prev] = vec
-                        prev_embs[b] = vec
-                inputs.append(np.concatenate([prev_embs, lane.ctx_mat],
-                                             axis=1))
-                d_rows.append(lane.d_mat)
-                slices.append(slice(offset, offset + len(lane.meta)))
-                offset += len(lane.meta)
-
-            d_next = self.decoder_cell(
-                Tensor(np.concatenate(inputs, axis=0)),
-                Tensor(np.concatenate(d_rows, axis=0)))
-            query_proj = self.att_query(d_next)
-            d_np = d_next.numpy()
-
-            ctx_union = np.empty((offset, d_np.shape[1]))
-            att_by_lane = []
-            for lane, rows in zip(live, slices):
-                att_scores, ctx = self._attend_batch(
-                    lane.memory, lane.memory_proj,
-                    d_next[rows.start:rows.stop, :],
-                    query_proj=query_proj[rows.start:rows.stop, :])
-                att_by_lane.append(att_scores)
-                ctx_union[rows.start:rows.stop] = ctx
-            projected_union = self.out_proj(
-                Tensor(np.concatenate([d_np, ctx_union], axis=1))).numpy()
-
-            for lane, rows, att_scores in zip(live, slices, att_by_lane):
-                probs = self._step_distribution_batch(
-                    d_np[rows.start:rows.stop],
-                    ctx_union[rows.start:rows.stop],
-                    att_scores, lane.copy_map, lane.cand_rows,
-                    projected=projected_union[rows.start:rows.stop])
-                expansions = []  # (nll, tokens, beam row, token)
-                for b, (nll, tokens, _) in enumerate(lane.meta):
-                    for ci in self._top_k(probs[b], lane.width):
-                        token = lane.candidates[int(ci)]
-                        new_nll = nll - float(np.log(probs[b, ci] + 1e-12))
-                        if token == EOS:
-                            lane.finished.append(
-                                (new_nll / (len(tokens) + 1), tokens))
-                        else:
-                            expansions.append((new_nll, tokens + [token],
-                                               b, token))
-                if not expansions:
-                    lane.done = True
-                    continue
-                expansions.sort(key=lambda e: e[0])
-                kept = expansions[:lane.width]
-                keep_rows = [row for _, _, row, _ in kept]
-                lane.d_mat = d_np[rows.start:rows.stop][keep_rows]
-                lane.ctx_mat = ctx_union[rows.start:rows.stop][keep_rows]
-                lane.meta = [(nll, tokens, token)
-                             for nll, tokens, _, token in kept]
-
-        outputs, steps = [], []
-        for lane in lanes:
-            finished = lane.finished
-            if not finished:
-                finished = [(nll / max(len(tokens), 1), tokens)
-                            for nll, tokens, _ in lane.meta]
-            finished.sort(key=lambda b: b[0])
-            outputs.append(finished[0][1])
-            steps.append(lane.steps)
-        return outputs, steps
-
-    def _decode_per_beam(self, candidates, memory, memory_proj,
-                         candidate_matrix, copy_map, d0, context0,
-                         width: int):
-        """The reference decoder: a Python loop over live beams."""
-        beams = [(0.0, [], d0, context0, None)]  # (nll, tokens, d, ctx, prev)
-        finished: list[tuple[float, list[str]]] = []
-        steps = 0
-        for _ in range(self.config.max_decode_len):
-            steps += 1
-            expansions = []
-            for nll, tokens, d, context, prev in beams:
-                prev_emb = (self.embedder.embed(prev) if prev
-                            else Tensor.zeros(1, self.embedder.dim))
-                d_next = self.decoder_cell(
-                    concat([prev_emb, context], axis=-1), d)
-                att_scores, ctx_next = self._attend(memory, memory_proj,
-                                                    d_next)
-                probs = self._step_distribution(
-                    d_next, ctx_next, att_scores, copy_map,
-                    candidate_matrix).numpy()
-                for ci in self._top_k(probs, width):
-                    token = candidates[int(ci)]
-                    new_nll = nll - float(np.log(probs[ci] + 1e-12))
-                    if token == EOS:
-                        finished.append((new_nll / (len(tokens) + 1),
-                                         tokens))
-                    else:
-                        expansions.append((new_nll, tokens + [token],
-                                           d_next, ctx_next, token))
-            if not expansions:
-                break
-            expansions.sort(key=lambda b: b[0])
-            beams = expansions[:width]
-        if not finished:
-            finished = [(nll / max(len(tokens), 1), tokens)
-                        for nll, tokens, *_ in beams]
-        return finished, steps
-
-    def _decode_lockstep(self, candidates, memory, memory_proj,
-                         candidate_matrix, copy_map, d0, context0,
-                         width: int):
-        """Lockstep decoder: all live beams share one call per step.
-
-        Beam states live in ``(B, enc_dim)`` matrices; survivors of the
-        pruning step are row-gathered.  Expansion order (beam-major,
-        best-candidate-first) and the stable score sorts match the
-        per-beam loop exactly, so both paths pick identical SQL.
-        """
-        cand_rows = candidate_matrix.numpy()
-        d_mat = d0.numpy()
-        ctx_mat = context0.numpy().reshape(1, -1)
-        meta: list[tuple[float, list[str], str | None]] = [(0.0, [], None)]
-        finished: list[tuple[float, list[str]]] = []
-        embed_cache: dict[str, np.ndarray] = {}
-        steps = 0
-        for _ in range(self.config.max_decode_len):
-            steps += 1
-            prev_embs = np.zeros((len(meta), self.embedder.dim))
-            for b, (_, _, prev) in enumerate(meta):
-                if prev is not None:
-                    vec = embed_cache.get(prev)
-                    if vec is None:
-                        vec = self.embedder.embed(prev).numpy().reshape(-1)
-                        embed_cache[prev] = vec
-                    prev_embs[b] = vec
-            d_next = self.decoder_cell(
-                Tensor(np.concatenate([prev_embs, ctx_mat], axis=1)),
-                Tensor(d_mat))
-            att_scores, ctx_next = self._attend_batch(memory, memory_proj,
-                                                      d_next)
-            d_np = d_next.numpy()
-            probs = self._step_distribution_batch(
-                d_np, ctx_next, att_scores, copy_map, cand_rows)
-            expansions = []  # (nll, tokens, beam row, token)
-            for b, (nll, tokens, _) in enumerate(meta):
-                for ci in self._top_k(probs[b], width):
-                    token = candidates[int(ci)]
-                    new_nll = nll - float(np.log(probs[b, ci] + 1e-12))
-                    if token == EOS:
-                        finished.append((new_nll / (len(tokens) + 1),
-                                         tokens))
-                    else:
-                        expansions.append((new_nll, tokens + [token],
-                                           b, token))
-            if not expansions:
-                break
-            expansions.sort(key=lambda b: b[0])
-            kept = expansions[:width]
-            rows = [row for _, _, row, _ in kept]
-            d_mat = d_np[rows]
-            ctx_mat = ctx_next[rows]
-            meta = [(nll, tokens, token) for nll, tokens, _, token in kept]
-        if not finished:
-            finished = [(nll / max(len(tokens), 1), tokens)
-                        for nll, tokens, _ in meta]
-        return finished, steps

@@ -28,7 +28,6 @@ from repro.nn.rnn import (
     GRU,
     GRUCell,
     LSTMCell,
-    merge_steps,
     pack_steps,
 )
 from repro.nn.serialization import load_module, save_module
@@ -48,7 +47,6 @@ __all__ = [
     "InferenceArena", "sigmoid_", "tanh_", "softmax_rows_",
     "Linear", "Embedding", "MLP", "Dropout", "LayerNorm",
     "LSTMCell", "GRUCell", "LSTM", "BiLSTM", "GRU", "BiGRU", "pack_steps",
-    "merge_steps",
     "Conv1d", "CharConvEncoder",
     "AdditiveAttention",
     "softmax", "log_softmax", "masked_softmax",

@@ -99,42 +99,6 @@ class AdditiveAttention(Module):
         weights = softmax(self.scores_batch(memory, queries), axis=-1)
         return weights @ memory, weights
 
-    def forward_grouped(self, memories: list[Tensor], queries: Tensor,
-                        slices: list[slice],
-                        ) -> tuple[Tensor, list[Tensor]]:
-        """Attention for query groups over *different* memories.
-
-        The heterogeneous-schema form of :meth:`forward_batch`: query
-        rows ``queries[slices[g]]`` attend over ``memories[g]``.  The
-        query projection runs once over the union ``(B, query_dim)``
-        matrix; scores, softmax, and the context matmul run per group
-        with exactly the shapes :meth:`forward_batch` would use on that
-        group alone, so group ``g``'s rows match a stand-alone call.
-        Returns ``(contexts (B, memory_dim), per-group weights)``.
-        """
-        if queries.ndim != 2:
-            raise ShapeError(f"batched queries must be 2-D, got {queries.shape}")
-        if len(memories) != len(slices):
-            raise ShapeError("forward_grouped() needs one slice per memory")
-        attn = self.v.shape[0]
-        projected = self.query_proj(queries)
-        contexts = np.empty((queries.shape[0], memories[0].shape[1]))
-        per_group: list[Tensor] = []
-        for memory, rows in zip(memories, slices):
-            if memory.ndim != 2:
-                raise ShapeError(
-                    f"attention memory must be 2-D, got {memory.shape}")
-            t = memory.shape[0]
-            b = rows.stop - rows.start
-            hidden = (self.memory_proj(memory).reshape(1, t, attn)
-                      + projected[rows.start:rows.stop, :]
-                      .reshape(b, 1, attn)).tanh()
-            scores = (hidden.reshape(b * t, attn) @ self.v).reshape(b, t)
-            weights = softmax(scores, axis=-1)
-            contexts[rows.start:rows.stop] = (weights @ memory).numpy()
-            per_group.append(weights)
-        return Tensor(contexts), per_group
-
     # ------------------------------------------------------------------
     # Arena kernel twins (float32, allocation-free)
     # ------------------------------------------------------------------

@@ -30,7 +30,6 @@ class Linear(Module):
         self.weight = Parameter(init.xavier_uniform(rng, in_features, out_features))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
         self._w32_gen = -1
-        self._q8_gen = -1
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
@@ -51,60 +50,9 @@ class Linear(Module):
             self._w32_gen = gen
         return self._w32, self._b32
 
-    def weights_q8(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray | None]:
-        """Two-plane residual int8 weights with per-row scales.
-
-        Returns ``(q1, s1, q2, s2, b32)``: the primary int8 plane plus
-        an int8 quantization of the residual ``W − q1·s1``, each with
-        symmetric per *input* row scales (``W`` is stored as
-        ``(in_features, out_features)``).  Per-input-row granularity
-        matters because the classifier head mixes features of very
-        different magnitude (LSTM states vs. O(1) similarity features);
-        the residual plane bounds the dequantization error at ~1/127² of
-        the row maximum, which is what keeps int8 scores within the 1e-4
-        differential pin.  Dequantized weights reconstruct as
-        ``q1·s1[:, None] + q2·s2[:, None]``.
-        """
-        gen = current_generation()
-        if self._q8_gen != gen:
-            w = self.weight.data
-
-            def plane(m):
-                scales = np.abs(m).max(axis=1) / 127.0
-                scales[scales == 0.0] = 1.0
-                q = np.clip(np.rint(m / scales[:, None]), -127, 127)
-                return q.astype(np.int8), scales.astype(np.float32)
-
-            q1, s1 = plane(w)
-            q2, s2 = plane(w - q1 * s1.astype(np.float64)[:, None])
-            self._q8 = (q1, s1, q2, s2,
-                        np.ascontiguousarray(self.bias.data, dtype=np.float32)
-                        if self.bias is not None else None)
-            self._q8_gen = gen
-        return self._q8
-
     def forward_np(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Float32 kernel twin: ``out ← x W32 + b32`` with no allocation."""
         w, b = self.weights32()
-        np.matmul(x, w, out=out)
-        if b is not None:
-            out += b
-        return out
-
-    def forward_q8(self, x: np.ndarray, out: np.ndarray,
-                   arena: InferenceArena, tag: str) -> np.ndarray:
-        """int8 kernel twin: dequantize into an arena scratch, then matmul.
-
-        Storage stays int8 (+ per-row float32 scales); the float32
-        dequantized matrix lives only in a reused arena slab.
-        """
-        q1, s1, q2, s2, b = self.weights_q8()
-        w = arena.take(f"{tag}.deq", q1.shape)
-        res = arena.take(f"{tag}.res", q1.shape)
-        np.multiply(q1, s1[:, None], out=w, casting="unsafe")
-        np.multiply(q2, s2[:, None], out=res, casting="unsafe")
-        w += res
         np.matmul(x, w, out=out)
         if b is not None:
             out += b
@@ -216,9 +164,9 @@ class MLP(Module):
             raise ShapeError(f"unknown activation {self.output_activation!r}")
         return x
 
-    def forward_np(self, x: np.ndarray, arena: InferenceArena, tag: str,
-                   quantized: bool = False) -> np.ndarray:
-        """Allocation-free float32 (or int8-weight) twin of :meth:`forward`.
+    def forward_np(self, x: np.ndarray, arena: InferenceArena,
+                   tag: str) -> np.ndarray:
+        """Allocation-free float32 twin of :meth:`forward`.
 
         ``x`` is a ``(batch, in)`` float32 array; the result is an
         arena-owned ``(batch, out)`` buffer.  Only ``tanh`` hidden and
@@ -230,10 +178,7 @@ class MLP(Module):
         batch = x.shape[0]
         for i, layer in enumerate(self.layers):
             out = arena.take(f"{tag}.l{i}", (batch, layer.out_features))
-            if quantized:
-                layer.forward_q8(x, out, arena, f"{tag}.l{i}")
-            else:
-                layer.forward_np(x, out)
+            layer.forward_np(x, out)
             if i < len(self.layers) - 1:
                 if self.hidden_activation == "tanh":
                     tanh_(out)

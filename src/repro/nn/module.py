@@ -18,7 +18,7 @@ __all__ = ["Parameter", "Module", "bump_generation", "current_generation"]
 
 # Global model-generation counter.  Anything that mutates parameter data
 # (optimizer steps, state-dict loads, pretrained-embedding loads) bumps
-# it; inference-time float32/int8 weight snapshots are cached keyed by
+# it; inference-time float32 weight snapshots are cached keyed by
 # this value, so a single integer compare tells a frozen model that its
 # snapshots are still valid while a fine-tune invalidates all of them at
 # once.

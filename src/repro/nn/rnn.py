@@ -30,10 +30,10 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor, concat
 
 __all__ = ["LSTMCell", "GRUCell", "LSTM", "BiLSTM", "GRU", "BiGRU",
-           "pack_steps", "merge_steps"]
+           "pack_steps"]
 
 
-def pack_steps(sequences: list[list[Tensor]], pad_to: int | None = None,
+def pack_steps(sequences: list[list[Tensor]],
                ) -> tuple[list[Tensor], np.ndarray]:
     """Pack B per-item sequences into lockstep ``(B, features)`` steps.
 
@@ -41,67 +41,17 @@ def pack_steps(sequences: list[list[Tensor]], pad_to: int | None = None,
     ``(steps, lengths)`` where ``steps[t]`` stacks row ``b`` from
     sequence ``b`` (zero rows past its length) and ``lengths[b]`` is the
     true length of sequence ``b`` — the mask ``forward_batch`` needs.
-
-    ``pad_to`` forces the packed step count beyond the natural maximum
-    so separately packed batches align on global time — what
-    :func:`merge_steps` needs to fuse heterogeneous groups.
     """
     if not sequences or any(not seq for seq in sequences):
         raise ShapeError("pack_steps() requires non-empty sequences")
     lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
     total = int(lengths.max())
-    if pad_to is not None:
-        if pad_to < total:
-            raise ShapeError(
-                f"pack_steps() pad_to={pad_to} is shorter than the longest "
-                f"sequence ({total})")
-        total = int(pad_to)
     feat = sequences[0][0].shape[-1]
     pad = Tensor.zeros(1, feat)
     steps = [concat([seq[t] if t < len(seq) else pad for seq in sequences],
                     axis=0)
              for t in range(total)]
     return steps, lengths
-
-
-def merge_steps(groups: list[tuple[list, np.ndarray]],
-                ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Merge separately packed lockstep batches into one union batch.
-
-    ``groups`` is a list of ``(steps, lengths)`` pairs as produced by
-    :func:`pack_steps` (each ``steps[t]`` may be a :class:`Tensor` or a
-    ``(B_g, features)`` numpy array).  Groups may disagree on both batch
-    size and step count — the heterogeneous-schema case, e.g. the
-    encoded column states of several different tables.  Returns
-    ``(steps, lengths, offsets)`` where ``steps[t]`` is a numpy
-    ``(ΣB_g, features)`` array (zero rows pad groups past their own step
-    count — the hold masks from ``lengths`` keep those lanes inert),
-    ``lengths`` concatenates the per-group lengths, and ``offsets[g]``
-    is the first row of group ``g`` so callers can slice their rows back
-    out of union results.
-    """
-    if not groups:
-        raise ShapeError("merge_steps() requires at least one group")
-    mats: list[list[np.ndarray]] = []
-    sizes: list[int] = []
-    for steps, _lengths in groups:
-        if not steps:
-            raise ShapeError("merge_steps() received an empty group")
-        rows = [step.numpy() if isinstance(step, Tensor)
-                else np.asarray(step, dtype=np.float64) for step in steps]
-        mats.append(rows)
-        sizes.append(int(rows[0].shape[0]))
-    feat = int(mats[0][0].shape[1])
-    total = max(len(rows) for rows in mats)
-    merged = [np.concatenate(
-        [rows[t] if t < len(rows) else np.zeros((size, feat))
-         for rows, size in zip(mats, sizes)], axis=0)
-        for t in range(total)]
-    lengths = np.concatenate(
-        [np.asarray(lengths, dtype=np.intp) for _steps, lengths in groups])
-    offsets = np.concatenate([[0], np.cumsum(sizes[:-1], dtype=np.intp)]) \
-        if len(sizes) > 1 else np.zeros(1, dtype=np.intp)
-    return merged, lengths, offsets
 
 
 def _step_masks(lengths: np.ndarray | None, total: int,

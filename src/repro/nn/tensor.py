@@ -47,8 +47,8 @@ _GRAD_MODE = _GradMode()
 # substrate's "allocation event" metric: every Tensor wraps (and usually
 # copies into) a fresh float64 ndarray, so the delta across a request is
 # a direct measure of per-request allocation traffic.  The arena kernels
-# bypass Tensor entirely, which is what BENCH_inference's
-# ``allocations_per_request`` cell quantifies.
+# bypass Tensor entirely, which is what the ``nn.tensor_allocs_per_req``
+# metric of the serving benchmark (``benchmarks/perf``) counts.
 _ALLOC_EVENTS = 0
 
 

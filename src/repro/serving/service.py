@@ -305,8 +305,8 @@ class TranslationService:
         schema_stats = getattr(annotator, "schema_cache_stats", None)
         if schema_stats is not None:
             snapshot["schema_cache"] = schema_stats()
-        # Which numeric inference path is live (dtype, arena occupancy,
-        # int8 scoring) — skipped for test stubs without the hook.
+        # Inference arena occupancy — skipped for test stubs without
+        # the hook.
         inference_info = getattr(self.nlidb, "inference_info", None)
         if callable(inference_info):
             snapshot["inference"] = inference_info()

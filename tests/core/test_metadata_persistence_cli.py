@@ -125,6 +125,36 @@ class TestNLIDBPersistence:
         with pytest.raises(ModelError):
             load_nlidb(model_dir)
 
+    @staticmethod
+    def _sql(translation):
+        return (translation.query.to_sql() if translation.query is not None
+                else f"<failed: {translation.error}>")
+
+    def test_loads_config_with_retired_decoder_flags(self, small_model,
+                                                     dataset, tmp_path):
+        # Models saved before the float64 decoders were removed carry
+        # two Seq2SeqConfig flags that no longer exist.
+        model_dir = tmp_path / "model"
+        save_nlidb(small_model, model_dir)
+        config = json.loads((model_dir / "config.json").read_text())
+        config["seq2seq"]["lockstep_beam"] = True
+        config["seq2seq"]["arena_inference"] = True
+        (model_dir / "config.json").write_text(json.dumps(config))
+        loaded = load_nlidb(model_dir)
+        for example in dataset.dev[:4]:
+            a = small_model.translate(example.question_tokens, example.table)
+            b = loaded.translate(example.question_tokens, example.table)
+            assert self._sql(a) == self._sql(b)
+
+    def test_unknown_seq2seq_key_still_raises(self, small_model, tmp_path):
+        model_dir = tmp_path / "model"
+        save_nlidb(small_model, model_dir)
+        config = json.loads((model_dir / "config.json").read_text())
+        config["seq2seq"]["no_such_field"] = 1
+        (model_dir / "config.json").write_text(json.dumps(config))
+        with pytest.raises(TypeError):
+            load_nlidb(model_dir)
+
 
 class TestCLI:
     def test_parser_commands(self):

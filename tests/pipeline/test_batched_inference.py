@@ -2,18 +2,20 @@
 
 The batched kernels changed *how* inference computes, not *what*: the
 lockstep column scorer must match K sequential ``predict_proba`` calls
-and the lockstep beam search must pick byte-identical SQL to the
-per-beam reference loop — over the full session corpus (≥ 50
-(question, table) pairs spanning ≥ 3 domains).  A graph-construction
-spy also pins down that neither fast path builds autodiff state under
-``no_grad``.
+and the float32 lockstep beam search must pick byte-identical SQL to
+the float64 per-beam oracle (``tests/oracles.py``) — over the full
+session corpus (≥ 50 (question, table) pairs spanning ≥ 3 domains).
+A graph-construction spy also pins down that neither fast path builds
+autodiff state under ``no_grad``.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, allocation_events
+from repro.core.seq2seq.model import TrainingPair
+from repro.nn import Tensor, allocation_events, no_grad
 from repro.text import tokenize
+from tests import oracles
 
 
 def sql_of(translation):
@@ -70,22 +72,24 @@ class TestLockstepBeamSearch:
 
     def test_sql_byte_identical_to_per_beam(self, nlidb, corpus,
                                             direct_translations):
-        # direct_translations ran with the default (lockstep) decoder;
-        # re-run the corpus through the per-beam reference loop.
-        config = nlidb.translator.config
-        assert config.lockstep_beam  # the default fast path
+        # direct_translations ran through the production (float32
+        # lockstep) decoder; re-decode every pair with the float64
+        # per-beam oracle and recover its SQL the same way.
         mismatches = []
-        try:
-            config.lockstep_beam = False
-            for example, direct in zip(corpus, direct_translations):
-                reference = nlidb.translate(example.question_tokens,
-                                            example.table)
-                assert nlidb.translator.last_decode["path"] == "per_beam"
-                if sql_of(reference) != sql_of(direct):
-                    mismatches.append((example.question_tokens,
-                                       sql_of(reference), sql_of(direct)))
-        finally:
-            config.lockstep_beam = True
+        for example, direct in zip(corpus, direct_translations):
+            annotation = nlidb.annotate(example.question_tokens,
+                                        example.table)
+            source = annotation.annotated_tokens(
+                append=nlidb.config.column_name_appending,
+                header_encoding=nlidb.config.header_encoding)
+            predicted = oracles.decode_per_beam(
+                nlidb.translator, source, nlidb.header_tokens(example.table),
+                nlidb._symbols(annotation), 5)
+            reference = nlidb.recover(source, predicted, annotation)
+            if sql_of(reference) != sql_of(direct):
+                mismatches.append((example.question_tokens,
+                                   sql_of(reference), sql_of(direct)))
+        assert len(direct_translations) == len(corpus) >= 54
         assert not mismatches, mismatches[:5]
 
     def test_wider_beam_still_identical(self, nlidb, corpus):
@@ -96,9 +100,9 @@ class TestLockstepBeamSearch:
             headers = nlidb.header_tokens(example.table)
             symbols = nlidb._symbols(annotation)
             fast = nlidb.translator.translate(source, headers, symbols,
-                                              beam_width=5, lockstep=True)
-            slow = nlidb.translator.translate(source, headers, symbols,
-                                              beam_width=5, lockstep=False)
+                                              beam_width=5)
+            slow = oracles.decode_per_beam(nlidb.translator, source, headers,
+                                           symbols, 5)
             assert fast == slow
 
     def test_last_decode_reports_the_fast_path(self, nlidb, corpus):
@@ -205,14 +209,11 @@ class TestAllocationBudget:
                 nlidb._symbols(annotation))
 
     def test_warm_decode_constructs_zero_tensors(self, nlidb, corpus):
-        assert nlidb.translator.config.arena_inference
         source, headers, symbols = self._request(nlidb, corpus[0])
         nlidb.translator.translate(source, headers, symbols)  # warm slabs
         before = allocation_events()
         nlidb.translator.translate(source, headers, symbols)
         assert allocation_events() - before == 0
-        assert nlidb.translator.last_decode["arena"] is True
-        assert nlidb.translator.last_decode["dtype"] == "float32"
 
     def test_warm_decode_never_grows_arena(self, nlidb, corpus):
         arena = nlidb.translator.arena
@@ -226,25 +227,19 @@ class TestAllocationBudget:
         assert arena.takes > 0  # the decoder really ran through slabs
 
     def test_tensor_mode_still_allocates(self, nlidb, corpus):
-        # Differential control: with the arena off, the same decode
-        # goes back to building Tensors — proving the zero above is the
-        # arena's doing, not a measurement artifact.
-        config = nlidb.translator.config
-        request = self._request(nlidb, corpus[0])
-        try:
-            config.arena_inference = False
-            nlidb.translator.translate(*request)
-            before = allocation_events()
-            nlidb.translator.translate(*request)
-            assert allocation_events() - before > 100
-            assert nlidb.translator.last_decode["arena"] is False
-            assert nlidb.translator.last_decode["dtype"] == "float64"
-        finally:
-            config.arena_inference = True
+        # Differential control: the float64 Tensor forward of the same
+        # model builds Tensors — proving the zero above is the arena's
+        # doing, not a measurement artifact.
+        source, headers, symbols = self._request(nlidb, corpus[0])
+        predicted = nlidb.translator.translate(source, headers, symbols)
+        pair = TrainingPair(source, predicted, headers, symbols)
+        before = allocation_events()
+        with no_grad():
+            nlidb.translator.loss(pair)
+        assert allocation_events() - before > 100
 
     def test_warm_classifier_scoring_is_allocation_free(self, nlidb, corpus):
         classifier = nlidb.annotator.column_classifier
-        assert classifier.arena_inference
         example = corpus[0]
         columns = [tokenize(c) for c in example.table.column_names]
         encoded = classifier.encode_columns(columns)

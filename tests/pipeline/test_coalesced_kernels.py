@@ -7,99 +7,13 @@ batch shares row-sliced gemms (cell gates, attention query, output
 projection, the classifier head) while every reduction whose shape is
 per-request — attention softmax over exactly that request's memory,
 similarity features, top-k pruning — stays grouped, so results are
-bit-identical, not merely close.  These tests pin that equivalence at
-each layer: the step-merging primitive, grouped additive attention,
-the multi-schema column scorer, and the multi-request lockstep
-decoder.
+bit-identical, not merely close.  These tests pin that equivalence for
+the multi-schema column scorer, the multi-request lockstep decoder and
+the cohort stage runner.
 """
 
 import numpy as np
 import pytest
-
-from repro.errors import ShapeError
-from repro.nn import AdditiveAttention, Tensor, merge_steps, no_grad
-from repro.nn.rnn import pack_steps
-
-
-def _tensor_seq(rng, length, feat):
-    return [Tensor(rng.standard_normal((1, feat))) for _ in range(length)]
-
-
-class TestMergeSteps:
-    def test_pad_to_aligns_groups_on_global_time(self):
-        rng = np.random.default_rng(0)
-        steps, lengths = pack_steps([_tensor_seq(rng, 2, 3)], pad_to=5)
-        assert len(steps) == 5
-        assert lengths.tolist() == [2]
-        assert np.array_equal(steps[4].numpy(), np.zeros((1, 3)))
-
-    def test_pad_to_shorter_than_longest_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ShapeError):
-            pack_steps([_tensor_seq(rng, 4, 3)], pad_to=2)
-
-    def test_merge_concatenates_rows_and_zero_pads_short_groups(self):
-        rng = np.random.default_rng(1)
-        a_steps, a_len = pack_steps(
-            [_tensor_seq(rng, 3, 4), _tensor_seq(rng, 2, 4)])
-        b_steps, b_len = pack_steps([_tensor_seq(rng, 5, 4)])
-        merged, lengths, offsets = merge_steps(
-            [(a_steps, a_len), (b_steps, b_len)])
-        assert len(merged) == 5           # max step count across groups
-        assert lengths.tolist() == [3, 2, 5]
-        assert offsets.tolist() == [0, 2]
-        # Step 0 stacks group A's rows above group B's.
-        assert np.array_equal(merged[0][:2], a_steps[0].numpy())
-        assert np.array_equal(merged[0][2:], b_steps[0].numpy())
-        # Past group A's own step count its rows are zero padding.
-        assert np.array_equal(merged[4][:2], np.zeros((2, 4)))
-        assert np.array_equal(merged[4][2:], b_steps[4].numpy())
-
-    def test_merge_rejects_degenerate_input(self):
-        with pytest.raises(ShapeError):
-            merge_steps([])
-        with pytest.raises(ShapeError):
-            merge_steps([([], np.array([], dtype=np.intp))])
-
-
-class TestGroupedAttention:
-    def _run(self, shapes):
-        rng = np.random.default_rng(7)
-        attention = AdditiveAttention(memory_dim=6, query_dim=5,
-                                      attention_dim=8, rng=rng)
-        memories = [Tensor(rng.standard_normal((t, 6))) for t, _b in shapes]
-        queries_np = rng.standard_normal((sum(b for _t, b in shapes), 5))
-        slices, row = [], 0
-        for _t, b in shapes:
-            slices.append(slice(row, row + b))
-            row += b
-        with no_grad():
-            contexts, weights = attention.forward_grouped(
-                memories, Tensor(queries_np), slices)
-            refs = [attention.forward_batch(memory, Tensor(queries_np[rows]))
-                    for memory, rows in zip(memories, slices)]
-        return contexts.numpy(), weights, slices, refs
-
-    def test_forward_grouped_matches_per_group_forward_batch(self):
-        # Groups of ≥ 2 queries: BLAS runs the union and the per-group
-        # query projections through the same gemm kernel, so row slices
-        # of the union match stand-alone calls *bitwise*.
-        union, weights, slices, refs = self._run([(4, 2), (7, 3), (3, 4)])
-        for rows, w, (ref_context, ref_weights) in zip(slices, weights,
-                                                       refs):
-            assert np.array_equal(union[rows], ref_context.numpy())
-            assert np.array_equal(w.numpy(), ref_weights.numpy())
-
-    def test_singleton_group_within_one_ulp(self):
-        # A stand-alone single-query call goes through BLAS's M=1
-        # special case (gemv), which may round differently from the
-        # blocked gemm the union uses — the results agree to 1 ulp but
-        # not necessarily bitwise.  Pinning this documents the boundary
-        # of the bit-parity guarantee.
-        union, weights, slices, refs = self._run([(4, 2), (3, 1)])
-        rows, (ref_context, _w) = slices[1], refs[1]
-        np.testing.assert_allclose(union[rows], ref_context.numpy(),
-                                   rtol=1e-13, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
