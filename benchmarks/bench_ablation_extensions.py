@@ -30,13 +30,13 @@ def _span_overlap_rate(classifier, examples, norm: str,
     for example in examples:
         tokens = example.question_tokens
         mentions = _gold_column_mentions(example)
-        if contrastive:
-            profiles = {m.column: compute_influence(
-                classifier, tokens, tokenize(m.column), norm=norm)
-                for m in mentions}
+        profiles = dict(zip(
+            [m.column for m in mentions],
+            compute_influence(classifier,
+                              [(tokens, tokenize(m.column)) for m in mentions],
+                              norm=norm)))
         for mention in mentions:
-            profile = compute_influence(classifier, tokens,
-                                        tokenize(mention.column), norm=norm)
+            profile = profiles[mention.column]
             if contrastive:
                 others = [p for c, p in profiles.items()
                           if c != mention.column]

@@ -38,7 +38,8 @@ def test_table1_case_studies(benchmark):
         out = []
         for column, question, _domain in _CASES:
             tokens = tokenize(question)
-            profile = compute_influence(classifier, tokens, tokenize(column))
+            [profile] = compute_influence(classifier,
+                                          [(tokens, tokenize(column))])
             span = locate_mention(profile)
             out.append((column, tokens, profile, span))
         return out
@@ -66,8 +67,8 @@ def test_fig5_fig7_influence_profiles(benchmark):
     tokens = tokenize(question)
 
     profile = benchmark.pedantic(
-        lambda: compute_influence(classifier, tokens, tokenize(column),
-                                  alpha=1.0, beta=1.0),
+        lambda: compute_influence(classifier, [(tokens, tokenize(column))],
+                                  alpha=1.0, beta=1.0)[0],
         rounds=1, iterations=1)
 
     C.print_header(f"Figure 5/7 — influence profile for column {column!r}")

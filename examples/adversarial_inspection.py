@@ -33,8 +33,8 @@ def main() -> None:
     for column, question in cases:
         tokens = tokenize(question)
         prob = classifier.predict_proba(tokens, tokenize(column))
-        profile = compute_influence(classifier, tokens, tokenize(column),
-                                    alpha=1.0, beta=1.0)
+        [profile] = compute_influence(classifier, [(tokens, tokenize(column))],
+                                      alpha=1.0, beta=1.0)
         start, end = locate_mention(profile)
         peak = float(profile.combined.max())
         print(f"\ncolumn {column!r}  P(mentioned)={prob:.2f}  "

@@ -48,6 +48,8 @@ from repro.core.mention import (
     ClassifierConfig,
     ColumnMatcher,
     ColumnMentionClassifier,
+    EncodedColumns,
+    InfluenceProfile,
     ValueCandidate,
     ValueDetectionClassifier,
     candidate_spans,
@@ -350,6 +352,7 @@ class Annotator:
         ranges = schema.numeric_ranges
         if (use_classifier and cfg.use_value_classifier
                 and self.value_classifier._trained):
+            text_spans: list[tuple[int, int]] = []
             for start, end in candidate_spans(tokens, cfg.max_value_span):
                 window = tokens[start:end]
                 if all(w in schema_words for w in window):
@@ -364,15 +367,23 @@ class Annotator:
                             entry = by_span.setdefault((start, end), {})
                             entry[column] = max(entry.get(column, 0.0), 0.9)
                     continue
-                span_stats = self.value_classifier.span_stats(window)
-                for column in table.column_names:
-                    if column.lower() in ranges:
-                        continue  # numeric columns take numeric values
-                    prob = self.value_classifier.predict_proba(
-                        span_stats, stats[column.lower()])
-                    if prob > cfg.value_threshold:
-                        entry = by_span.setdefault((start, end), {})
-                        entry[column] = max(entry.get(column, 0.0), prob)
+                text_spans.append((start, end))
+            # Numeric columns take numeric values; every other (span,
+            # column) pair is scored in one classifier call.
+            text_columns = [column for column in table.column_names
+                            if column.lower() not in ranges]
+            if text_spans and text_columns:
+                probs = self.value_classifier.predict_proba(
+                    np.stack([self.value_classifier.span_stats(
+                        tokens[start:end]) for start, end in text_spans]),
+                    np.stack([stats[column.lower()]
+                              for column in text_columns]))
+                for (start, end), row in zip(text_spans, probs):
+                    for column, prob in zip(text_columns, row):
+                        if prob > cfg.value_threshold:
+                            entry = by_span.setdefault((start, end), {})
+                            entry[column] = max(entry.get(column, 0.0),
+                                                float(prob))
 
         # Keep a non-overlapping set, preferring longer/stronger spans.
         ordered = sorted(
@@ -431,30 +442,55 @@ class Annotator:
             needed.append(column)
         return scored, needed
 
-    def columns_from_scores(self, tokens: list[str], blocked: set[int],
-                            scored: dict[str, tuple[tuple[int, int], float]],
-                            needed: list[str], probs,
-                            ) -> dict[str, tuple[int, int]]:
-        """Phase two: threshold, adversarially localize, dedup spans.
+    def positive_columns(self, needed: list[str], probs) -> dict[str, float]:
+        """Phase two, part one: the columns the classifier scores above
+        ``column_threshold``, with their probabilities (in order)."""
+        threshold = self.config.column_threshold
+        return {column: float(prob) for column, prob in zip(needed, probs)
+                if prob > threshold}
 
-        ``probs`` are the classifier probabilities for ``needed`` (from
-        :meth:`ColumnMentionClassifier.score_columns` — single request —
-        or one lane of ``score_columns_multi``).  Adversarial
-        localization (Section IV-C) needs per-column gradients and stays
-        per-item by construction.
+    def influence_profiles(
+            self, lanes: list[tuple[list[str], dict[str, float],
+                                    SchemaEncoding | None]],
+            ) -> list[dict[str, InfluenceProfile]]:
+        """Adversarial localization (Section IV-C) of several requests.
+
+        ``lanes`` holds each request's ``(tokens, positive columns,
+        schema encoding)``.  Every positive (question, column) pair of
+        every lane goes through ONE batched :func:`compute_influence`
+        call — pairs share no activations, so each gets exactly its own
+        ``dL/dE(w)``.  Column states come from the schema encodings when
+        every lane has one (else they are re-encoded).  Returns each
+        lane's column → profile map.
         """
         cfg = self.config
+        pairs = []
+        for tokens, positive, _schema in lanes:
+            pairs.extend((tokens, tokenize(column)) for column in positive)
+        if not pairs:
+            return [{} for _lane in lanes]
+        parts = [schema.encoded_subset(list(positive))
+                 if schema is not None else None
+                 for _tokens, positive, schema in lanes if positive]
+        encoded = EncodedColumns.concat(parts) if None not in parts else None
+        # Looked up in this module at call time, so wrappers installed
+        # on ``repro.core.annotator.compute_influence`` see the call.
+        flat = iter(compute_influence(
+            self.column_classifier, pairs, alpha=cfg.influence_alpha,
+            beta=cfg.influence_beta, norm=cfg.influence_norm,
+            encoded=encoded))
+        return [{column: next(flat) for column in positive}
+                for _tokens, positive, _schema in lanes]
+
+    def locate_columns(self, blocked: set[int],
+                       scored: dict[str, tuple[tuple[int, int], float]],
+                       positive: dict[str, float],
+                       profiles: dict[str, InfluenceProfile],
+                       ) -> dict[str, tuple[int, int]]:
+        """Phase two, part two: locate each positive column's mention
+        from its influence profile, then keep one column per span."""
+        cfg = self.config
         scored = dict(scored)
-        profiles = {}
-        confidences = {}
-        for column, prob in zip(needed, probs):
-            if prob <= cfg.column_threshold:
-                continue
-            confidences[column] = float(prob)
-            profiles[column] = compute_influence(
-                self.column_classifier, tokens, tokenize(column),
-                alpha=cfg.influence_alpha, beta=cfg.influence_beta,
-                norm=cfg.influence_norm)
         if cfg.use_contrastive_influence and profiles:
             profiles = {
                 col: contrastive_profile(
@@ -465,7 +501,7 @@ class Annotator:
             scored[column] = (
                 locate_mention(profile, max_length=cfg.max_mention_span,
                                blocked=blocked),
-                confidences[column])
+                positive[column])
 
         # A span can only mention one column: keep the most confident
         # claimant per identical span, drop the rest (they may still be
@@ -477,6 +513,24 @@ class Annotator:
                 best_for_span[span] = (confidence, column)
         return {column: span
                 for span, (_conf, column) in best_for_span.items()}
+
+    def columns_from_scores(self, tokens: list[str], blocked: set[int],
+                            scored: dict[str, tuple[tuple[int, int], float]],
+                            needed: list[str], probs,
+                            schema: SchemaEncoding | None = None,
+                            ) -> dict[str, tuple[int, int]]:
+        """Phase two for one request: threshold, localize, dedup spans.
+
+        ``probs`` are the classifier probabilities for ``needed`` (from
+        :meth:`ColumnMentionClassifier.score_columns`).  All of the
+        request's positive columns are localized in one batched
+        :meth:`influence_profiles` pass; ``schema`` supplies their cached
+        column states.  A cohort (``NLIDB.cohort_artifacts``) runs the
+        same three parts with one localization pass for all its lanes.
+        """
+        positive = self.positive_columns(needed, probs)
+        [profiles] = self.influence_profiles([(tokens, positive, schema)])
+        return self.locate_columns(blocked, scored, positive, profiles)
 
     def _detect_columns(self, tokens: list[str], table: Table,
                         blocked: set[int],
@@ -502,7 +556,7 @@ class Annotator:
                 tokens, [tokenize(column) for column in needed],
                 encoded=encoded)
         return self.columns_from_scores(tokens, blocked, scored, needed,
-                                        probs)
+                                        probs, schema=schema)
 
     # -- symbol allocation ------------------------------------------------
 

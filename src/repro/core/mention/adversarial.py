@@ -23,15 +23,19 @@ from repro.errors import ModelError
 from repro.nn import binary_cross_entropy_with_logits
 from repro.text.stopwords import is_stop_word
 
-from repro.core.mention.column_classifier import ColumnMentionClassifier
+from repro.core.mention.column_classifier import (
+    ColumnMentionClassifier,
+    EncodedColumns,
+)
 
 __all__ = ["InfluenceProfile", "compute_influence", "locate_mention",
            "contrastive_profile"]
 
+#: Per-row norms over the last axis of a gradient stack.
 _NORMS = {
-    "l1": lambda g: float(np.abs(g).sum()),
-    "l2": lambda g: float(np.sqrt((g * g).sum())),
-    "linf": lambda g: float(np.abs(g).max()),
+    "l1": lambda g: np.abs(g).sum(axis=-1),
+    "l2": lambda g: np.sqrt((g * g).sum(axis=-1)),
+    "linf": lambda g: np.abs(g).max(axis=-1),
 }
 
 
@@ -54,39 +58,52 @@ class InfluenceProfile:
 
 
 def compute_influence(classifier: ColumnMentionClassifier,
-                      question: list[str], column: list[str],
+                      pairs: list[tuple[list[str], list[str]]], *,
                       alpha: float = 1.0, beta: float = 0.0,
-                      norm: str = "l2") -> InfluenceProfile:
-    """Compute the influence level ``I(w)`` of every question word.
+                      norm: str = "l2",
+                      encoded: EncodedColumns | None = None,
+                      ) -> list[InfluenceProfile]:
+    """The influence level ``I(w)`` of every question word, per pair.
 
-    Runs one forward pass with gradient capture, backpropagates the
-    loss of predicting "mentioned", and reads ``dL/dE(w)`` off the
-    embedding leaves.
+    One batched forward with gradient capture over all ``(question,
+    column)`` pairs (:meth:`ColumnMentionClassifier.forward_capture`),
+    then one backward of the *sum* of the per-pair losses.  Pairs share
+    no activations, so each pair's ``dL/dE(w)`` is exactly what a pass
+    over that pair alone would give.  The backward is restricted to the
+    embedding leaves: the shared classifier's parameters get no
+    ``.grad`` and no weight gradients are computed.  ``encoded``
+    optionally supplies the cached column encodings, one row per pair.
     """
     if norm not in _NORMS:
         raise ModelError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
+    if not pairs:
+        return []
     norm_fn = _NORMS[norm]
 
-    classifier.eval()
-    classifier.zero_grad()
-    logit, embedded = classifier(question, column, capture=True)
+    logits, word_leaves, char_leaves = classifier.forward_capture(
+        pairs, encoded=encoded)
     # Backpropagate the loss of the *adversarial* label (0 = "not
     # mentioned"): its per-logit gradient is σ(x), so the per-word
     # pattern matches dL/dE(w) while the scale stays informative even
     # when the classifier is confidently positive (the loss toward the
-    # true label saturates to zero gradient there).
-    loss = binary_cross_entropy_with_logits(logit, [0.0])
-    loss.backward()
+    # true label saturates to zero gradient there).  The library loss
+    # is a mean; scaling by P makes it the sum, so no pair's gradient
+    # is divided by the batch size.
+    count = len(pairs)
+    loss = binary_cross_entropy_with_logits(logits, np.zeros(count)) \
+        * float(count)
+    loss.backward(inputs=word_leaves + char_leaves)
 
-    word_norms = np.zeros(len(question))
-    char_norms = np.zeros(len(question))
-    for i, emb in enumerate(embedded):
-        if emb.word_leaf.grad is not None:
-            word_norms[i] = norm_fn(emb.word_leaf.grad)
-        if emb.char_leaf.grad is not None:
-            char_norms[i] = norm_fn(emb.char_leaf.grad)
-    combined = alpha * word_norms + beta * char_norms
-    return InfluenceProfile(list(question), word_norms, char_norms, combined)
+    # Every leaf feeds a live question step, so every grad is set.
+    word_norms = norm_fn(np.stack([leaf.grad for leaf in word_leaves], 1))
+    char_norms = norm_fn(np.stack([leaf.grad for leaf in char_leaves], 1))
+    profiles = []
+    for p, (question, _column) in enumerate(pairs):
+        n = len(question)
+        word, char = word_norms[p, :n], char_norms[p, :n]
+        profiles.append(InfluenceProfile(list(question), word, char,
+                                         alpha * word + beta * char))
+    return profiles
 
 
 def contrastive_profile(profile: InfluenceProfile,

@@ -43,6 +43,7 @@ from repro.nn import (
     no_grad,
     pack_steps,
     sigmoid_,
+    stack,
 )
 from repro.text import CHAR_VOCAB_SIZE, WordEmbeddings, char_ids
 
@@ -139,6 +140,28 @@ class EncodedColumns:
             sub._f32 = (np.ascontiguousarray(states32[:t_max, idx]),
                         np.ascontiguousarray(units32[idx][:, :t_max]))
         return sub
+
+    @staticmethod
+    def concat(parts: list["EncodedColumns"]) -> "EncodedColumns":
+        """Stack several encodings' rows (e.g. different schemas) into
+        one zero-padded batch, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        t_max = max(len(part.states) for part in parts)
+        states = []
+        for t in range(t_max):
+            rows = [part.states[t] if t < len(part.states)
+                    else np.zeros((len(part), part.states[0].shape[1]))
+                    for part in parts]
+            states.append(np.concatenate(rows))
+        units = np.concatenate(
+            [np.pad(part.units,
+                    ((0, 0), (0, t_max - part.units.shape[1]), (0, 0)))
+             for part in parts])
+        return EncodedColumns(
+            tokens=[tokens for part in parts for tokens in part.tokens],
+            lengths=np.concatenate([part.lengths for part in parts]),
+            states=states, units=units)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -275,7 +298,14 @@ class ColumnMentionClassifier(Module):
             c_norm = ((emb_t.combined * emb_t.combined).sum(
                 axis=1, keepdims=True) + 1e-8) ** 0.5
             c_unit = emb_t.combined / c_norm
-            sims = q_unit @ c_unit.reshape(cfg.emb_dim)  # (n,)
+            if capture:
+                # Row-wise product sums, not a gemv: identical question
+                # words then tie exactly, so ``max`` splits their
+                # influence as :meth:`forward_capture` does.  Fitting
+                # keeps the gemv, so trained weights do not depend on it.
+                sims = (q_unit * c_unit).sum(axis=1)  # (n,)
+            else:
+                sims = q_unit @ c_unit.reshape(cfg.emb_dim)  # (n,)
             sim_features = concat(
                 [sims.max(axis=0, keepdims=True),
                  sims.mean(axis=0, keepdims=True)], axis=-1).reshape(1, 2)
@@ -287,6 +317,114 @@ class ColumnMentionClassifier(Module):
         features = concat(d_states, axis=-1)
         logit = self.head(features).reshape(1)
         return logit, q_embedded
+
+    def forward_capture(self, pairs: list[tuple[list[str], list[str]]],
+                        encoded: EncodedColumns | None = None,
+                        ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
+        """Batched :meth:`forward` with gradient capture over P pairs.
+
+        Returns ``(logits (P,), word_leaves, char_leaves)``.  There is
+        one word and one char leaf per question position, each
+        ``(P, dim)``; row ``p`` holds ``E_word``/``E_char`` of pair
+        ``p``'s word at that position (zero past its length).  Every op
+        is row-wise across pairs: padded question and column steps are
+        length-masked, attention and the max feature give padding zero
+        weight, and feature rows past a column's length are zero.  So
+        pair ``p``'s logit depends only on its own rows, and
+        backpropagating the *sum* of the per-pair losses gives each pair
+        exactly its own ``dL/dE(w)``.
+
+        The column side is constant: ``encoded`` (one row per pair, e.g.
+        cached ``SchemaEncoding`` rows) when given, else
+        :meth:`encode_columns`.  The char CNN runs under ``no_grad``,
+        once per distinct word.
+        """
+        if not pairs:
+            raise ModelError("forward_capture() needs at least one pair")
+        if any(not question or not column for question, column in pairs):
+            raise ModelError("question and column must be non-empty")
+        cfg = self.config
+        if encoded is None:
+            encoded = self.encode_columns([column for _q, column in pairs])
+        elif len(encoded) != len(pairs):
+            raise ModelError(f"{len(encoded)} encoded columns for "
+                             f"{len(pairs)} pairs")
+        count = len(pairs)
+        q_lengths = np.array([len(q) for q, _c in pairs], dtype=np.intp)
+        n_max = int(q_lengths.max())
+
+        words = np.zeros((n_max, count, cfg.word_dim))
+        chars = np.zeros((n_max, count, cfg.char_out))
+        seen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        with no_grad():
+            for p, (question, _column) in enumerate(pairs):
+                for i, word in enumerate(question):
+                    vectors = seen.get(word)
+                    if vectors is None:
+                        vectors = seen[word] = (
+                            self.embeddings.vector(word),
+                            self.char_encoder(char_ids(word)).numpy())
+                    words[i, p], chars[i, p] = vectors
+        word_leaves = [Tensor(w, requires_grad=True) for w in words]
+        char_leaves = [Tensor(c, requires_grad=True) for c in chars]
+        steps = [concat([w, c], axis=-1)
+                 for w, c in zip(word_leaves, char_leaves)]
+
+        # Question side: masked lockstep LSTM, padded memory.
+        memory = stack(self.question_rnn.forward_batch(steps, q_lengths),
+                       axis=1)                                  # (P, n, H)
+        memory_proj = self.attention.memory_proj(memory)
+        pad_bias = Tensor(np.where(
+            np.arange(n_max)[None, :] < q_lengths[:, None], 0.0, -1e9))
+        q_matrix = stack(steps, axis=1)                         # (P, n, emb)
+        q_norms = ((q_matrix * q_matrix).sum(axis=2, keepdims=True)
+                   + 1e-8) ** 0.5
+        q_unit = q_matrix / q_norms
+
+        # Attentive BiLSTM over the constant column states (part iii),
+        # length-masked like ``LSTM.forward_batch``.
+        total = len(encoded.states)
+        states = [Tensor(s_t) for s_t in encoded.states]
+        masks = [None if (encoded.lengths > t).all() else Tensor(
+                     (encoded.lengths > t).astype(np.float64).reshape(-1, 1))
+                 for t in range(total)]
+
+        def run_direction(cell, order):
+            h, c = cell.initial_state(count)
+            outputs: list[Tensor | None] = [None] * total
+            for t in order:
+                s_t = states[t]
+                context = self.attention.forward_padded(
+                    memory, memory_proj, concat([s_t, h], axis=-1), pad_bias)
+                h_new, c_new = cell(concat([s_t, context], axis=-1), h, c)
+                m = masks[t]
+                if m is None:
+                    h, c = h_new, c_new
+                else:
+                    h = h_new * m + h * (1.0 - m)
+                    c = c_new * m + c * (1.0 - m)
+                outputs[t] = h
+            return outputs
+
+        fwd = run_direction(self.fwd_cell, range(total))
+        bwd = run_direction(self.bwd_cell, range(total - 1, -1, -1))
+
+        # Similarity features against each pair's own question words.
+        lengths_col = q_lengths.astype(np.float64).reshape(count, 1)
+        width = 2 * cfg.hidden + 2
+        features = []
+        for t in range(cfg.max_column_words):
+            if t >= total:
+                features.append(Tensor.zeros(count, width))
+                continue
+            sims = (q_unit * Tensor(encoded.units[:, None, t])).sum(axis=2)
+            row = concat([fwd[t], bwd[t],
+                          (sims + pad_bias).max(axis=1, keepdims=True),
+                          sims.sum(axis=1, keepdims=True) / lengths_col],
+                         axis=-1)
+            features.append(row if masks[t] is None else row * masks[t])
+        logits = self.head(concat(features, axis=-1)).reshape(count)
+        return logits, word_leaves, char_leaves
 
     # ------------------------------------------------------------------
     # Training / inference
@@ -530,9 +668,11 @@ class ColumnMentionClassifier(Module):
         question side, attention softmax/context, similarity features —
         is computed per request with exactly the shapes a one-request
         call uses, so item ``i``'s probabilities match a stand-alone
-        :meth:`score_columns` call up to BLAS batch-size differences in
-        the shared matmuls (empirically bit-equal on this substrate;
-        pinned by the kernel differential tests).
+        :meth:`score_columns` call as long as BLAS rounds a gemm row the
+        same wherever it sits in the batch (true of the AVX-512 OpenBLAS
+        kernels, not of the AVX2 ones; the one-output head layer avoids
+        gemv, see :meth:`Linear.forward_np`).  Pinned by the kernel
+        differential tests.
         """
         if not items:
             return []

@@ -108,13 +108,34 @@ class ValueDetectionClassifier:
         self._trained = True
         return losses
 
-    def predict_proba(self, span_stats: np.ndarray,
-                      col_stats: np.ndarray) -> float:
-        """Likelihood that the span is a value of the column."""
+    def predict_proba(self, span_stats: np.ndarray, col_stats: np.ndarray,
+                      ) -> float | np.ndarray:
+        """Likelihood that the span is a value of the column.
+
+        With 1-D ``(d,)`` statistics, one pair's probability as a float.
+        With stacked ``(S, d)`` span and ``(C, d)`` column statistics,
+        the ``(S, C)`` matrix of every (span, column) pair from one MLP
+        forward.
+        """
+        single = span_stats.ndim == 1 and col_stats.ndim == 1
+        if single:
+            features = self.features(span_stats, col_stats).reshape(1, -1)
+        elif (span_stats.ndim == col_stats.ndim == 2
+              and span_stats.shape[1] == col_stats.shape[1] == self.dim):
+            spans = span_stats[:, None, :]
+            cols = col_stats[None, :, :]
+            features = np.concatenate([cols - spans, cols * spans],
+                                      axis=2).reshape(-1, 2 * self.dim)
+        else:
+            raise ModelError(
+                f"stacked statistics must have shape (n, {self.dim}); "
+                f"got {span_stats.shape} and {col_stats.shape}")
         with no_grad():
-            logit = self.mlp(
-                Tensor(self.features(span_stats, col_stats).reshape(1, -1)))
-        return float(1.0 / (1.0 + np.exp(-logit.numpy()[0, 0])))
+            logits = self.mlp(Tensor(features)).numpy()[:, 0]
+        probs = 1.0 / (1.0 + np.exp(-logits))
+        if single:
+            return float(probs[0])
+        return probs.reshape(len(span_stats), len(col_stats))
 
     def predict(self, span_stats: np.ndarray, col_stats: np.ndarray,
                 threshold: float = 0.5) -> bool:

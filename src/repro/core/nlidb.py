@@ -386,12 +386,15 @@ class NLIDB:
         ``requests`` is a list of ``(question_tokens, table,
         beam_width)`` triples; ``keys``, when given, holds each table's
         fingerprint in the same order.  The per-request phases (value
-        detection, the column matcher plan, adversarial localization,
-        mention resolution, symbol allocation) run per lane exactly as the
-        sequential pipeline would; the two model-bound hot stages are
-        coalesced across lanes — one
+        detection, the column matcher plan, thresholding, mention
+        location, resolution, symbol allocation) run per lane exactly as
+        the sequential pipeline would; the three model-bound hot stages
+        are coalesced across lanes — one
         :meth:`~repro.core.mention.ColumnMentionClassifier.
-        score_columns_multi` pass over every lane's undecided columns
+        score_columns_multi` pass over every lane's undecided columns,
+        one :meth:`~repro.core.annotator.Annotator.influence_profiles`
+        adversarial-localization pass (one batched forward and one
+        backward) over every lane's positive (question, column) pairs,
         and one :meth:`~repro.core.seq2seq.AnnotatedSeq2Seq.
         translate_many` lockstep decode over every lane's beams.
 
@@ -406,7 +409,7 @@ class NLIDB:
         n = len(requests)
         lanes: list[dict | None] = [None] * n
         plans: list[tuple | None] = [None] * n
-        stats = {"lanes": n, "score_batch": 0}
+        stats = {"lanes": n, "score_batch": 0, "influence_batch": 0}
 
         start = perf_counter()
         # Phase A (per lane): schema encoding, values, matcher plan.
@@ -444,17 +447,39 @@ class NLIDB:
                 for i, _needed in scoring:
                     plans[i] = None
 
-        # Phase C (per lane): localization, resolution, symbols, source.
+        # Phase C1 (per lane): threshold the classifier probabilities.
+        positives: dict[int, dict[str, float]] = {
+            i: annotator.positive_columns(plans[i][4],
+                                          probs_by_lane.get(i, ()))
+            for i in range(n) if plans[i] is not None}
+        # Coalesced: one batched adversarial-localization pass over every
+        # lane's positive (question, column) pairs.
+        localizing = [i for i, positive in positives.items() if positive]
+        profiles_by_lane: dict[int, dict] = {}
+        if localizing:
+            stats["influence_batch"] = sum(len(positives[i])
+                                           for i in localizing)
+            try:
+                profiles = annotator.influence_profiles(
+                    [(requests[i][0], positives[i], plans[i][2])
+                     for i in localizing])
+                profiles_by_lane = dict(zip(localizing, profiles))
+            except ReproError:
+                for i in localizing:
+                    plans[i] = None
+
+        # Phase C2 (per lane): locate mentions, resolution, symbols,
+        # source.
         decode_requests = []
         decode_lanes = []
         for i, (tokens, table, width) in enumerate(requests):
             if plans[i] is None:
                 continue
-            value_spans, blocked, schema, scored, needed = plans[i]
+            value_spans, blocked, schema, scored, _needed = plans[i]
             try:
-                column_spans = annotator.columns_from_scores(
-                    tokens, blocked, scored, needed,
-                    probs_by_lane.get(i, ()))
+                column_spans = annotator.locate_columns(
+                    blocked, scored, positives[i],
+                    profiles_by_lane.get(i, {}))
                 assignments, _strategy = annotator.resolve_assignments(
                     tokens, column_spans, value_spans)
                 annotation = annotator._allocate_symbols(

@@ -283,8 +283,9 @@ class InfluenceAttack(Attack):
         tokens = list(example.question_tokens)
         if len(tokens) < 2:
             return None
-        profile = compute_influence(
-            self.classifier, tokens, tokenize(example.query.select_column))
+        [profile] = compute_influence(
+            self.classifier,
+            [(tokens, tokenize(example.query.select_column))])
         protected = _mention_positions(example)
         order = np.argsort(profile.combined)[::-1]
         target = None

@@ -99,6 +99,23 @@ class AdditiveAttention(Module):
         weights = softmax(self.scores_batch(memory, queries), axis=-1)
         return weights @ memory, weights
 
+    def forward_padded(self, memory: Tensor, memory_proj: Tensor,
+                       queries: Tensor, pad_bias: Tensor) -> Tensor:
+        """B queries, each over its own zero-padded memory: ``(B, md)``.
+
+        ``memory`` is ``(B, T, md)`` and ``memory_proj`` its
+        ``memory_proj`` projection (computed once, reused per query);
+        ``pad_bias`` is a constant ``(B, T)`` tensor, 0 on live positions
+        and ``-1e9`` on padding, so padding gets exactly zero weight and row ``b``
+        equals :meth:`forward` over row ``b``'s live prefix.
+        """
+        b, t, attn = memory_proj.shape
+        hidden = (memory_proj + self.query_proj(queries).reshape(b, 1, attn)
+                  ).tanh()
+        scores = (hidden.reshape(b * t, attn) @ self.v).reshape(b, t)
+        weights = softmax(scores + pad_bias, axis=-1)
+        return (weights.reshape(b, 1, t) @ memory).reshape(b, memory.shape[2])
+
     # ------------------------------------------------------------------
     # Arena kernel twins (float32, allocation-free)
     # ------------------------------------------------------------------

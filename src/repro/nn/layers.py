@@ -51,9 +51,18 @@ class Linear(Module):
         return self._w32, self._b32
 
     def forward_np(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Float32 kernel twin: ``out ← x W32 + b32`` with no allocation."""
+        """Float32 kernel twin: ``out ← x W32 + b32`` with no allocation.
+
+        A one-output layer is a per-row dot product, not a matmul: BLAS
+        hands an ``N = 1`` gemm to gemv, which rounds a row differently
+        depending on its position in the batch, so a row's output would
+        change with the rows stacked around it.
+        """
         w, b = self.weights32()
-        np.matmul(x, w, out=out)
+        if w.shape[1] == 1:
+            np.einsum("...j,j->...", x, w[:, 0], out=out[..., 0])
+        else:
+            np.matmul(x, w, out=out)
         if b is not None:
             out += b
         return out

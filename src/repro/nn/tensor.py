@@ -95,6 +95,18 @@ def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+class _BackwardPass:
+    """One backward pass's pending gradients and, for a pass restricted
+    to some inputs, the ids of the nodes on a path to them."""
+
+    __slots__ = ("grads", "relevant")
+
+    def __init__(self, grads: dict[int, np.ndarray],
+                 relevant: set[int] | None):
+        self.grads = grads
+        self.relevant = relevant
+
+
 class Tensor:
     """A numpy array with reverse-mode autodiff support.
 
@@ -195,11 +207,17 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
+    def backward(self, grad: np.ndarray | None = None,
+                 inputs: Sequence["Tensor"] | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones (only valid for scalar outputs, the
-        usual loss case).
+        usual loss case).  ``inputs``, when given, restricts the pass to
+        those leaves: only nodes on a path to one of them are visited,
+        only they accumulate ``.grad``, and the ops skip the gradients
+        nobody reads (a Linear layer's weight gemm, for one).  Parameters
+        outside ``inputs`` are left untouched, so concurrent restricted
+        passes through one shared model never write to it.
         """
         if not self.requires_grad:
             raise GradientError("backward() called on a tensor that does not require grad")
@@ -229,7 +247,16 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
 
+        relevant = None
+        if inputs is not None:
+            # ``topo`` lists parents before children, so one pass marks
+            # every node that some input flows into.
+            relevant = {id(t) for t in inputs}
+            for node in topo:
+                if any(id(p) in relevant for p in node._parents):
+                    relevant.add(id(node))
         grads: dict[int, np.ndarray] = {id(self): grad}
+        state = _BackwardPass(grads, relevant)
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
@@ -238,20 +265,27 @@ class Tensor:
                 node._accumulate(node_grad)
                 continue
             # Interior node: flow into parents via the recorded closure.
-            node._pending_grads = grads  # type: ignore[attr-defined]
+            node._pending_grads = state  # type: ignore[attr-defined]
             node._backward(node_grad)
             del node._pending_grads  # type: ignore[attr-defined]
             if not node._parents:
                 node._accumulate(node_grad)
 
+    def _needs(self, parent: "Tensor") -> bool:
+        """Whether the running backward pass wants ``parent``'s gradient."""
+        if not parent.requires_grad:
+            return False
+        relevant = self._pending_grads.relevant  # type: ignore[attr-defined]
+        return relevant is None or id(parent) in relevant
+
     def _flow(self, parent: "Tensor", grad: np.ndarray) -> None:
         """Route ``grad`` to ``parent`` during a backward pass."""
-        if not parent.requires_grad:
+        if not self._needs(parent):
             return
         if parent._backward is None and not parent._parents:
             parent._accumulate(grad)
             return
-        pending = self._pending_grads  # type: ignore[attr-defined]
+        pending = self._pending_grads.grads  # type: ignore[attr-defined]
         key = id(parent)
         if key in pending:
             pending[key] = pending[key] + grad
@@ -267,8 +301,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray, out=None) -> None:
-            out._flow(self, _unbroadcast(grad, self.shape))
-            out._flow(other, _unbroadcast(grad, other.shape))
+            if out._needs(self):
+                out._flow(self, _unbroadcast(grad, self.shape))
+            if out._needs(other):
+                out._flow(other, _unbroadcast(grad, other.shape))
 
         out = self._make(out_data, (self, other), lambda g: backward(g, out))
         return out
@@ -295,8 +331,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray, out=None) -> None:
-            out._flow(self, _unbroadcast(grad * other.data, self.shape))
-            out._flow(other, _unbroadcast(grad * self.data, other.shape))
+            if out._needs(self):
+                out._flow(self, _unbroadcast(grad * other.data, self.shape))
+            if out._needs(other):
+                out._flow(other, _unbroadcast(grad * self.data, other.shape))
 
         out = self._make(out_data, (self, other), lambda g: backward(g, out))
         return out
@@ -308,8 +346,11 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray, out=None) -> None:
-            out._flow(self, _unbroadcast(grad / other.data, self.shape))
-            out._flow(other, _unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
+            if out._needs(self):
+                out._flow(self, _unbroadcast(grad / other.data, self.shape))
+            if out._needs(other):
+                out._flow(other, _unbroadcast(
+                    -grad * self.data / (other.data ** 2), other.shape))
 
         out = self._make(out_data, (self, other), lambda g: backward(g, out))
         return out
@@ -334,20 +375,22 @@ class Tensor:
 
         def backward(grad: np.ndarray, out=None) -> None:
             a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:
-                out._flow(self, grad * b)
-                out._flow(other, grad * a)
-            elif a.ndim == 1:
-                out._flow(self, grad @ b.T)
-                out._flow(other, np.outer(a, grad))
-            elif b.ndim == 1:
-                out._flow(self, np.outer(grad, b))
-                out._flow(other, a.T @ grad)
-            else:
-                ga = grad @ np.swapaxes(b, -1, -2)
-                gb = np.swapaxes(a, -1, -2) @ grad
-                out._flow(self, _unbroadcast(ga, a.shape))
-                out._flow(other, _unbroadcast(gb, b.shape))
+            if out._needs(self):
+                if b.ndim == 1:
+                    ga = grad * b if a.ndim == 1 else np.outer(grad, b)
+                elif a.ndim == 1:
+                    ga = grad @ b.T
+                else:
+                    ga = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+                out._flow(self, ga)
+            if out._needs(other):
+                if a.ndim == 1:
+                    gb = grad * a if b.ndim == 1 else np.outer(a, grad)
+                elif b.ndim == 1:
+                    gb = a.T @ grad
+                else:
+                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+                out._flow(other, gb)
 
         out = self._make(out_data, (self, other), lambda g: backward(g, out))
         return out

@@ -24,6 +24,11 @@ from repro.text import KnowledgeBase, WordEmbeddings, tokenize
 EMB = WordEmbeddings(dim=32, seed=0)
 
 
+def influence_of(classifier, question, column, **kwargs):
+    """A one-pair batch of :func:`compute_influence`."""
+    return compute_influence(classifier, [(question, column)], **kwargs)[0]
+
+
 def index_cells(cells):
     return cell_index(tokenize(str(cell)) for cell in cells)
 
@@ -212,39 +217,39 @@ class TestAdversarialMechanics:
         self.tokens = tokenize("which film did he star in ?")
 
     def test_influence_shapes(self):
-        profile = compute_influence(self.clf, self.tokens, ["film"])
+        profile = influence_of(self.clf, self.tokens, ["film"])
         assert len(profile.tokens) == len(self.tokens)
         assert profile.word_influence.shape == (len(self.tokens),)
         assert profile.char_influence.shape == (len(self.tokens),)
         assert (profile.word_influence >= 0).all()
 
     def test_alpha_beta_weighting(self):
-        word_only = compute_influence(self.clf, self.tokens, ["film"],
+        word_only = influence_of(self.clf, self.tokens, ["film"],
                                       alpha=1.0, beta=0.0)
         np.testing.assert_allclose(word_only.combined,
                                    word_only.word_influence)
-        char_only = compute_influence(self.clf, self.tokens, ["film"],
+        char_only = influence_of(self.clf, self.tokens, ["film"],
                                       alpha=0.0, beta=1.0)
         np.testing.assert_allclose(char_only.combined,
                                    char_only.char_influence)
 
     @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
     def test_norms(self, norm):
-        profile = compute_influence(self.clf, self.tokens, ["film"],
+        profile = influence_of(self.clf, self.tokens, ["film"],
                                     norm=norm)
         assert np.isfinite(profile.combined).all()
 
     def test_l1_dominates_linf(self):
-        l1 = compute_influence(self.clf, self.tokens, ["film"], norm="l1")
-        linf = compute_influence(self.clf, self.tokens, ["film"], norm="linf")
+        l1 = influence_of(self.clf, self.tokens, ["film"], norm="l1")
+        linf = influence_of(self.clf, self.tokens, ["film"], norm="linf")
         assert (l1.combined >= linf.combined - 1e-12).all()
 
     def test_unknown_norm_raises(self):
         with pytest.raises(ModelError):
-            compute_influence(self.clf, self.tokens, ["film"], norm="l3")
+            influence_of(self.clf, self.tokens, ["film"], norm="l3")
 
     def test_locate_returns_valid_span(self):
-        profile = compute_influence(self.clf, self.tokens, ["film"])
+        profile = influence_of(self.clf, self.tokens, ["film"])
         start, end = locate_mention(profile, max_length=3)
         assert 0 <= start < end <= len(self.tokens)
         assert end - start <= 3
@@ -315,5 +320,5 @@ class TestClassifierMechanics:
 
     def test_capture_leaves_have_grads_after_backward(self):
         clf = ColumnMentionClassifier(EMB)
-        profile = compute_influence(clf, tokenize("some words here"), ["col"])
+        profile = influence_of(clf, tokenize("some words here"), ["col"])
         assert profile.combined.sum() > 0

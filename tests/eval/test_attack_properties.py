@@ -139,9 +139,9 @@ def test_real_classifier_profile_satisfies_contract(nlidb, corpus):
     """The contract holds for profiles off the trained classifier too."""
     classifier = nlidb.annotator.column_classifier
     for example in corpus[:5]:
-        profile = compute_influence(
-            classifier, example.question_tokens,
-            tokenize(example.query.select_column))
+        [profile] = compute_influence(
+            classifier, [(example.question_tokens,
+                          tokenize(example.query.select_column))])
         if not any(not _skippable(t) for t in profile.tokens):
             continue
         start, end = locate_mention(profile)

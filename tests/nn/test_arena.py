@@ -181,6 +181,20 @@ class TestLinearTwins:
         layer.forward_np(x.astype(np.float32), out)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
+    def test_one_output_rows_independent_of_batch(self, rng):
+        # The coalesced column scorer stacks several requests' rows
+        # into one head call; each row must come out bit-equal to a
+        # call over its own request's rows.
+        layer = Linear(32, 1, rng)
+        x = rng.standard_normal((40, 32)).astype(np.float32)
+        full = np.empty((40, 1), dtype=np.float32)
+        layer.forward_np(x, full)
+        np.testing.assert_allclose(full, layer(Tensor(x)).numpy(), atol=1e-5)
+        for lo in range(35):
+            part = np.empty((5, 1), dtype=np.float32)
+            layer.forward_np(x[lo:lo + 5].copy(), part)
+            assert np.array_equal(part, full[lo:lo + 5])
+
 
 class TestAttentionTwin:
     def test_forward_batch_np_matches(self, rng):

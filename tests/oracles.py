@@ -10,9 +10,9 @@ import hashlib
 
 import numpy as np
 
-from repro.core.mention import MentionCandidate
+from repro.core.mention import InfluenceProfile, MentionCandidate
 from repro.core.seq2seq.vocab import EOS, build_candidates
-from repro.nn import Tensor, concat, no_grad
+from repro.nn import Tensor, binary_cross_entropy_with_logits, concat, no_grad
 from repro.sqlengine import Table
 from repro.text import tokenize
 
@@ -141,3 +141,39 @@ def decode_per_beam(model, source: list[str], header_tokens: list[str],
                     for nll, tokens, *_ in beams]
     finished.sort(key=lambda b: b[0])
     return finished[0][1]
+
+
+_PAIR_NORMS = {
+    "l1": lambda g: float(np.abs(g).sum()),
+    "l2": lambda g: float(np.sqrt((g * g).sum())),
+    "linf": lambda g: float(np.abs(g).max()),
+}
+
+
+def influence_per_pair(classifier, question: list[str], column: list[str],
+                       alpha: float = 1.0, beta: float = 0.0,
+                       norm: str = "l2") -> InfluenceProfile:
+    """Section IV-C influence of one pair on the float64 training forward.
+
+    One ``forward(capture=True)`` and one backward of the BCE loss toward
+    label 0 per (question, column) pair, reading ``dL/dE(w)`` off the
+    embedding leaves — the loop :func:`repro.core.mention.
+    compute_influence` batches.  Writes ``.grad`` onto the classifier's
+    parameters (it zeroes them first).
+    """
+    norm_fn = _PAIR_NORMS[norm]
+    classifier.eval()
+    classifier.zero_grad()
+    logit, embedded = classifier(question, column, capture=True)
+    loss = binary_cross_entropy_with_logits(logit, [0.0])
+    loss.backward()
+
+    word_norms = np.zeros(len(question))
+    char_norms = np.zeros(len(question))
+    for i, emb in enumerate(embedded):
+        if emb.word_leaf.grad is not None:
+            word_norms[i] = norm_fn(emb.word_leaf.grad)
+        if emb.char_leaf.grad is not None:
+            char_norms[i] = norm_fn(emb.char_leaf.grad)
+    combined = alpha * word_norms + beta * char_norms
+    return InfluenceProfile(list(question), word_norms, char_norms, combined)

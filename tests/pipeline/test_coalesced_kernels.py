@@ -109,3 +109,59 @@ class TestCohortArtifacts:
         assert lanes[1] is None
         assert lanes[0] is not None and lanes[2] is not None
         assert stats["failed"] == 1
+
+
+class TestCohortLocalization:
+    """Phase C of ``cohort_artifacts``: one batched adversarial
+    localization pass over every lane's positive (question, column)
+    pairs, with Phase B's failure accounting."""
+
+    @staticmethod
+    def _requests(corpus):
+        return [(list(e.question_tokens), e.table, None)
+                for e in corpus[:16]]
+
+    def _spy(self, monkeypatch, fail=False):
+        import repro.core.annotator as annotator_module
+        from repro.errors import ModelError
+
+        original = annotator_module.compute_influence
+        calls = []
+
+        def spy(classifier, pairs, **kwargs):
+            calls.append([tuple(question) for question, _column in pairs])
+            if fail:
+                raise ModelError("injected localization failure")
+            return original(classifier, pairs, **kwargs)
+
+        monkeypatch.setattr(annotator_module, "compute_influence", spy)
+        return calls
+
+    def test_one_influence_call_per_cohort(self, nlidb, corpus,
+                                           monkeypatch):
+        calls = self._spy(monkeypatch)
+        requests = self._requests(corpus)
+        lanes, stats = nlidb.cohort_artifacts(requests)
+        assert stats["failed"] == 0
+        assert len(calls) == 1
+        assert len(calls[0]) == stats["influence_batch"] > 0
+        for (tokens, table, _width), lane in zip(requests, lanes):
+            reference = nlidb.annotate(tokens, table)
+            assert lane["annotation"].annotated_tokens() == \
+                reference.annotated_tokens()
+
+    def test_failed_localization_fails_only_lanes_with_pairs(
+            self, nlidb, corpus, monkeypatch):
+        requests = self._requests(corpus)
+        calls = self._spy(monkeypatch)
+        nlidb.cohort_artifacts(requests)
+        localized = set(calls[0])
+        monkeypatch.undo()
+
+        self._spy(monkeypatch, fail=True)
+        lanes, stats = nlidb.cohort_artifacts(requests)
+        failed = {tuple(tokens) for (tokens, _t, _w), lane
+                  in zip(requests, lanes) if lane is None}
+        assert failed == localized
+        assert stats["failed"] == sum(1 for (tokens, _t, _w) in requests
+                                      if tuple(tokens) in localized)
