@@ -422,15 +422,19 @@ class Annotator:
         Returns ``(scored, needed)``: spans the context-free matcher
         decided outright (span + confidence; matcher hits outrank
         classifier hits by the +2 offset) and the columns that still
-        need a classifier score.  ``needed`` is what a cross-request
-        scheduler coalesces into one ``score_columns`` pass before
-        handing each request back to :meth:`columns_from_scores`.
+        need a classifier score.  The matcher runs once for the whole
+        table (:meth:`ColumnMatcher.best` shares the question's spans
+        and span vectors across columns).  ``needed`` is what a
+        cross-request scheduler coalesces into one ``score_columns``
+        pass before handing each request back to
+        :meth:`columns_from_scores`.
         """
         cfg = self.config
         scored: dict[str, tuple[tuple[int, int], float]] = {}
         needed: list[str] = []
-        for column in table.column_names:
-            candidate = self.matcher.best(tokens, column)
+        columns = table.column_names
+        for column, candidate in zip(columns,
+                                     self.matcher.best(tokens, columns)):
             if candidate is not None and not any(
                     i in blocked for i in range(candidate.start, candidate.end)):
                 scored[column] = ((candidate.start, candidate.end),

@@ -10,14 +10,17 @@ Section II (phrases ``P_c`` and describing expressions ``D_c``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.text import (
     KnowledgeBase,
     WordEmbeddings,
     is_stop_word,
-    normalized_edit_similarity,
+    levenshtein,
     tokenize,
 )
 
@@ -51,63 +54,118 @@ class ColumnMatcher:
 
     # ------------------------------------------------------------------
 
-    def _spans(self, tokens: list[str], max_span: int):
+    def best(self, tokens: list[str], columns: Sequence[str],
+             ) -> list[MentionCandidate | None]:
+        """Best context-free candidate of each column, or ``None``.
+
+        One pass per question: the spans (starts that are not stop
+        words, at most ``max_span`` tokens) and their joined surfaces
+        are enumerated once, and each span's phrase vector is computed
+        at most once, for all ``columns``.  Per column the rungs run in
+        priority order and the first rung with a hit decides:
+
+        1. exact token-sequence match of the column name, lowest start;
+        2. a knowledge-base phrase ``P_c`` or describing expression
+           ``D_c`` (score 0.95), lowest ``(start, end)``;
+        3. edit similarity ``1 - d/longest`` of span surface and column
+           in ``[edit_threshold, 1)``, best score then lowest span;
+        4. cosine similarity of mean-pooled phrase vectors at least
+           ``semantic_threshold``, over spans of at most one token more
+           than the column, best score then lowest span.
+
+        Within a rung the winner is the one the rung's
+        ``(-score, start, end)`` order puts first, so no lower rung is
+        computed once a higher one hits.  The edit rung skips a span
+        whose length difference alone puts it under the threshold and
+        bounds the distance it computes (see DESIGN.md, "Mention
+        matcher").  No candidate is ever an empty span.
+        """
+        spans = []
         for start in range(len(tokens)):
             if is_stop_word(tokens[start]):
                 continue
-            for end in range(start + 1, min(start + max_span, len(tokens)) + 1):
-                yield start, end, " ".join(tokens[start:end])
+            for end in range(start + 1,
+                             min(start + self.max_span, len(tokens)) + 1):
+                spans.append((start, end, " ".join(tokens[start:end])))
+        vectors: dict[str, tuple] = {}
+        return [self._exact(tokens, column)
+                or self._knowledge(tokens, column)
+                or self._edit(spans, column)
+                or self._semantic(spans, vectors, column)
+                for column in columns]
 
-    def find(self, tokens: list[str], column: str) -> list[MentionCandidate]:
-        """All candidate mentions of ``column`` in a tokenized question.
+    def _exact(self, tokens: list[str], column: str):
+        column_tokens = tokenize(column.lower())
+        start = _first_occurrence(tokens, column_tokens)
+        if start is None:
+            return None
+        return MentionCandidate(column, start, start + len(column_tokens),
+                                1.0, "exact")
 
-        Candidates are sorted best-first (exact > knowledge > edit >
-        semantic, then by score).
-        """
-        column_lower = column.lower()
-        column_tokens = tokenize(column_lower)
-        candidates: list[MentionCandidate] = []
-
-        # 1. Exact token-sequence match of the column name.
-        for i in range(len(tokens) - len(column_tokens) + 1):
-            if tokens[i:i + len(column_tokens)] == column_tokens:
-                candidates.append(MentionCandidate(
-                    column, i, i + len(column_tokens), 1.0, "exact"))
-
-        # 2. Knowledge-base phrases (P_c) and describing expressions (D_c).
+    def _knowledge(self, tokens: list[str], column: str):
         knowledge = self.knowledge.get(column)
+        hits = []
         for phrase in (knowledge.mention_phrases
                        + knowledge.describing_expressions):
             phrase_tokens = tokenize(phrase)
-            for i in range(len(tokens) - len(phrase_tokens) + 1):
-                if tokens[i:i + len(phrase_tokens)] == phrase_tokens:
-                    candidates.append(MentionCandidate(
-                        column, i, i + len(phrase_tokens), 0.95, "knowledge"))
+            start = _first_occurrence(tokens, phrase_tokens)
+            if start is not None:
+                hits.append((start, start + len(phrase_tokens)))
+        if not hits:
+            return None
+        start, end = min(hits)
+        return MentionCandidate(column, start, end, 0.95, "knowledge")
 
-        # 3. Edit-distance match over spans (non-exact matching).
-        for start, end, surface in self._spans(tokens, self.max_span):
-            similarity = normalized_edit_similarity(surface, column_lower)
-            if similarity >= self.edit_threshold and similarity < 1.0:
-                candidates.append(MentionCandidate(
-                    column, start, end, similarity, "edit"))
+    def _edit(self, spans: list, column: str):
+        column_lower = column.lower()
+        threshold = self.edit_threshold
+        length = len(column_lower)
+        best = None
+        for start, end, surface in spans:
+            size = len(surface)
+            longest = max(size, length)
+            # d >= |len difference|, so this bounds the similarity.
+            if longest == 0 or 1.0 - abs(size - length) / longest < threshold:
+                continue
+            # Any d that passes the threshold is at most
+            # floor((1 - threshold) * longest); one more unit absorbs
+            # float rounding, and a capped result falls below it.
+            bound = math.floor((1.0 - threshold) * longest) + 1
+            similarity = 1.0 - levenshtein(surface, column_lower,
+                                           max_distance=bound) / longest
+            if (threshold <= similarity < 1.0
+                    and (best is None or similarity > best.score)):
+                best = MentionCandidate(column, start, end, similarity,
+                                        "edit")
+        return best
 
-        # 4. Semantic (embedding) match over short spans.
-        for start, end, surface in self._spans(
-                tokens, min(self.max_span, len(column_tokens) + 1)):
-            similarity = self.embeddings.phrase_similarity(surface, column_lower)
-            if similarity >= self.semantic_threshold:
-                candidates.append(MentionCandidate(
-                    column, start, end, similarity, "semantic"))
-
-        priority = {"exact": 0, "knowledge": 1, "edit": 2, "semantic": 3}
-        candidates.sort(key=lambda c: (priority[c.method], -c.score,
-                                       c.start, c.end))
-        return candidates
-
-    def best(self, tokens: list[str], column: str) -> MentionCandidate | None:
-        """Best context-free candidate, or ``None`` if nothing matches."""
-        found = self.find(tokens, column)
-        return found[0] if found else None
+    def _semantic(self, spans: list, vectors: dict, column: str):
+        column_lower = column.lower()
+        embeddings = self.embeddings
+        limit = min(self.max_span, len(tokenize(column_lower)) + 1)
+        column_vector = embeddings.phrase_vector(column_lower)
+        column_norm = np.linalg.norm(column_vector)
+        best = None
+        for start, end, surface in spans:
+            if end - start > limit:
+                continue
+            cached = vectors.get(surface)
+            if cached is None:
+                # The re-tokenized surface, exactly as
+                # ``WordEmbeddings.phrase_similarity`` pools it.
+                vector = embeddings.phrase_vector(surface)
+                cached = vectors[surface] = (vector, np.linalg.norm(vector))
+            vector, norm = cached
+            if norm == 0.0 or column_norm == 0.0:
+                similarity = 0.0
+            else:
+                similarity = float(vector @ column_vector
+                                   / (norm * column_norm))
+            if (similarity >= self.semantic_threshold
+                    and (best is None or similarity > best.score)):
+                best = MentionCandidate(column, start, end, similarity,
+                                        "semantic")
+        return best
 
     # ------------------------------------------------------------------
 
@@ -132,6 +190,17 @@ class ColumnMatcher:
         hits.sort()
         return [MentionCandidate(column, start, end, 1.0, "exact")
                 for _rank, start, end in hits]
+
+
+def _first_occurrence(tokens: list[str], needle: list[str]) -> int | None:
+    """Lowest start of ``needle`` in ``tokens``; ``None`` if absent or
+    empty (an empty needle would claim an empty span)."""
+    width = len(needle)
+    if width:
+        for i in range(len(tokens) - width + 1):
+            if tokens[i:i + width] == needle:
+                return i
+    return None
 
 
 def cell_index(cell_tokens: Iterable[list[str]]) -> dict:

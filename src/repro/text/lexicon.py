@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.text.tokenizer import tokenize
+
 __all__ = [
     "SYNONYM_GROUPS",
     "PHRASE_SYNONYMS",
@@ -235,10 +237,16 @@ class KnowledgeBase:
 
     def add(self, column: str, mention_phrases: list[str] | None = None,
             describing_expressions: list[str] | None = None) -> None:
-        """Register (or extend) metadata for ``column``."""
+        """Register (or extend) metadata for ``column``.
+
+        Phrases that tokenize to nothing are dropped: they would match
+        the empty span anywhere in a question.
+        """
         entry = self._columns.setdefault(column.lower(), ColumnKnowledge())
-        entry.mention_phrases.extend(mention_phrases or [])
-        entry.describing_expressions.extend(describing_expressions or [])
+        entry.mention_phrases.extend(
+            p for p in mention_phrases or [] if tokenize(p))
+        entry.describing_expressions.extend(
+            p for p in describing_expressions or [] if tokenize(p))
 
     def get(self, column: str) -> ColumnKnowledge:
         """Metadata for ``column`` (empty knowledge if none registered)."""

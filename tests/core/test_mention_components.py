@@ -9,6 +9,7 @@ from repro.core.mention import (
     ColumnMatcher,
     ColumnMentionClassifier,
     InfluenceProfile,
+    MentionCandidate,
     ValueCandidate,
     ValueDetectionClassifier,
     candidate_spans,
@@ -20,6 +21,7 @@ from repro.core.mention import (
 )
 from repro.errors import ModelError
 from repro.text import KnowledgeBase, WordEmbeddings, tokenize
+from tests import oracles
 
 EMB = WordEmbeddings(dim=32, seed=0)
 
@@ -33,25 +35,30 @@ def index_cells(cells):
     return cell_index(tokenize(str(cell)) for cell in cells)
 
 
+def best_of(matcher, tokens, column):
+    """The matcher's candidate for one column."""
+    return matcher.best(tokens, [column])[0]
+
+
 class TestColumnMatcher:
     def setup_method(self):
         self.matcher = ColumnMatcher(EMB)
 
     def test_exact_match(self):
         tokens = tokenize("what is the population of mayo ?")
-        best = self.matcher.best(tokens, "population")
+        best = best_of(self.matcher, tokens, "population")
         assert best is not None
         assert (best.start, best.end) == (3, 4)
         assert best.method == "exact"
 
     def test_multiword_exact_match(self):
         tokens = tokenize("the english name of the place")
-        best = self.matcher.best(tokens, "english name")
+        best = best_of(self.matcher, tokens, "english name")
         assert (best.start, best.end) == (1, 3)
 
     def test_semantic_synonym_match(self):
         tokens = tokenize("which movie did he like ?")
-        best = self.matcher.best(tokens, "film")
+        best = best_of(self.matcher, tokens, "film")
         assert best is not None
         assert tokens[best.start:best.end] == ["movie"]
         assert best.method == "semantic"
@@ -59,21 +66,23 @@ class TestColumnMatcher:
     def test_edit_distance_match(self):
         # "best actress of year 2011" vs column "best actor 2011" spans
         tokens = tokenize("who is the best actres of 2011 ?")
-        found = self.matcher.find(tokens, "best actres of 2011")
+        found = oracles.find_mentions(self.matcher, tokens,
+                                      "best actres of 2011")
         assert found  # exact; now try a typo'd column
-        found = self.matcher.find(tokens, "best actress of 2011")
+        found = oracles.find_mentions(self.matcher, tokens,
+                                      "best actress of 2011")
         assert any(c.method in ("edit", "exact") for c in found)
 
     def test_no_match_returns_none(self):
         tokens = tokenize("completely unrelated words here")
-        assert self.matcher.best(tokens, "launch date") is None
+        assert best_of(self.matcher, tokens, "launch date") is None
 
     def test_knowledge_base_phrases(self):
         kb = KnowledgeBase()
         kb.add("population", mention_phrases=["how many people live in"])
         matcher = ColumnMatcher(EMB, knowledge=kb)
         tokens = tokenize("how many people live in mayo ?")
-        best = matcher.best(tokens, "population")
+        best = best_of(matcher, tokens, "population")
         assert best is not None
         assert best.method in ("knowledge", "exact")
         assert (best.start, best.end) == (0, 5)
@@ -83,13 +92,36 @@ class TestColumnMatcher:
         kb.add("price", describing_expressions=["level off"])
         matcher = ColumnMatcher(EMB, knowledge=kb)
         tokens = tokenize("when did it level off ?")
-        best = matcher.best(tokens, "price")
+        best = best_of(matcher, tokens, "price")
         assert best is not None
         assert tokens[best.start:best.end] == ["level", "off"]
 
+    def test_blank_knowledge_phrase_claims_no_empty_span(self):
+        kb = KnowledgeBase()
+        kb.add("price", mention_phrases=["  ", "cost"])
+        matcher = ColumnMatcher(EMB, knowledge=kb)
+        best = best_of(matcher, ["what", "is", "the", "cost", "?"], "price")
+        assert best == MentionCandidate("price", 3, 4, 0.95, "knowledge")
+
+    def test_never_yields_empty_span(self):
+        # Bypasses ``KnowledgeBase.add``: the matcher itself must skip
+        # a phrase with no tokens.
+        kb = KnowledgeBase()
+        kb.add("price")
+        kb.get("price").mention_phrases.append("")
+        matcher = ColumnMatcher(EMB, knowledge=kb)
+        assert best_of(matcher, ["what", "is", "it", "?"], "price") is None
+
+    def test_one_call_covers_every_column(self):
+        tokens = tokenize("which movie has the population of mayo ?")
+        columns = ["film", "population", "launch date"]
+        assert self.matcher.best(tokens, columns) == [
+            best_of(self.matcher, tokens, column) for column in columns]
+        assert self.matcher.best(tokens, []) == []
+
     def test_candidates_sorted_best_first(self):
         tokens = tokenize("the population of the county")
-        found = self.matcher.find(tokens, "population")
+        found = oracles.find_mentions(self.matcher, tokens, "population")
         assert found[0].method == "exact"
 
     def test_find_cell_values(self):

@@ -14,7 +14,7 @@ from repro.core.mention import InfluenceProfile, MentionCandidate
 from repro.core.seq2seq.vocab import EOS, build_candidates
 from repro.nn import Tensor, binary_cross_entropy_with_logits, concat, no_grad
 from repro.sqlengine import Table
-from repro.text import tokenize
+from repro.text import is_stop_word, normalized_edit_similarity, tokenize
 
 
 def _feed(digest, part: str) -> None:
@@ -75,6 +75,65 @@ def find_cell_values(tokens: list[str], column: str,
                 seen_spans.add(span)
                 candidates.append(MentionCandidate(
                     column, span[0], span[1], 1.0, "exact"))
+    return candidates
+
+
+def _spans(tokens: list[str], max_span: int):
+    for start in range(len(tokens)):
+        if is_stop_word(tokens[start]):
+            continue
+        for end in range(start + 1, min(start + max_span, len(tokens)) + 1):
+            yield start, end, " ".join(tokens[start:end])
+
+
+def find_mentions(matcher, tokens: list[str],
+                  column: str) -> list[MentionCandidate]:
+    """All candidate mentions of ``column`` in a tokenized question,
+    sorted best-first (exact > knowledge > edit > semantic, then by
+    score): every rung over every span, one column at a time, with
+    unbounded edit distances.  ``matcher`` supplies the thresholds,
+    embeddings and knowledge base.  Its first entry is what
+    ``ColumnMatcher.best`` returns for the column.
+    """
+    column_lower = column.lower()
+    column_tokens = tokenize(column_lower)
+    candidates: list[MentionCandidate] = []
+
+    # 1. Exact token-sequence match of the column name.
+    for i in range(len(tokens) - len(column_tokens) + 1):
+        if tokens[i:i + len(column_tokens)] == column_tokens:
+            candidates.append(MentionCandidate(
+                column, i, i + len(column_tokens), 1.0, "exact"))
+
+    # 2. Knowledge-base phrases (P_c) and describing expressions (D_c).
+    knowledge = matcher.knowledge.get(column)
+    for phrase in (knowledge.mention_phrases
+                   + knowledge.describing_expressions):
+        phrase_tokens = tokenize(phrase)
+        for i in range(len(tokens) - len(phrase_tokens) + 1):
+            if tokens[i:i + len(phrase_tokens)] == phrase_tokens:
+                candidates.append(MentionCandidate(
+                    column, i, i + len(phrase_tokens), 0.95, "knowledge"))
+
+    # 3. Edit-distance match over spans (non-exact matching).
+    for start, end, surface in _spans(tokens, matcher.max_span):
+        similarity = normalized_edit_similarity(surface, column_lower)
+        if similarity >= matcher.edit_threshold and similarity < 1.0:
+            candidates.append(MentionCandidate(
+                column, start, end, similarity, "edit"))
+
+    # 4. Semantic (embedding) match over short spans.
+    for start, end, surface in _spans(
+            tokens, min(matcher.max_span, len(column_tokens) + 1)):
+        similarity = matcher.embeddings.phrase_similarity(surface,
+                                                          column_lower)
+        if similarity >= matcher.semantic_threshold:
+            candidates.append(MentionCandidate(
+                column, start, end, similarity, "semantic"))
+
+    priority = {"exact": 0, "knowledge": 1, "edit": 2, "semantic": 3}
+    candidates.sort(key=lambda c: (priority[c.method], -c.score,
+                                   c.start, c.end))
     return candidates
 
 

@@ -14,6 +14,11 @@ from repro.text import (
 )
 
 WORDS = st.text(alphabet="abcdefgh", min_size=0, max_size=12)
+#: Small alphabets make close pairs likely; the free text adds
+#: arbitrary (non-ASCII) code points.
+TEXTS = st.one_of(st.text(alphabet="abcé ñ", max_size=12),
+                  st.text(max_size=10))
+BOUNDS = st.integers(min_value=0, max_value=8)
 
 
 class TestLevenshtein:
@@ -43,6 +48,32 @@ class TestLevenshtein:
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_longest(self, a, b):
         assert levenshtein(a, b) <= max(len(a), len(b))
+
+
+
+class TestBoundedLevenshtein:
+    @given(TEXTS, TEXTS, BOUNDS)
+    @settings(max_examples=300, deadline=None)
+    def test_capped_at_bound_plus_one(self, a, b, k):
+        assert levenshtein(a, b, max_distance=k) == min(levenshtein(a, b),
+                                                        k + 1)
+
+    @given(TEXTS, TEXTS, BOUNDS)
+    @settings(max_examples=100, deadline=None)
+    def test_symmetry(self, a, b, k):
+        assert (levenshtein(a, b, max_distance=k)
+                == levenshtein(b, a, max_distance=k))
+
+    def test_known_values(self):
+        assert levenshtein("kitten", "sitting", max_distance=3) == 3
+        assert levenshtein("kitten", "sitting", max_distance=2) == 3
+        assert levenshtein("", "abc", max_distance=1) == 2
+        assert levenshtein("", "", max_distance=0) == 0
+        assert levenshtein("ab", "ba", max_distance=0) == 1
+
+    def test_negative_bound_raises(self):
+        with pytest.raises(ValueError):
+            levenshtein("a", "b", max_distance=-1)
 
 
 class TestNormalizedSimilarity:

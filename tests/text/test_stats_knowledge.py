@@ -97,6 +97,13 @@ class TestKnowledgeBase:
         assert kb.get("PRICE").describing_expressions == ["soar", "dive", "level off"]
         assert len(kb) == 1
 
+    def test_blank_phrases_dropped(self):
+        kb = KnowledgeBase()
+        kb.add("price", mention_phrases=["  ", "cost", ""],
+               describing_expressions=["\t", "soar"])
+        assert kb.get("price").mention_phrases == ["cost"]
+        assert kb.get("price").describing_expressions == ["soar"]
+
     def test_columns_listing(self):
         kb = KnowledgeBase()
         kb.add("b")
