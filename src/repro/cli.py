@@ -12,7 +12,7 @@ for the reproduction::
     python -m repro.cli repl --model-dir model/ --data dev.jsonl
     python -m repro.cli serve-stats --model-dir model/ --data dev.jsonl
     python -m repro.cli serve-stats --model-dir model/ --data dev.jsonl \
-        --replicas 4 --swap
+        --swap
     python -m repro.cli eval-robustness --out BENCH_robustness.json
 """
 
@@ -34,11 +34,10 @@ from repro.data import (
 )
 from repro.errors import ReproError
 from repro.serving import (
-    ClusterPolicy,
-    ClusterService,
     FaultInjector,
     FaultyNLIDB,
     ResiliencePolicy,
+    SchedulerPolicy,
     TranslationService,
     parse_fault_spec,
 )
@@ -109,18 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batched", action="store_true",
                        help="serve each pass through translate_batch()")
     serve.add_argument("--cache-size", type=int, default=1024)
-    # Cluster view (repro.serving.cluster): N sharded worker replicas
-    # behind one front door instead of a single service.
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="serve through a ClusterService with this "
-                            "many replicas (1 = single service)")
-    serve.add_argument("--max-in-flight", type=int, default=64,
-                       help="cluster admission bound; excess requests "
-                            "get Overloaded envelopes")
+    serve.add_argument("--max-queued", type=int, default=None,
+                       help="queue bound; requests past it get "
+                            "Overloaded envelopes (default: unbounded)")
     serve.add_argument("--swap", action="store_true",
-                       help="blue/green swap to a freshly loaded model "
-                            "between the first and second pass "
-                            "(implies the cluster path)")
+                       help="swap to a freshly loaded model between "
+                            "the first and second pass")
     # Resilience policy knobs (see repro.serving.ResiliencePolicy).
     serve.add_argument("--deadline-s", type=float, default=None,
                        help="per-request latency budget in seconds")
@@ -271,22 +264,15 @@ def _cmd_serve_stats(args) -> int:
         degradation=not args.no_degradation,
         breaker_failure_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown_s)
-    clustered = args.replicas > 1 or args.swap
-    if clustered:
-        service = ClusterService(
-            model, n_replicas=max(args.replicas, 1),
-            policy=ClusterPolicy(max_in_flight=args.max_in_flight),
-            cache_size=args.cache_size, resilience=policy)
-    else:
-        service = TranslationService(model, cache_size=args.cache_size,
-                                     policy=policy)
+    service = TranslationService(
+        model, cache_size=args.cache_size, policy=policy,
+        scheduler_policy=SchedulerPolicy(max_queued=args.max_queued))
     outcomes = {"ok": 0, "degraded": 0, "failed": 0}
-    swap_summary = None
     for index in range(max(args.passes, 1)):
         if args.swap and index == 1:
-            # Zero-downtime rollover between passes: reload the same
-            # weights as the standby generation, warm, switch, drain.
-            swap_summary = service.swap(load_nlidb(args.model_dir))
+            # Model rollover between passes: reload the same weights
+            # and switch to them (the translation cache starts empty).
+            service.swap(load_nlidb(args.model_dir))
         if args.batched:
             results = service.translate_batch(
                 [(e.question_tokens, e.table) for e in examples])
@@ -301,27 +287,18 @@ def _cmd_serve_stats(args) -> int:
     # One per-stage trace, as a worked example of the pipeline records
     # behind every histogram above.
     report["trace_sample"] = results[-1].to_dict()["trace"]
-    if swap_summary is not None:
-        report["swap"] = swap_summary
     if injector is not None:
         report["faults"] = injector.stats()
     print(json.dumps(report, indent=2, sort_keys=True))
     # Human-readable micro-batching footer (stderr keeps stdout pure
-    # JSON): one line per scheduler, from MicroBatchScheduler.stats().
-    schedulers = {r: s["service"]["scheduler"]
-                  for r, s in report["replicas"].items()} if clustered \
-        else {"service": report["scheduler"]}
-    for name, sched in sorted(schedulers.items()):
-        print(f"[scheduler {name}] batches={sched['batches']} "
-              f"coalesced_batches={sched['coalesced_batches']} "
-              f"dispatched={sched['dispatched']} "
-              f"max_batch={sched['max_batch']}", file=sys.stderr)
+    # JSON), from MicroBatchScheduler.stats().
+    sched = report["scheduler"]
+    print(f"[scheduler] batches={sched['batches']} "
+          f"coalesced_batches={sched['coalesced_batches']} "
+          f"dispatched={sched['dispatched']} "
+          f"max_batch={sched['max_batch']}", file=sys.stderr)
     # How much float32 arena memory the inference kernels hold.
-    if clustered:
-        replica = next(iter(report["replicas"].values()), {})
-        inference = replica.get("service", {}).get("inference")
-    else:
-        inference = report.get("inference")
+    inference = report.get("inference")
     if inference:
         arena_bytes = sum(a.get("bytes", 0)
                           for a in inference.get("arenas", {}).values())

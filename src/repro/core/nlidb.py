@@ -9,6 +9,7 @@ domains never seen in training (the transfer-learnability claim).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence
@@ -146,6 +147,10 @@ class NLIDB:
         # :meth:`translate` call — the serving layer's metrics hook.
         self.stage_timer: Callable[[str, float], None] | None = None
         self._pipeline: Pipeline | None = None  # built lazily, stateless
+        # Inference mutates state shared by every caller of this model
+        # (the arena buffers, weight snapshots, ``last_decode``); every
+        # service serving it runs its batches under this one lock.
+        self.inference_lock = threading.Lock()
         self._fitted = False
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ intent's requirements gets that family, including the held-out
 transfer schemas, which is what makes the corpus role-typed rather
 than domain-typed.
 
-Eight intents cover the extended sketch (see DESIGN.md §10 for the
+Eight intents cover the extended sketch (see DESIGN.md §9 for the
 mapping to grammar productions and decoder vocabulary):
 
 ========== ===================================================== =========

@@ -92,8 +92,8 @@ class CircuitOpen(ServingError):
 
 
 class Overloaded(ServingError):
-    """The cluster front door refused admission: the global in-flight
-    queue is at capacity.
+    """The service's queue bound refused admission: as many requests as
+    ``SchedulerPolicy.max_queued`` allows are already waiting.
 
     Retryable by definition — the request was never attempted, so a
     client that backs off and resubmits loses nothing.  The serving

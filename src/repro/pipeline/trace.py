@@ -21,12 +21,13 @@ __all__ = ["StageRecord", "StageTrace", "WIRE_SCHEMA_VERSION",
 #: ``serve-stats`` report).  Version 1 retroactively names the
 #: unversioned envelope shipped through PR 6; version 2 adds the
 #: explicit ``schema_version`` field, the ``Translation.to_dict`` view,
-#: and batch-identity labels in stage-trace details; version 3 adds the
-#: cluster routing fields — ``replica_id`` / ``shard_key`` on
-#: ``TranslationResult`` and the ``route`` stage record the cluster
-#: front door prepends to every served request's trace.  The full
+#: and batch-identity labels in stage-trace details; version 3 added the
+#: in-process cluster's routing fields — a replica id and a shard key on
+#: ``TranslationResult`` and a ``route`` stage record; version 4
+#: removes all three with the cluster (one service, nothing to route).
+#: Version 5 is reserved for the per-request span tree.  The full
 #: envelope shape is documented in DESIGN.md ("Wire schema").
-WIRE_SCHEMA_VERSION = 3
+WIRE_SCHEMA_VERSION = 4
 
 #: The stage ran to completion.
 OUTCOME_OK = "ok"

@@ -18,16 +18,12 @@ TranslationResult` envelope; see
 harness (:class:`FaultyNLIDB`) so every policy is testable without a
 flaky model.
 
-:mod:`repro.serving.cluster` scales the single service horizontally:
-:class:`~repro.serving.cluster.ClusterService` fronts N replicas with
-admission control (bounded in-flight queue, ``Overloaded`` rejection),
-consistent-hash routing on the table fingerprint
-(:class:`~repro.serving.router.RendezvousRouter`), breaker-derived
-per-replica health with failover, and zero-downtime blue/green model
-swaps with schema-cache warming.
+The service is the one front door.  An optional queue bound
+(``SchedulerPolicy.max_queued``) answers requests past it at once with
+a retryable :class:`~repro.errors.Overloaded` envelope, and
+:meth:`TranslationService.swap` switches to a new fitted model between
+batches without losing a queued request.
 """
-
-from repro.serving.cluster import ClusterPolicy, ClusterService, Replica
 
 from repro.serving.faults import (
     FaultInjector,
@@ -57,7 +53,6 @@ from repro.serving.results import (
     TranslationResult,
     describe_error,
 )
-from repro.serving.router import RandomRouter, RendezvousRouter
 from repro.serving.scheduler import (
     MicroBatchScheduler,
     QueueClosed,
@@ -80,7 +75,5 @@ __all__ = [
     "FaultSpec", "FaultInjector", "FaultyNLIDB", "InjectedFault",
     "parse_fault_spec",
     "SchedulerPolicy", "MicroBatchScheduler", "QueueClosed",
-    "ClusterService", "ClusterPolicy", "Replica",
-    "RendezvousRouter", "RandomRouter",
     "MetricsRegistry", "table_fingerprint", "WIRE_SCHEMA_VERSION",
 ]

@@ -59,7 +59,7 @@ class TranslationRequest:
     @property
     def fingerprint(self) -> str:
         """The table's content fingerprint, computed once per request
-        and reused by every cache and router the request meets."""
+        and reused by every cache the request meets."""
         fingerprint = self._fingerprint
         if fingerprint is None:
             fingerprint = table_fingerprint(self.table)

@@ -79,13 +79,6 @@ class TranslationResult:
         across all ladder rungs and retry attempts, in execution order.
         Never empty: even a cache hit or a pre-pipeline failure records
         one entry.
-    replica_id / shard_key:
-        Cluster routing identity (wire schema v3): which worker replica
-        served the request and the table-content fingerprint it was
-        sharded on.  ``None`` for requests served by a bare
-        :class:`~repro.serving.service.TranslationService`; stamped by
-        :class:`~repro.serving.cluster.ClusterService` together with
-        the ``route`` stage record it prepends to ``trace``.
     """
 
     status: str
@@ -96,8 +89,6 @@ class TranslationResult:
     timings: dict[str, float] = field(default_factory=dict)
     cached: bool = False
     trace: tuple = ()
-    replica_id: str | None = None
-    shard_key: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -118,8 +109,6 @@ class TranslationResult:
             "attempts": self.attempts,
             "timings": dict(self.timings),
             "cached": self.cached,
-            "replica_id": self.replica_id,
-            "shard_key": self.shard_key,
             "trace": [record.to_dict() for record in self.trace],
         }
 

@@ -23,13 +23,17 @@ regress) while requests arriving during a busy batch pile up and
 coalesce into the next one — the standard continuous-batching shape.
 A positive ``max_wait_s`` additionally holds the *first* request of a
 batch back, trading p50 for larger batches under sparse traffic.
+A ``max_queued`` bound turns the queue's growth into refusals: the
+service answers a refused request at once with a retryable
+:class:`~repro.errors.Overloaded` envelope (backpressure by rejection
+rather than by an ever-longer wait).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import monotonic
 from typing import Callable, Generic, TypeVar
 
@@ -64,16 +68,23 @@ class SchedulerPolicy:
         dispatches regardless of size.  ``0`` (the default) is natural
         batching: dispatch whatever is queued as soon as the worker is
         free.
+    max_queued:
+        Bound on requests waiting in the queue (the batch the worker is
+        running does not count).  Submissions past it are refused.
+        ``None`` (the default) leaves the queue unbounded.
     """
 
     max_batch: int = 16
     max_wait_s: float = 0.0
+    max_queued: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
+        if self.max_queued is not None and self.max_queued < 1:
+            raise ValueError("max_queued must be None or >= 1")
 
     def decide(self, queued: int, now: float,
                oldest_enqueued_at: float | None,
@@ -131,11 +142,14 @@ class MicroBatchScheduler(Generic[T]):
         self._dispatched = 0
         self._max_batch_seen = 0
 
-    def submit(self, item: T) -> None:
-        """Enqueue one request; starts the worker on first use."""
-        self.submit_many((item,))
+    def submit(self, item: T) -> bool:
+        """Enqueue one request; starts the worker on first use.
 
-    def submit_many(self, items) -> None:
+        Returns ``False`` when the ``max_queued`` bound refused it.
+        """
+        return self.submit_many((item,)) == 1
+
+    def submit_many(self, items) -> int:
         """Enqueue several requests under one lock acquisition.
 
         The worker cannot observe a partially appended group, so a
@@ -143,13 +157,22 @@ class MicroBatchScheduler(Generic[T]):
         coalesce into as few batches as the policy allows — submitting
         them one ``submit`` at a time would let the worker dispatch a
         singleton batch off the front of the group.
+
+        Returns how many items were admitted: the longest prefix that
+        fits under ``max_queued`` (all of them when unbounded).  The
+        caller owns the refused remainder.
         """
         items = list(items)
         if not items:
-            return
+            return 0
         with self._wakeup:
             if self._closed:
                 raise QueueClosed("scheduler is closed")
+            bound = self.policy.max_queued
+            if bound is not None:
+                items = items[:max(bound - len(self._queue), 0)]
+                if not items:
+                    return 0
             now = self._clock()
             for item in items:
                 self._queue.append((item, now))
@@ -158,6 +181,7 @@ class MicroBatchScheduler(Generic[T]):
                     target=self._run, name="repro-microbatch", daemon=True)
                 self._worker.start()
             self._wakeup.notify()
+        return len(items)
 
     def close(self) -> None:
         """Stop accepting work and wake the worker to drain the queue.
@@ -178,8 +202,7 @@ class MicroBatchScheduler(Generic[T]):
                 "coalesced_batches": self._coalesced_batches,
                 "dispatched": self._dispatched,
                 "max_batch": self._max_batch_seen,
-                "policy": {"max_batch": self.policy.max_batch,
-                           "max_wait_s": self.policy.max_wait_s},
+                "policy": asdict(self.policy),
             }
 
     # ------------------------------------------------------------------

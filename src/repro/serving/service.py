@@ -17,7 +17,10 @@ without touching model semantics:
   pending question's undecided columns scored in one classifier pass,
   every pending beam search advanced as one decoder/attention batch
   per step — under a max-wait/max-batch admission policy whose default
-  (natural batching) keeps single-request p50 unregressed at low load;
+  (natural batching) keeps single-request p50 unregressed at low load,
+  and an optional queue bound (``SchedulerPolicy.max_queued``) past
+  which requests resolve at once with a retryable ``Overloaded``
+  envelope;
 * a bounded LRU **translation cache** keyed on
   ``(question tokens, table content fingerprint, beam width)`` — the
   fingerprint is computed once per request, at admission, and travels
@@ -32,7 +35,11 @@ without touching model semantics:
   failures, a graceful-degradation ladder (full adversarial annotation
   → context-free matcher-only annotation → structured failure), and a
   circuit breaker that trips after repeated full-path failures and
-  serves cache + degraded paths while open.
+  serves cache + degraded paths while open;
+* an atomic **model swap** (:meth:`TranslationService.swap`) between
+  batches: the running batch finishes on the old model, queued
+  requests are served by the new one, and the translation cache is
+  emptied so no old-model answer outlives the switch.
 
 Coalesced execution never changes results: a batch's lanes are
 computed by the same kernels on the same per-request shapes (see
@@ -58,10 +65,11 @@ needing the bare :class:`~repro.core.nlidb.Translation` read
 
 Thread safety: the substrate's grad-mode flag is thread-local, so
 ``no_grad`` on a worker thread cannot corrupt training elsewhere; what
-still needs serializing is the models' *mutable inference state* (the
+still needs serializing is the model's *mutable inference state* (the
 reused arena buffers and per-generation weight snapshots).  Model
-inference is therefore serialized — structurally, by the scheduler's
-single worker thread, and defensively by the model lock.
+inference is therefore serialized — within a service by the
+scheduler's single worker thread, and across services by the model's
+own ``inference_lock``, which every batch holds while it runs.
 Cache hits resolve at submission time without touching the queue and
 therefore proceed concurrently.  Every returned :class:`Translation`
 may be shared between callers — treat it as immutable.  Note that
@@ -84,6 +92,7 @@ from repro.errors import (
     CircuitOpen,
     DeadlineExceeded,
     ModelError,
+    Overloaded,
     ReproError,
     ServingError,
     is_retryable,
@@ -136,7 +145,8 @@ class TranslationService:
         A *fitted* :class:`NLIDB` (or a wrapper such as
         :class:`~repro.serving.faults.FaultyNLIDB`).  The service
         attaches the translator's ``timing_hook`` (when present) to its
-        own metrics.
+        own metrics and runs every batch under the model's
+        ``inference_lock``.
     cache_size:
         Capacity of the translation LRU cache.
     metrics:
@@ -148,19 +158,12 @@ class TranslationService:
         Optional pre-built :class:`CircuitBreaker` (tests inject one
         with a fake clock); by default built from ``policy``.
     scheduler_policy:
-        The micro-batch admission policy (max batch size, max wait).
-        The default is natural batching — dispatch whatever is queued
-        whenever the worker is free, capped at 16 lanes.
+        The micro-batch admission policy (max batch size, max wait,
+        queue bound).  The default is natural batching — dispatch
+        whatever is queued whenever the worker is free, capped at 16
+        lanes — over an unbounded queue.
     sleep:
         Injectable sleep used for retry backoff.
-    model_lock:
-        Optional shared lock serializing model inference.  The
-        substrate's grad-mode flag is thread-local, so the lock no
-        longer guards that; it guards the models' mutable inference
-        state (arena buffers, weight-snapshot caches, ``last_decode``).
-        Several services sharing one *model* in one process (the
-        cluster's worker replicas) must share one lock; a lone service
-        defaults to its own.
     """
 
     def __init__(self, nlidb: NLIDB, cache_size: int = DEFAULT_CACHE_SIZE,
@@ -168,21 +171,24 @@ class TranslationService:
                  policy: ResiliencePolicy | None = None,
                  breaker: CircuitBreaker | None = None,
                  scheduler_policy: SchedulerPolicy | None = None,
-                 sleep: Callable[[float], None] = time.sleep,
-                 model_lock: threading.Lock | None = None):
-        if not getattr(nlidb, "_fitted", False):
-            raise ModelError("TranslationService needs a fitted NLIDB")
-        self.nlidb = nlidb
+                 sleep: Callable[[float], None] = time.sleep):
         self.metrics = metrics or MetricsRegistry()
         self.policy = policy or ResiliencePolicy()
         self.breaker = breaker or CircuitBreaker.from_policy(self.policy)
         self._sleep = sleep
         self._cache = LRUCache(maxsize=cache_size)
-        self._model_lock = model_lock or threading.Lock()
+        self._swap_lock = threading.Lock()
         self._batch_seq = 0
         self.scheduler: MicroBatchScheduler[_Pending] = MicroBatchScheduler(
             self._process_batch, policy=scheduler_policy,
             on_batch_error=self._fail_batch)
+        self._install(nlidb)
+
+    def _install(self, nlidb: NLIDB) -> None:
+        """Make ``nlidb`` the served model (construction and swap)."""
+        if not getattr(nlidb, "_fitted", False):
+            raise ModelError("TranslationService needs a fitted NLIDB")
+        self.nlidb = nlidb
         # Both ladder rungs execute through the same stage-graph
         # executor; the per-request deadline check rides as the
         # outermost middleware (a FaultyNLIDB adds its fault middleware
@@ -214,15 +220,17 @@ class TranslationService:
         the queue; everything else is admitted to the micro-batch
         scheduler, where it coalesces with whatever else is in flight.
         The request's deadline starts now — time spent queued counts
-        against its budget, exactly as lock-wait time used to.
+        against its budget, exactly as lock-wait time used to.  A
+        request the queue bound refuses resolves at once with a
+        retryable ``Overloaded`` envelope.
         """
         if table is not None:
             request = as_request((request, table, beam_width))
         else:
             request = as_request(request)
         future, pending = self._admit(request)
-        if pending is not None:
-            self.scheduler.submit(pending)
+        if pending is not None and not self.scheduler.submit(pending):
+            self._refuse(pending)
         return future
 
     def translate(self, question: str | list[str], table: Table,
@@ -248,6 +256,8 @@ class TranslationService:
         is enqueued atomically, so its requests coalesce into as few
         micro-batches as the admission policy allows (mixed tables
         included — the coalesced kernels accept heterogeneous schemas).
+        Requests past the queue bound get ``Overloaded`` envelopes at
+        their indices; the admitted prefix is served.
         """
         items = list(requests)
         self.metrics.increment("batches")
@@ -266,7 +276,9 @@ class TranslationService:
             futures.append((i, future))
             if pending is not None:
                 pendings.append(pending)
-        self.scheduler.submit_many(pendings)
+        admitted = self.scheduler.submit_many(pendings)
+        for pending in pendings[admitted:]:
+            self._refuse(pending)
         for i, future in futures:
             results[i] = future.result()
         return results  # fully populated: every index was served
@@ -274,6 +286,23 @@ class TranslationService:
     def close(self) -> None:
         """Stop admitting requests; in-flight work still completes."""
         self.scheduler.close()
+
+    def swap(self, nlidb: NLIDB) -> None:
+        """Serve ``nlidb`` from the next batch on.
+
+        Waits for the running batch, which finishes on the old model
+        and caches its results before the switch; no new batch starts
+        meanwhile.  Then it installs the new model (pipelines and
+        translator ``timing_hook`` included) and empties the
+        translation cache, so no old-model answer is served once
+        ``swap`` returns.  Queued requests stay queued and are served by
+        the new model; none is lost.  Raises :class:`ModelError`, and
+        changes nothing, when ``nlidb`` is not fitted.
+        """
+        with self._swap_lock, self.nlidb.inference_lock:
+            self._install(nlidb)
+            self._cache.clear()
+        self.metrics.increment("swaps")
 
     def fingerprint(self, table: Table) -> str:
         """The cache-key fingerprint of a table (content hash)."""
@@ -336,6 +365,18 @@ class TranslationService:
                                 deadline=Deadline(self.policy.deadline_s),
                                 future=future)
 
+    def _refuse(self, pending: _Pending) -> None:
+        """Resolve a request the queue bound turned away."""
+        # It missed the cache at admission and will never reach the
+        # batch executor, so it is counted as a miss here.
+        self.metrics.increment("cache_misses")
+        self.metrics.increment("rejections")
+        error = Overloaded(
+            f"queue full ({self.scheduler.policy.max_queued} waiting);"
+            " retry with backoff", stage="queue")
+        pending.future.set_result(
+            self._finish(TranslationResult.from_failure(error)))
+
     # ------------------------------------------------------------------
     # Batch execution (scheduler worker thread)
     # ------------------------------------------------------------------
@@ -348,8 +389,15 @@ class TranslationService:
         leaders + followers, run the coalescible leaders through the
         shared kernels, walk everything left through the sequential
         ladder, then mirror leader outcomes onto followers.
+
+        The whole batch runs under the served model's
+        ``inference_lock``, taken under the swap lock so that a batch
+        never starts on a model a waiting :meth:`swap` is replacing.
         """
-        with self._model_lock:
+        with self._swap_lock:
+            lock = self.nlidb.inference_lock
+            lock.acquire()
+        try:
             self._batch_seq += 1
             work: list[_Pending] = []
             for p in pendings:
@@ -385,6 +433,8 @@ class TranslationService:
                 leader_future = leaders[key].future
                 for p in dupes:
                     self._mirror(leader_future, p.future)
+        finally:
+            lock.release()
 
     def _serve_coalesced(self, leaders: list[_Pending]) -> set:
         """Run eligible leaders through the shared cohort kernels.
@@ -606,8 +656,8 @@ class TranslationService:
         identity stamped into every record by
         :class:`BatchTraceMiddleware`.
         """
-        # Caller holds the model lock (the arena buffers and weight
-        # snapshots are shared, so inference must not interleave).
+        # Caller holds the model's inference lock (the arena buffers and
+        # weight snapshots are shared, so inference must not interleave).
         prefix = "" if mode == "full" else "degraded."
         ctx = self.nlidb.context(list(request.question), request.table,
                                  mode=mode, beam_width=request.beam_width,

@@ -9,7 +9,7 @@ value produces a different digest.  The digest is computed with
 ``hash()``, which is salted per interpreter).
 
 The serving layer computes it once per request and keys its translation
-cache, cluster routing and the annotator's per-table
+cache and the annotator's per-table
 :class:`~repro.core.schema.SchemaEncoding` cache on it, so recreating an
 equal table (e.g. after reloading a dataset) still hits warm entries
 while any schema or data edit is an automatic invalidation.

@@ -5,10 +5,16 @@ Over a seeded corpus of 50+ (question, table) pairs spanning several
 synthetic domains, ``TranslationService`` must return translations
 whose canonical query, annotated tokens, and predicted annotated SQL
 all equal a direct ``NLIDB.translate`` — cold (first touch), warm
-(cache hit), and through ``translate_batch``.
+(cache hit), through ``translate_batch``, and across a model swap
+with requests in flight.
 """
 
-from repro.serving import TranslationRequest, TranslationResult
+from repro.core.persistence import load_nlidb, save_nlidb
+from repro.serving import (
+    TranslationRequest,
+    TranslationResult,
+    TranslationService,
+)
 
 
 def _domain_of(example) -> str:
@@ -108,3 +114,41 @@ class TestDifferential:
         assert metrics.counter("served_ok") \
             + metrics.counter("served_degraded") \
             + metrics.counter("served_failed") == metrics.counter("requests")
+        # A healthy model serves no degraded traffic and the breaker
+        # stays shut.
+        assert metrics.counter("served_degraded") == 0
+        assert service.stats()["breaker"]["state"] == "closed"
+
+
+class TestSwapDifferential:
+    def test_swap_under_load_loses_nothing(self, nlidb, corpus,
+                                           direct_translations, tmp_path):
+        # The standby is a reload of the same weights, so every answer,
+        # whichever model served it, must equal the direct pipeline's.
+        save_nlidb(nlidb, tmp_path / "next")
+        standby = load_nlidb(tmp_path / "next")
+        service = TranslationService(nlidb, cache_size=256)
+        try:
+            half = len(corpus) // 2
+            futures = [service.submit(e.question_tokens, e.table)
+                       for e in corpus[:half]]
+            service.swap(standby)
+            futures += [service.submit(e.question_tokens, e.table)
+                        for e in corpus[half:]]
+            results = [f.result(timeout=120) for f in futures]
+        finally:
+            service.close()
+        assert service.nlidb is standby
+        assert len(results) == len(corpus)  # zero requests lost
+        for result, reference in zip(results, direct_translations):
+            assert isinstance(result, TranslationResult)
+            assert result.status != "degraded"
+            if reference.query is None:
+                assert result.sql is None
+            else:
+                assert result.sql == reference.query.to_sql()
+        # The new model really served: its schema cache saw traffic.
+        assert standby.annotator.schema_cache_stats()["misses"] > 0
+        counters = service.metrics
+        assert counters.counter("served_ok") \
+            + counters.counter("served_failed") == len(corpus)

@@ -1,10 +1,10 @@
 """Property-based tests for the table content fingerprint.
 
-The serving cache, cluster routing and the annotator's per-table
-cache all key on :func:`repro.sqlengine.table_fingerprint`; these
-properties are what make that keying sound: content-equal tables
-collide, any content edit separates, and the digest is process-stable
-(no dependence on the interpreter's salted ``hash()``).  A golden digest
+The serving cache and the annotator's per-table cache both key on
+:func:`repro.sqlengine.table_fingerprint`; these properties are what
+make that keying sound: content-equal tables collide, any content edit
+separates, and the digest is process-stable (no dependence on the
+interpreter's salted ``hash()``).  A golden digest
 and a differential against the field-at-a-time reference
 (``tests/oracles.py``) pin that the digest never changes.
 """

@@ -71,6 +71,13 @@ class TestSchedulerPolicy:
         with pytest.raises(ValueError):
             SchedulerPolicy(max_wait_s=-1.0)
 
+    def test_max_queued_validation(self):
+        assert SchedulerPolicy().max_queued is None  # unbounded default
+        assert SchedulerPolicy(max_queued=1).max_queued == 1
+        for bad in (0, -3):
+            with pytest.raises(ValueError):
+                SchedulerPolicy(max_queued=bad)
+
 
 def _drain(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
@@ -147,6 +154,52 @@ class TestMicroBatchScheduler:
             scheduler.submit("c")
         with pytest.raises(ReproError):  # QueueClosed is a ReproError
             scheduler.submit_many(["d"])
+
+    def test_queue_bound_refuses_past_max_queued(self):
+        seen = []
+        started, gate = threading.Event(), threading.Event()
+
+        def process(batch):
+            seen.extend(batch)
+            if len(seen) == 1:
+                started.set()
+                gate.wait(timeout=5.0)
+
+        k = 3
+        scheduler = MicroBatchScheduler(
+            process, policy=SchedulerPolicy(max_batch=8, max_queued=k))
+        assert scheduler.submit("running") is True
+        assert started.wait(timeout=5.0)
+        # The running batch is off the queue: k more fit, the next not.
+        assert [scheduler.submit(i) for i in range(k)] == [True] * k
+        assert scheduler.submit("k+1") is False
+        assert scheduler.stats()["queued"] == k
+        gate.set()
+        _drain(lambda: len(seen) == k + 1)
+        assert seen == ["running", 0, 1, 2]
+        assert scheduler.stats()["policy"]["max_queued"] == k
+
+    def test_submit_many_admits_a_prefix(self):
+        seen = []
+        started, gate = threading.Event(), threading.Event()
+
+        def process(batch):
+            seen.extend(batch)
+            if len(seen) == 1:
+                started.set()
+                gate.wait(timeout=5.0)
+
+        scheduler = MicroBatchScheduler(
+            process, policy=SchedulerPolicy(max_queued=4))
+        scheduler.submit("running")
+        assert started.wait(timeout=5.0)
+        assert scheduler.submit_many(["a", "b"]) == 2
+        assert scheduler.submit_many(["c", "d", "e"]) == 2  # c, d fit
+        assert scheduler.submit_many(["f"]) == 0
+        assert scheduler.submit_many([]) == 0
+        gate.set()
+        _drain(lambda: len(seen) == 5)
+        assert seen == ["running", "a", "b", "c", "d"]
 
     def test_process_error_reaches_handler_and_worker_survives(self):
         failures, done = [], threading.Event()
@@ -247,6 +300,41 @@ class TestCoalescedDifferential:
             assert annotate["schema_version"] >= 2
         # Every stamped lane is a distinct (batch, lane) slot.
         assert len(lanes_seen) == len(stamped)
+
+    @pytest.mark.parametrize("max_batch", [1, 16])
+    def test_threaded_clients_coalesce_only_when_allowed(
+            self, nlidb, references, max_batch):
+        # 8 client threads each send their shard one request at a time.
+        # max_batch=16 must merge requests that arrive while the worker
+        # is busy; max_batch=1 (single-request dispatch through the same
+        # queue) must never.  Every answer stays byte-identical to the
+        # sequential path either way.  cache_size=1 keeps the run
+        # model-bound: the disjoint shards never hit the cache.
+        service = TranslationService(
+            nlidb, cache_size=1,
+            scheduler_policy=SchedulerPolicy(max_batch=max_batch))
+        n_threads = 8
+
+        def client(shard):
+            return [(service.translate(e.question_tokens, e.table), sql)
+                    for e, sql in shard]
+
+        shards = [references[i::n_threads] for i in range(n_threads)]
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            outcomes = [f.result()
+                        for f in [pool.submit(client, s) for s in shards]]
+        service.close()
+        for shard_results in outcomes:
+            for result, sql in shard_results:
+                assert result.sql == sql
+        coalesced = service.metrics.counter("coalesced_requests")
+        max_seen = service.stats()["scheduler"]["max_batch"]
+        if max_batch == 1:
+            assert coalesced == 0
+            assert max_seen <= 1
+        else:
+            assert coalesced > 0
+            assert max_seen >= 2
 
     def test_mixed_stream_with_failures_and_duplicates(self, service,
                                                        references):

@@ -1,14 +1,16 @@
 """Unit tests for the serving building blocks.
 
 These use a stub translator (no training) so cache semantics, metrics
-bookkeeping, and request normalization are exercised in milliseconds;
-the trained-model behaviour is covered by the differential suite and
-the resilience behaviour by ``test_resilience.py``/``test_faults.py``.
+bookkeeping, request normalization, queue-bound admission and model
+swaps are exercised in milliseconds; the trained-model behaviour is
+covered by the differential suite and the resilience behaviour by
+``test_resilience.py``/``test_faults.py``.
 """
 
 import inspect
 import json
 import threading
+import time
 
 import pytest
 
@@ -16,7 +18,9 @@ from repro.caching import LRUCache
 from repro.core import NLIDB, NLIDBConfig
 from repro.errors import ModelError, ReproError
 from repro.serving import (
+    WIRE_SCHEMA_VERSION,
     MetricsRegistry,
+    SchedulerPolicy,
     TranslationRequest,
     TranslationResult,
     TranslationService,
@@ -44,6 +48,48 @@ class StubTranslator:
                   beam_width=None):
         self.calls += 1
         return list(self.output)
+
+
+class GatedTranslator(StubTranslator):
+    """A stub whose ``translate`` holds until ``release`` is set.
+
+    ``entered`` fires on the first call; ``active``/``peak`` count
+    calls running at once, across every thread and service.
+    """
+
+    def __init__(self, output=("select", "g1")):
+        super().__init__(output)
+        self.timing_hook = None
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._count_lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def translate(self, source, header_tokens, extra_symbols=(),
+                  beam_width=None):
+        with self._count_lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        self.entered.set()
+        self.release.wait(timeout=10.0)
+        with self._count_lock:
+            self.active -= 1
+        return super().translate(source, header_tokens, extra_symbols,
+                                 beam_width)
+
+
+def fitted_model(translator):
+    model = NLIDB(EMB, NLIDBConfig(), translator=translator)
+    model._fitted = True  # annotator runs matcher-only when untrained
+    return model
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def make_table(name="films", rows=None):
@@ -526,3 +572,225 @@ class TestServiceBatch:
         assert stats["counters"]["served_ok"] == 1
         for stage in ("annotate", "translate", "recover"):
             assert stats["histograms"][stage]["count"] == 1
+
+
+class TestWireSchema:
+    def test_envelope_is_v4_without_routing_fields(self, stub_service):
+        result = stub_service.translate(QUESTION, make_table())
+        payload = result.to_dict()
+        assert WIRE_SCHEMA_VERSION == 4
+        assert payload["schema_version"] == 4
+        assert "replica_id" not in payload and "shard_key" not in payload
+        assert all(record["stage"] != "route"
+                   for record in payload["trace"])
+        assert stub_service.stats()["schema_version"] == 4
+
+
+def distinct_requests(n):
+    return [(f"which film has year {i} ?",
+             make_table(rows=[(f"film{i}", "d", i)])) for i in range(n)]
+
+
+class TestQueueBound:
+    """``SchedulerPolicy.max_queued``: refusal as ``Overloaded``."""
+
+    def _blocked_service(self, max_queued):
+        gated = GatedTranslator()
+        service = TranslationService(
+            fitted_model(gated), cache_size=64,
+            scheduler_policy=SchedulerPolicy(max_queued=max_queued))
+        # Occupy the worker: queued requests wait behind this one.
+        running = service.submit("which film has year 99 ?",
+                                 make_table(rows=[("film99", "d", 99)]))
+        assert gated.entered.wait(timeout=5.0)
+        return service, gated, running
+
+    def test_burst_past_the_bound_gets_overloaded_envelopes(self):
+        service, gated, running = self._blocked_service(max_queued=2)
+        try:
+            futures = [service.submit(q, t) for q, t in distinct_requests(6)]
+            refused = futures[2:]
+            # Refusals resolve at once, while the worker is still busy.
+            assert all(f.done() for f in refused)
+            for future in refused:
+                result = future.result()
+                assert result.status == "failed" and result.sql is None
+                assert result.error["type"] == "Overloaded"
+                assert result.error["retryable"] is True
+                assert result.error["stage"] == "queue"
+                assert result.trace[0].stage == "queue"
+                assert result.trace[0].error == "Overloaded"
+            gated.release.set()
+            admitted = [running] + futures[:2]
+            assert all(f.result(timeout=10).status == "ok"
+                       for f in admitted)
+        finally:
+            gated.release.set()
+            service.close()
+        metrics = service.metrics
+        assert metrics.counter("rejections") == 4
+        assert metrics.counter("served_failed") == 4
+        assert metrics.counter("served_ok") == 3
+        assert metrics.counter("cache_hits") \
+            + metrics.counter("cache_misses") == metrics.counter("requests")
+
+    def test_below_the_bound_nothing_is_rejected(self):
+        service, gated, running = self._blocked_service(max_queued=4)
+        try:
+            futures = [service.submit(q, t) for q, t in distinct_requests(4)]
+            gated.release.set()
+            results = [f.result(timeout=10) for f in [running] + futures]
+        finally:
+            gated.release.set()
+            service.close()
+        assert all(r.status == "ok" for r in results)
+        assert service.metrics.counter("rejections") == 0
+
+    def test_cache_hit_is_served_while_the_queue_is_full(self):
+        gated = GatedTranslator()
+        gated.release.set()
+        service = TranslationService(
+            fitted_model(gated), cache_size=64,
+            scheduler_policy=SchedulerPolicy(max_queued=1))
+        table = make_table()
+        assert service.translate(QUESTION, table).status == "ok"
+        gated.release.clear()
+        gated.entered.clear()
+        try:
+            running = service.submit("which film has year 99 ?",
+                                     make_table(rows=[("film99", "d", 99)]))
+            assert gated.entered.wait(timeout=5.0)
+            queued = service.submit("which film has year 7 ?", table)
+            full = service.submit("which film has year 8 ?", table)
+            assert full.result().error["type"] == "Overloaded"
+            warm = service.submit(QUESTION, table)
+            assert warm.done()
+            assert warm.result().status == "ok" and warm.result().cached
+            gated.release.set()
+            assert running.result(timeout=10).status == "ok"
+            assert queued.result(timeout=10).status == "ok"
+        finally:
+            gated.release.set()
+            service.close()
+        assert service.metrics.counter("rejections") == 1
+
+    def test_malformed_request_still_raises(self):
+        service, gated, _running = self._blocked_service(max_queued=1)
+        try:
+            service.submit("which film has year 1 ?", make_table())
+            with pytest.raises(ReproError):
+                service.submit(("question with no table",))
+        finally:
+            gated.release.set()
+            service.close()
+
+    def test_batch_past_the_bound_envelopes_at_each_index(self):
+        service = TranslationService(
+            fitted_model(StubTranslator()), cache_size=64,
+            scheduler_policy=SchedulerPolicy(max_queued=2))
+        requests = distinct_requests(4)
+        requests.insert(1, "junk")
+        results = service.translate_batch(requests)
+        service.close()
+        assert [r.status for r in results] \
+            == ["ok", "failed", "ok", "failed", "failed"]
+        assert results[1].error["type"] == "ReproError"
+        assert [r.error["type"] for r in results[3:]] \
+            == ["Overloaded", "Overloaded"]
+        assert service.metrics.counter("rejections") == 2
+
+    def test_default_policy_is_unbounded(self, stub_service):
+        assert stub_service.scheduler.policy.max_queued is None
+        results = stub_service.translate_batch(distinct_requests(40))
+        assert all(r.status == "ok" for r in results)
+        assert stub_service.stats()["scheduler"]["policy"]["max_queued"] \
+            is None
+
+
+class TestSharedModelLock:
+    def test_two_services_on_one_model_never_infer_at_once(self):
+        gated = GatedTranslator()
+        model = fitted_model(gated)
+        first, second = TranslationService(model), TranslationService(model)
+        try:
+            a = first.submit("which film has year 1 ?",
+                             make_table(rows=[("film1", "d", 1)]))
+            assert gated.entered.wait(timeout=5.0)
+            b = second.submit("which film has year 2 ?",
+                              make_table(rows=[("film2", "d", 2)]))
+            # Give the second worker time to reach the model: without a
+            # lock the model owns, it would be inside translate now.
+            time.sleep(0.3)
+            assert gated.active == 1
+            assert model.inference_lock.locked()
+            gated.release.set()
+            assert a.result(timeout=10).status == "ok"
+            assert b.result(timeout=10).status == "ok"
+        finally:
+            gated.release.set()
+            first.close()
+            second.close()
+        assert gated.peak == 1
+
+
+class TestSwap:
+    def test_rejects_an_unfitted_model(self, stub_service):
+        served = stub_service.nlidb
+        with pytest.raises(ModelError):
+            stub_service.swap(NLIDB(EMB, NLIDBConfig(),
+                                    translator=StubTranslator()))
+        assert stub_service.nlidb is served
+        assert stub_service.translate(QUESTION, make_table()).status == "ok"
+
+    def test_swap_installs_model_hook_and_pipelines(self, stub_service):
+        new = GatedTranslator(("select", "g2"))
+        new.release.set()
+        model = fitted_model(new)
+        stub_service.swap(model)
+        assert stub_service.nlidb is model
+        assert new.timing_hook == stub_service._record_translator_stage
+        result = stub_service.translate(QUESTION, make_table())
+        assert result.sql == "SELECT director"
+        assert stub_service.metrics.counter("swaps") == 1
+
+    def test_old_cache_entry_is_never_served_after_swap(self, stub_service,
+                                                        stub):
+        table = make_table()
+        assert stub_service.translate(QUESTION, table).sql == "SELECT film"
+        assert stub_service.translate(QUESTION, table).cached
+        new = StubTranslator(("select", "g2"))
+        stub_service.swap(fitted_model(new))
+        result = stub_service.translate(QUESTION, table)
+        assert not result.cached
+        assert result.sql == "SELECT director"
+        assert stub.calls == 1 and new.calls == 1
+
+    def test_running_batch_finishes_on_old_model_queued_on_new(self):
+        old = GatedTranslator(("select", "g1"))
+        new = StubTranslator(("select", "g2"))
+        service = TranslationService(fitted_model(old), cache_size=64)
+        new_model = fitted_model(new)
+        table = make_table()
+        try:
+            running = service.submit(QUESTION, table)
+            assert old.entered.wait(timeout=5.0)
+            swapper = threading.Thread(target=service.swap,
+                                       args=(new_model,))
+            swapper.start()
+            # The swap waits for the running batch, holding back any
+            # new one; a request queued meanwhile is not lost.
+            wait_for(service._swap_lock.locked)
+            queued = service.submit("which film has year 1 ?", table)
+            assert swapper.is_alive() and not queued.done()
+            old.release.set()
+            swapper.join(timeout=10)
+            assert not swapper.is_alive()
+            assert running.result(timeout=10).sql == "SELECT film"
+            assert queued.result(timeout=10).sql == "SELECT director"
+            # The old model's answer was not cached under the new one.
+            again = service.translate(QUESTION, table)
+            assert not again.cached and again.sql == "SELECT director"
+        finally:
+            old.release.set()
+            service.close()
+        assert old.calls == 1 and new.calls == 2
