@@ -5,7 +5,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test test-faults test-pipeline test-eval lint bench-perf-smoke \
+.PHONY: check test test-faults test-pipeline test-eval test-decode-seeds \
+	lint bench-perf-smoke \
 	bench-robustness bench-accuracy bench-smoke bench
 
 # Tier-1: the full unit/integration/property suite.
@@ -25,6 +26,20 @@ test-faults:
 # SQL differential.
 test-pipeline:
 	$(PYTHON) -m pytest tests/pipeline -q
+
+# Decoder differentials under five hash seeds.  Tier-1 leaves
+# PYTHONHASHSEED unpinned and training depends on it, so one run checks
+# one trained model; this runs the lockstep-vs-oracle, cohort-vs-solo
+# and early-retirement tests against five (about 12 s per seed).
+DECODE_TESTS = tests/pipeline/test_batched_inference.py \
+	tests/pipeline/test_coalesced_kernels.py \
+	tests/pipeline/test_decode_retirement.py
+
+test-decode-seeds:
+	for seed in 0 1 2 3 4; do \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest $(DECODE_TESTS) -q \
+			|| exit 1; \
+	done
 
 # Robustness harness suite: attack generators + determinism contract,
 # executor-backed validity gate, few-shot transfer mechanics, report

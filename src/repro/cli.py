@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve each pass through translate_batch()")
     serve.add_argument("--cache-size", type=int, default=1024)
     serve.add_argument("--max-queued", type=int, default=None,
-                       help="queue bound; requests past it get "
-                            "Overloaded envelopes (default: unbounded)")
+                       help="queue bound; submitted requests past it get "
+                            "Overloaded envelopes, --batched passes wait "
+                            "for room (default: unbounded)")
     serve.add_argument("--swap", action="store_true",
                        help="swap to a freshly loaded model between "
                             "the first and second pass")

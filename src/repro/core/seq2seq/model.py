@@ -91,29 +91,31 @@ class TrainingPair:
 
 
 @dataclass
-class _DecodeLane:
-    """Per-request beam-search state inside :meth:`translate_many`.
+class _Cohort:
+    """Every lane of one :meth:`~AnnotatedSeq2Seq.translate_many` call,
+    encoded and ready to decode.
 
-    Every array is a float32 view into the translator's arena;
-    ``copy_map`` is stored transposed to ``(T, C)`` (the layout the
-    in-place copy-mass matmul wants).
+    Lane ``l``'s arrays are contiguous float32 views into the
+    translator's arena: ``memory[l]`` is ``(T_l, enc_dim)``,
+    ``cand_rows[l]`` is the ``(C_l, dim)`` slice of ``cand`` starting at
+    ``cand_offset[l]``, and ``copy_map[l]`` is stored transposed to
+    ``(T_l, C_l)`` (the layout the in-place copy-mass matmul wants).
+    ``n_cand``, ``eos`` and ``width`` hold each lane's candidate count,
+    EOS position and beam width; ``d0`` and ``ctx0`` one row per lane.
     """
 
-    candidates: list[str]
-    memory: np.ndarray
-    memory_proj: np.ndarray
-    cand_rows: np.ndarray
-    copy_map: np.ndarray
-    d_mat: np.ndarray
-    ctx_mat: np.ndarray
-    width: int
-    steps: int = 0
-    done: bool = False
-
-    def __post_init__(self):
-        # (nll, tokens, prev token) per live beam; finished (nll, tokens).
-        self.meta: list[tuple[float, list[str], str | None]] = [(0.0, [], None)]
-        self.finished: list[tuple[float, list[str]]] = []
+    candidates: list[list[str]]
+    memory: list[np.ndarray]
+    memory_proj: list[np.ndarray]
+    cand_rows: list[np.ndarray]
+    copy_map: list[np.ndarray]
+    cand: np.ndarray
+    cand_offset: np.ndarray
+    n_cand: np.ndarray
+    eos: np.ndarray
+    width: np.ndarray
+    d0: np.ndarray
+    ctx0: np.ndarray
 
 
 class AnnotatedSeq2Seq(Module):
@@ -315,49 +317,32 @@ class AnnotatedSeq2Seq(Module):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _top_k(probs: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the ``k`` largest entries, best first.
+    def _top_k(rows: np.ndarray, k: int) -> np.ndarray:
+        """Column indices of the ``k`` largest entries of each row, best
+        first.
 
-        ``argpartition`` + a small sort instead of a full argsort of the
-        candidate vocabulary.  Ties break toward the lower candidate
-        index (partition indices are pre-sorted, the rank sort is
-        stable), so the decoder and the per-beam test oracle — which
-        both route through here — expand candidates in the same order.
+        A stable sort of the negated rows: ties break toward the lower
+        candidate index and ``-inf`` padding sorts last, so a row padded
+        to a wider cohort ranks its real candidates exactly as it would
+        alone.  The decoder ranks every beam row of every lane in one
+        call; the per-beam test oracle ranks one row, with the same tie
+        order.
         """
-        if k >= probs.shape[0]:
-            idx = np.arange(probs.shape[0])
-        else:
-            idx = np.sort(np.argpartition(probs, -k)[-k:])
-        return idx[np.argsort(-probs[idx], kind="stable")]
+        return np.argsort(-rows, axis=-1, kind="stable")[..., :k]
 
-    def _encode_np(self, tokens: list[str], tag: str,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float32 encode + initial state: ``(memory, memory_proj, d0)``.
+    def _retire_bound(self, min_live: np.ndarray) -> np.ndarray:
+        """Lowest score a lane's live beams can still finish with.
 
-        The arena form of :meth:`encode` and :meth:`_initial_state`; all
-        three live in reused float32 slabs keyed by ``tag`` (one tag
-        per lane, so concurrent lanes never alias).
+        ``min_live`` is the lowest NLL among a lane's live beams.  A step
+        adds ``−log(p + 1e-12) > −2e-12`` (float32 ``p ≤ 1``), so a
+        hypothesis finishing at step ``s′ ≤ max_len`` has NLL at least
+        ``floor`` (less a 1e-9 relative margin for float64 rounding) and
+        scores ``floor/s′``: at least ``floor/max_len``, or ``floor``
+        itself when it is negative.  See DESIGN.md, "Stop rule".
         """
-        if not tokens:
-            raise ModelError("cannot encode an empty sequence")
-        arena = self.arena
-        dim = self.embedder.dim
-        hidden = self.config.hidden
-        n = len(tokens)
-        emb = arena.take(f"{tag}.emb", (n, 1, dim))
-        for i, token in enumerate(tokens):
-            emb[i, 0] = self.embedder.embed_np(token)
-        states = self.encoder.forward_batch_np(emb, None, arena, f"{tag}.enc")
-        memory = states.reshape(n, 2 * hidden)
-        memory_proj = arena.take(f"{tag}.mp", (n, self.config.attention_dim))
-        self.att_memory.forward_np(memory, memory_proj)
-        init_in = arena.take(f"{tag}.ii", (1, 2 * hidden))
-        init_in[0, :hidden] = memory[n - 1, :hidden]
-        init_in[0, hidden:] = memory[0, hidden:]
-        d0 = arena.take(f"{tag}.d0", (1, 2 * hidden))
-        self.init_proj.forward_np(init_in, d0)
-        tanh_(d0)
-        return memory, memory_proj, d0
+        max_len = self.config.max_decode_len
+        floor = min_live - (max_len * 2e-12 + 1e-9 * np.abs(min_live))
+        return np.where(floor >= 0.0, floor / max_len, floor)
 
     def _attend_np(self, memory: np.ndarray, memory_proj: np.ndarray,
                    d: np.ndarray, tag: str,
@@ -390,21 +375,21 @@ class AnnotatedSeq2Seq(Module):
         return scores, contexts
 
     def _step_distribution_np(self, attention_scores: np.ndarray,
-                              lane: "_DecodeLane", projected: np.ndarray,
+                              cand_rows: np.ndarray, copy_map: np.ndarray,
+                              projected: np.ndarray,
                               tag: str) -> np.ndarray:
         """Batched float32 :meth:`_step_distribution`: ``(B, C)``.
 
         Row ``b`` applies the same shared-shift copy rule (max over that
         row's generation logits and attention scores); every exponential
-        and the
-        normalization in place; the lane's ``copy_map`` is stored
+        and the normalization run in place; ``copy_map`` is stored
         transposed ``(T, C)`` so the copy mass is one matmul.
         """
         arena = self.arena
         b = projected.shape[0]
-        c = lane.cand_rows.shape[0]
+        c = cand_rows.shape[0]
         gen = arena.take(f"{tag}.g", (b, c))
-        np.matmul(projected, lane.cand_rows.T, out=gen)
+        np.matmul(projected, cand_rows.T, out=gen)
         shift = arena.take(f"{tag}.sh", (b, 1))
         np.amax(gen, axis=1, keepdims=True, out=shift)
         if self.config.use_copy:
@@ -417,7 +402,7 @@ class AnnotatedSeq2Seq(Module):
             np.subtract(attention_scores, shift, out=att_exp)
             np.exp(att_exp, out=att_exp)
             copy_mass = arena.take(f"{tag}.cm", (b, c))
-            np.matmul(att_exp, lane.copy_map, out=copy_mass)
+            np.matmul(att_exp, copy_map, out=copy_mass)
             gen += copy_mass
         else:
             gen -= shift
@@ -426,141 +411,246 @@ class AnnotatedSeq2Seq(Module):
         gen /= shift
         return gen
 
-    def _prepare_lane(self, source: list[str], header_tokens: list[str],
-                      extra_symbols, width: int | None,
-                      token_vectors: dict | None,
-                      lane_index: int) -> "_DecodeLane":
-        """Encode one request into a float32 arena decode lane."""
-        candidates = build_candidates(source, header_tokens, extra_symbols,
-                                      extended=self.config.extended_grammar)
-        arena = self.arena
-        tag = f"lane{lane_index}"
-        memory, memory_proj, d0 = self._encode_np(source, tag)
-        cand_rows = arena.take(f"{tag}.cand",
-                               (len(candidates), self.embedder.dim))
-        for i, token in enumerate(candidates):
-            vector = token_vectors.get(token) if token_vectors else None
-            cand_rows[i] = (self.embedder.embed_np(token) if vector is None
-                            else vector)
-        copy_map = arena.take(f"{tag}.copy", (len(source), len(candidates)))
-        copy_map[...] = 0.0
-        index = {token: i for i, token in enumerate(candidates)}
-        for j, token in enumerate(source):
-            i = index.get(token)
-            if i is not None:
-                copy_map[j, i] = 1.0
-        _, context0 = self._attend_np(memory, memory_proj, d0, f"{tag}.a0")
-        enc_dim = 2 * self.config.hidden
-        d_mat = arena.take(f"{tag}.dmat", (1, enc_dim))
-        np.copyto(d_mat, d0)
-        ctx_mat = arena.take(f"{tag}.cmat", (1, enc_dim))
-        np.copyto(ctx_mat, context0)
-        return _DecodeLane(candidates=candidates, memory=memory,
-                           memory_proj=memory_proj, cand_rows=cand_rows,
-                           copy_map=copy_map, d_mat=d_mat, ctx_mat=ctx_mat,
-                           width=width or self.config.beam_width)
+    def _encode_cohort(self, requests: list[dict]) -> _Cohort:
+        """Encode every request in ONE masked ``BiGRU.forward_batch_np``.
 
-    def _decode_lanes(self, lanes: list["_DecodeLane"],
+        The questions are padded to the longest into a ``(T_max, lanes,
+        dim)`` slab; the masked hold keeps each lane's states exactly
+        those of its unpadded run.  The states are then laid out
+        lane-major, so lane ``l``'s memory is the contiguous block
+        ``[l, :T_l]``, and the attention memory projection and initial
+        decoder state each run as one matmul over all lanes.  A solo
+        :meth:`translate` is the one-lane case.
+        """
+        sources = [req["source"] for req in requests]
+        if not all(sources):
+            raise ModelError("cannot encode an empty sequence")
+        arena = self.arena
+        cfg = self.config
+        dim = self.embedder.dim
+        hidden = cfg.hidden
+        enc_dim = 2 * hidden
+        attn = cfg.attention_dim
+        n_lanes = len(sources)
+        lengths = np.array([len(source) for source in sources],
+                           dtype=np.intp)
+        total = int(lengths.max())
+        emb = arena.take("enc.emb", (total, n_lanes, dim))
+        emb[...] = 0.0
+        for li, source in enumerate(sources):
+            for t, token in enumerate(source):
+                emb[t, li] = self.embedder.embed_np(token)
+        states = self.encoder.forward_batch_np(emb, lengths, arena, "enc")
+        memory = arena.take("enc.mem", (n_lanes, total, enc_dim))
+        np.copyto(memory, states.transpose(1, 0, 2))
+        memory_proj = arena.take("enc.mp", (n_lanes, total, attn))
+        self.att_memory.forward_np(memory.reshape(n_lanes * total, enc_dim),
+                                   memory_proj.reshape(n_lanes * total, attn))
+        init_in = arena.take("enc.ii", (n_lanes, enc_dim))
+        init_in[:, :hidden] = memory[np.arange(n_lanes), lengths - 1,
+                                     :hidden]
+        init_in[:, hidden:] = memory[:, 0, hidden:]
+        d0 = arena.take("enc.d0", (n_lanes, enc_dim))
+        self.init_proj.forward_np(init_in, d0)
+        tanh_(d0)
+
+        candidates = [build_candidates(
+            req["source"], req["header_tokens"],
+            req.get("extra_symbols", ()),
+            extended=cfg.extended_grammar) for req in requests]
+        n_cand = np.array([len(c) for c in candidates], dtype=np.intp)
+        cand_offset = np.cumsum(n_cand) - n_cand
+        cand = arena.take("enc.cand", (int(n_cand.sum()), dim))
+        ctx0 = arena.take("enc.ctx0", (n_lanes, enc_dim))
+        mem_views, mp_views, cand_views, copy_maps = [], [], [], []
+        for li, (req, cands) in enumerate(zip(requests, candidates)):
+            n = int(lengths[li])
+            lane_memory = memory[li, :n]
+            lane_proj = memory_proj[li, :n]
+            vectors = req.get("token_vectors")
+            rows = cand[cand_offset[li]:cand_offset[li] + len(cands)]
+            for i, token in enumerate(cands):
+                vector = vectors.get(token) if vectors else None
+                rows[i] = (self.embedder.embed_np(token) if vector is None
+                           else vector)
+            copy_map = arena.take(f"lane{li}.copy", (n, len(cands)))
+            copy_map[...] = 0.0
+            index = {token: i for i, token in enumerate(cands)}
+            for j, token in enumerate(req["source"]):
+                i = index.get(token)
+                if i is not None:
+                    copy_map[j, i] = 1.0
+            _, context0 = self._attend_np(lane_memory, lane_proj,
+                                          d0[li:li + 1], f"lane{li}.a0")
+            ctx0[li] = context0[0]
+            mem_views.append(lane_memory)
+            mp_views.append(lane_proj)
+            cand_views.append(rows)
+            copy_maps.append(copy_map)
+        return _Cohort(
+            candidates=candidates, memory=mem_views, memory_proj=mp_views,
+            cand_rows=cand_views, copy_map=copy_maps, cand=cand,
+            cand_offset=cand_offset, n_cand=n_cand,
+            eos=np.array([c.index(EOS) for c in candidates], dtype=np.intp),
+            width=np.array([req.get("beam_width") or cfg.beam_width
+                            for req in requests], dtype=np.intp),
+            d0=d0, ctx0=ctx0)
+
+    def _decode_lanes(self, cohort: _Cohort,
                       ) -> tuple[list[list[str]], list[int]]:
         """Beam-search every lane; return ``(outputs, steps)`` per lane.
 
-        One fused GRU-cell call advances the union of all live beams of
-        all lanes per step; attention, the copy rule, and top-k pruning
-        stay per lane.  Lanes finish independently (EOS everywhere or
-        ``max_decode_len``) and drop out of the union.  Every
-        intermediate lives in a reused slab — a warm decode performs no
-        Tensor construction and no slab growth.  Expansion order
-        (beam-major, best candidate first) and the stable sorts match the
-        float64 per-beam loop of the training forward, so the SQL comes
-        out byte-identical (pinned by the differential tests).
+        Live beams are rows, lane-major; row ``r`` is beam
+        ``row_beam[r]`` (its rank) of lane ``row_lane[r]``, with its NLL
+        and token history in arrays.  Per step, one fused GRU-cell call,
+        one attention-query and one output projection advance every row;
+        attention and the copy rule run per lane (their softmax and
+        matmul reductions span that lane's own memory and candidates);
+        then ONE top-k over the stacked, ``-inf``-padded score rows, one
+        expansion over a ``(lanes, width, width)`` grid in the per-beam
+        loop's order (beam-major, best candidate first), and one stable
+        sort pick every lane's next beams, finished hypotheses and
+        retirements.  Per-lane beam widths are padded to the widest and
+        masked.
+
+        A lane stops when every expansion is EOS, at ``max_decode_len``,
+        or as soon as its best finished score is below
+        :meth:`_retire_bound` of its live beams: no hypothesis still
+        live can then beat it, and the final pick (earliest of equal
+        scores) would be the same after all ``max_decode_len`` steps.
+        Float32 kernel intermediates live in reused slabs — a warm
+        decode constructs no Tensor and grows no slab.  The SQL is
+        byte-identical to the full-length float64 per-beam oracle
+        (pinned by the differential tests).
         """
         arena = self.arena
         dim = self.embedder.dim
         enc_dim = 2 * self.config.hidden
         attn = self.config.attention_dim
-        for _ in range(self.config.max_decode_len):
-            live = [(li, lane) for li, lane in enumerate(lanes)
-                    if not lane.done]
-            if not live:
+        max_len = self.config.max_decode_len
+        n_lanes = len(cohort.candidates)
+        lanes = np.arange(n_lanes)
+        top = int(cohort.width.max())
+        in_width = np.arange(top) < cohort.width[:, None]     # (lanes, top)
+        c_max = int(cohort.n_cand.max())
+        n_cand = cohort.n_cand.tolist()
+
+        row_lane = lanes
+        row_beam = np.zeros(n_lanes, dtype=np.intp)
+        nll = np.zeros(n_lanes)
+        history = np.zeros((n_lanes, max_len), dtype=np.intp)
+        prev = None
+        d_rows = arena.take("dec.d", (n_lanes, enc_dim))
+        np.copyto(d_rows, cohort.d0)
+        ctx_rows = arena.take("dec.ctx", (n_lanes, enc_dim))
+        np.copyto(ctx_rows, cohort.ctx0)
+        best = np.full(n_lanes, np.inf)
+        best_tokens = np.zeros((n_lanes, max_len), dtype=np.intp)
+        best_len = np.zeros(n_lanes, dtype=np.intp)
+        steps = np.zeros(n_lanes, dtype=np.intp)
+        for step in range(1, max_len + 1):
+            total = row_lane.shape[0]
+            if total == 0:
                 break
-            total = sum(len(lane.meta) for _, lane in live)
-            # Union decoder-cell input [prev_emb, context, d].
+            counts = np.bincount(row_lane, minlength=n_lanes)
+            steps += counts > 0
+            # Decoder-cell input [prev_emb, context, d] for every row.
             xh = arena.take("dec.xh", (total, dim + 2 * enc_dim))
-            d_union = arena.take("dec.d", (total, enc_dim))
-            slices = []
-            offset = 0
-            for _, lane in live:
-                lane.steps += 1
-                rows = slice(offset, offset + len(lane.meta))
-                for b, (_, _, prev) in enumerate(lane.meta):
-                    if prev is None:
-                        xh[offset + b, :dim] = 0.0
-                    else:
-                        xh[offset + b, :dim] = self.embedder.embed_np(prev)
-                xh[rows, dim:dim + enc_dim] = lane.ctx_mat
-                d_union[rows] = lane.d_mat
-                slices.append(rows)
-                offset += len(lane.meta)
-            xh[:, dim + enc_dim:] = d_union
+            if prev is None:
+                xh[:, :dim] = 0.0
+            else:
+                xh[:, :dim] = cohort.cand[prev]
+            xh[:, dim:dim + enc_dim] = ctx_rows
+            xh[:, dim + enc_dim:] = d_rows
             d_next = arena.take("dec.dn", (total, enc_dim))
-            self.decoder_cell.step_np(xh, d_union, d_next, arena, "dec.cell")
+            self.decoder_cell.step_np(xh, d_rows, d_next, arena, "dec.cell")
             query_proj = arena.take("dec.qp", (total, attn))
             self.att_query.forward_np(d_next, query_proj)
 
             proj_in = arena.take("dec.pi", (total, 2 * enc_dim))
             proj_in[:, :enc_dim] = d_next
-            att_by_lane = []
-            for (li, lane), rows in zip(live, slices):
+            spans = []
+            stop = 0
+            for li in np.flatnonzero(counts).tolist():
+                rows = slice(stop, stop + int(counts[li]))
+                stop = rows.stop
                 att_scores, contexts = self._attend_np(
-                    lane.memory, lane.memory_proj, d_next[rows],
+                    cohort.memory[li], cohort.memory_proj[li], d_next[rows],
                     f"dec.a{li}", query_proj=query_proj[rows])
-                att_by_lane.append(att_scores)
                 proj_in[rows, enc_dim:] = contexts
+                spans.append((li, rows, att_scores))
             projected = arena.take("dec.pr", (total, dim))
             self.out_proj.forward_np(proj_in, projected)
+            probs = arena.take("dec.probs", (total, c_max))
+            probs.fill(-np.inf)
+            for li, rows, att_scores in spans:
+                probs[rows, :n_cand[li]] = self._step_distribution_np(
+                    att_scores, cohort.cand_rows[li], cohort.copy_map[li],
+                    projected[rows], f"dec.p{li}")
 
-            for ((li, lane), rows, att_scores) in zip(live, slices,
-                                                      att_by_lane):
-                probs = self._step_distribution_np(
-                    att_scores, lane, projected[rows], f"dec.p{li}")
-                expansions = []  # (nll, tokens, beam row, token)
-                for b, (nll, tokens, _) in enumerate(lane.meta):
-                    for ci in self._top_k(probs[b], lane.width):
-                        token = lane.candidates[int(ci)]
-                        new_nll = nll - float(
-                            np.log(float(probs[b, ci]) + 1e-12))
-                        if token == EOS:
-                            lane.finished.append(
-                                (new_nll / (len(tokens) + 1), tokens))
-                        else:
-                            expansions.append((new_nll, tokens + [token],
-                                               b, token))
-                if not expansions:
-                    lane.done = True
-                    continue
-                expansions.sort(key=lambda e: e[0])
-                kept = expansions[:lane.width]
-                keep_rows = [row for _, _, row, _ in kept]
-                d_keep = arena.take(f"lane{li}.dmat", (len(kept), enc_dim))
-                np.take(d_next[rows], keep_rows, axis=0, out=d_keep)
-                ctx_keep = arena.take(f"lane{li}.cmat", (len(kept), enc_dim))
-                np.take(proj_in[rows, enc_dim:], keep_rows, axis=0,
-                        out=ctx_keep)
-                lane.d_mat = d_keep
-                lane.ctx_mat = ctx_keep
-                lane.meta = [(nll, tokens, token)
-                             for nll, tokens, _, token in kept]
+            # Expand: every row's top candidates, with float64 NLLs.
+            cand_idx = self._top_k(probs, top)                # (rows, top)
+            valid = (in_width[row_lane]
+                     & (cand_idx < cohort.n_cand[row_lane, None]))
+            p = np.take_along_axis(probs, cand_idx, axis=1)
+            new_nll = nll[:, None] - np.log(
+                np.where(valid, p, 1.0).astype(np.float64) + 1e-12)
+            eos = cand_idx == cohort.eos[row_lane, None]
+            # Per lane, a (beam, rank) grid flattened beam-major: the order
+            # the per-beam loop lists its expansions in.
+            grid = np.full((2, n_lanes, top, top), np.inf)
+            grid[0, row_lane, row_beam] = np.where(valid & eos,
+                                                   new_nll / step, np.inf)
+            grid[1, row_lane, row_beam] = np.where(valid & ~eos,
+                                                   new_nll, np.inf)
+            finish = grid[0].reshape(n_lanes, top * top)
+            extend = grid[1].reshape(n_lanes, top * top)
+            row_of = np.zeros((n_lanes, top), dtype=np.intp)
+            row_of[row_lane, row_beam] = np.arange(total)
 
-        outputs, steps = [], []
-        for lane in lanes:
-            finished = lane.finished
-            if not finished:
-                finished = [(nll / max(len(tokens), 1), tokens)
-                            for nll, tokens, _ in lane.meta]
-            finished.sort(key=lambda b: b[0])
-            outputs.append(finished[0][1])
-            steps.append(lane.steps)
-        return outputs, steps
+            # Finished: a lane keeps its earliest lowest score.
+            first = np.argmin(finish, axis=1)
+            score = finish[lanes, first]
+            better = score < best
+            if better.any():
+                won = row_of[lanes[better], first[better] // top]
+                best[better] = score[better]
+                best_tokens[better] = history[won]
+                best_len[better] = step - 1
+
+            # Continuing: the stable sort keeps beam-major order on ties.
+            order = np.argsort(extend, axis=1, kind="stable")[:, :top]
+            kept = np.take_along_axis(extend, order, axis=1)
+            keep = in_width & np.isfinite(kept)
+            live = keep[:, 0]
+            bound = self._retire_bound(np.where(live, kept[:, 0], 0.0))
+            keep[live & (best < bound)] = False
+
+            row_lane, row_beam = np.nonzero(keep)
+            pick = order[row_lane, row_beam]
+            src = row_of[row_lane, pick // top]
+            token = cand_idx[src, pick % top]
+            nll = kept[row_lane, row_beam]
+            history = history[src]
+            history[:, step - 1] = token
+            prev = cohort.cand_offset[row_lane] + token
+            d_rows = arena.take("dec.d", (src.shape[0], enc_dim))
+            np.take(d_next, src, axis=0, out=d_rows)
+            ctx_rows = arena.take("dec.ctx", (src.shape[0], enc_dim))
+            np.take(proj_in[:, enc_dim:], src, axis=0, out=ctx_rows)
+
+        outputs = []
+        for li, cands in enumerate(cohort.candidates):
+            if np.isfinite(best[li]):
+                ids = best_tokens[li, :best_len[li]]
+            else:
+                # Nothing finished in max_decode_len steps: the best
+                # length-normalised live beam.
+                rows = np.flatnonzero(row_lane == li)
+                normed = nll[rows] / max(max_len, 1)
+                ids = history[rows[np.argmin(normed)]]
+            outputs.append([cands[i] for i in ids.tolist()])
+        return outputs, steps.tolist()
 
     def translate(self, source: list[str], header_tokens: list[str],
                   extra_symbols: tuple[str, ...] = (),
@@ -583,41 +673,38 @@ class AnnotatedSeq2Seq(Module):
         Each request is a dict with ``source`` and ``header_tokens``
         plus optional ``extra_symbols`` / ``beam_width`` /
         ``token_vectors`` — the :meth:`translate` signature in mapping
-        form.  Encoding, the candidate/copy machinery, and everything
-        whose reduction shape is per-request (attention softmax +
-        context, generation/copy mass, top-k pruning) run per lane; only
-        the row-sliced shared projections (decoder cell, attention
-        query, output projection) advance the union of all lanes' live
-        beams per step.  Lane ``i`` therefore returns the same SQL
-        tokens as a stand-alone :meth:`translate` call (pinned by the
-        differential tests).
+        form.  All lanes are encoded in one masked pass
+        (:meth:`_encode_cohort`) and decoded by :meth:`_decode_lanes`:
+        shared projections and the beam bookkeeping (top-k, expansion,
+        finished and retired state) run once per step over every lane;
+        attention and the copy rule, whose reductions span one lane's
+        memory and candidates, run per lane.  A lane retires once its
+        best finished hypothesis provably wins.  Lane ``i`` therefore
+        returns the same SQL tokens as a stand-alone :meth:`translate`
+        call (pinned by the differential tests).
         """
         if not requests:
             return []
         with no_grad():
             start = perf_counter()
-            lanes = [self._prepare_lane(
-                req["source"], req["header_tokens"],
-                req.get("extra_symbols", ()), req.get("beam_width"),
-                req.get("token_vectors"), li)
-                for li, req in enumerate(requests)]
+            cohort = self._encode_cohort(requests)
             if self.timing_hook is not None:
                 self.timing_hook("encode", perf_counter() - start)
             start = perf_counter()
-            outputs, steps = self._decode_lanes(lanes)
+            outputs, steps = self._decode_lanes(cohort)
             if self.timing_hook is not None:
                 self.timing_hook("beam_search", perf_counter() - start)
-        if len(lanes) == 1:
+        widths = cohort.width.tolist()
+        n_cand = cohort.n_cand.tolist()
+        if len(requests) == 1:
             self.last_decode = {
                 "path": "lockstep", "steps": steps[0],
-                "beam_width": lanes[0].width,
-                "candidates": len(lanes[0].candidates),
+                "beam_width": widths[0], "candidates": n_cand[0],
             }
         else:
             self.last_decode = {
-                "path": "lockstep_many", "lanes": len(lanes),
-                "steps": steps,
-                "beam_width": [lane.width for lane in lanes],
-                "candidates": [len(lane.candidates) for lane in lanes],
+                "path": "lockstep_many", "lanes": len(requests),
+                "steps": steps, "beam_width": widths,
+                "candidates": n_cand,
             }
         return outputs

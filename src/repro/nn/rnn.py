@@ -70,8 +70,9 @@ def _step_masks(lengths: np.ndarray | None, total: int,
 
 
 def _masks_np(lengths: np.ndarray | None, total: int, batch: int,
-              arena: InferenceArena, tag: str) -> np.ndarray | None:
-    """Float32 ``(T, B, 1)`` hold masks in an arena slab, or ``None``."""
+              arena: InferenceArena, tag: str,
+              dtype=np.float32) -> np.ndarray | None:
+    """``(T, B, 1)`` hold masks in an arena slab, or ``None``."""
     if lengths is None:
         return None
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -80,7 +81,7 @@ def _masks_np(lengths: np.ndarray | None, total: int, batch: int,
             f"lengths shape {lengths.shape} does not match batch {batch}")
     if lengths.min() == total:
         return None
-    masks = arena.take(tag, (total, batch, 1))
+    masks = arena.take(tag, (total, batch, 1), dtype)
     masks[...] = lengths[None, :, None] > np.arange(total)[:, None, None]
     return masks
 
@@ -503,10 +504,15 @@ class BiGRU(Module):
 
         Matches the Tensor layout: layer ``l+1`` consumes the previous
         layer's concatenated ``[forward; backward]`` slab through its
-        affine pre-transform, run as one ``(T·B, feat)`` matmul.
+        affine pre-transform, run as one ``(T·B, feat)`` matmul.  The
+        translator encodes a whole cohort of ragged questions here, so
+        the hold is a masked copy rather than the arithmetic blend: a
+        padded lane's states then equal its unpadded run bit for bit by
+        construction, not by a rounding identity of the cell's update.
         """
         total, batch, _ = inputs.shape
-        masks = _masks_np(lengths, total, batch, arena, f"{tag}.mask")
+        masks = _masks_np(lengths, total, batch, arena, f"{tag}.mask",
+                          np.bool_)
         cur = inputs
         for li, (pre, fwd_cell, bwd_cell) in enumerate(
                 zip(self.pre, self.fwd_cells, self.bwd_cells)):
@@ -528,7 +534,7 @@ class BiGRU(Module):
                     xh[:, hs:] = h
                     cell.step_np(xh, h, hn, arena, f"{tag}.cell{li}.{direction}")
                     if masks is not None:
-                        _blend_(h, hn, masks[t])
+                        np.copyto(h, hn, where=masks[t])
                     else:
                         h, hn = hn, h
                     out[t, :, lo:hi] = h

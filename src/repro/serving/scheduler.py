@@ -26,7 +26,9 @@ batch back, trading p50 for larger batches under sparse traffic.
 A ``max_queued`` bound turns the queue's growth into refusals: the
 service answers a refused request at once with a retryable
 :class:`~repro.errors.Overloaded` envelope (backpressure by rejection
-rather than by an ever-longer wait).
+rather than by an ever-longer wait).  A caller that blocks for its
+results anyway uses :meth:`MicroBatchScheduler.submit_waiting`, which
+waits for room instead of being refused.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ class MicroBatchScheduler(Generic[T]):
         self._queue: deque[tuple[T, float]] = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
+        self._room = threading.Condition(self._lock)
         self._worker: threading.Thread | None = None
         self._closed = False
         self._batches = 0
@@ -152,11 +155,11 @@ class MicroBatchScheduler(Generic[T]):
     def submit_many(self, items) -> int:
         """Enqueue several requests under one lock acquisition.
 
-        The worker cannot observe a partially appended group, so a
-        ``translate_batch`` call's requests reach the queue together and
-        coalesce into as few batches as the policy allows — submitting
-        them one ``submit`` at a time would let the worker dispatch a
-        singleton batch off the front of the group.
+        The worker cannot observe a partially appended group, so the
+        group reaches the queue together and coalesces into as few
+        batches as the policy allows — submitting it one ``submit`` at
+        a time would let the worker dispatch a singleton batch off the
+        front of the group.
 
         Returns how many items were admitted: the longest prefix that
         fits under ``max_queued`` (all of them when unbounded).  The
@@ -166,21 +169,45 @@ class MicroBatchScheduler(Generic[T]):
         if not items:
             return 0
         with self._wakeup:
-            if self._closed:
-                raise QueueClosed("scheduler is closed")
-            bound = self.policy.max_queued
-            if bound is not None:
-                items = items[:max(bound - len(self._queue), 0)]
-                if not items:
-                    return 0
-            now = self._clock()
-            for item in items:
-                self._queue.append((item, now))
-            if self._worker is None:
-                self._worker = threading.Thread(
-                    target=self._run, name="repro-microbatch", daemon=True)
-                self._worker.start()
-            self._wakeup.notify()
+            return self._enqueue(items)
+
+    def submit_waiting(self, items) -> None:
+        """Enqueue every item, waiting for room under ``max_queued``.
+
+        For a caller that blocks on its results anyway
+        (``translate_batch``): each wait admits as many items as fit and
+        sleeps until the worker drains some, so a batch larger than the
+        bound is served in full instead of refused past it.  Items
+        queued by a waiting call count against the bound like any
+        other, so a concurrent :meth:`submit` past it is still refused.
+        Raises :class:`QueueClosed` if the scheduler closes before every
+        item is queued; the ones already queued are still served.
+        """
+        items = list(items)
+        with self._wakeup:
+            while items:
+                admitted = self._enqueue(items)
+                del items[:admitted]
+                if items:
+                    self._room.wait()
+
+    def _enqueue(self, items: list) -> int:
+        """Append the prefix of ``items`` that fits; lock held."""
+        if self._closed:
+            raise QueueClosed("scheduler is closed")
+        bound = self.policy.max_queued
+        if bound is not None:
+            items = items[:max(bound - len(self._queue), 0)]
+            if not items:
+                return 0
+        now = self._clock()
+        for item in items:
+            self._queue.append((item, now))
+        if self._worker is None:
+            self._worker = threading.Thread(
+                target=self._run, name="repro-microbatch", daemon=True)
+            self._worker.start()
+        self._wakeup.notify()
         return len(items)
 
     def close(self) -> None:
@@ -192,6 +219,7 @@ class MicroBatchScheduler(Generic[T]):
         with self._wakeup:
             self._closed = True
             self._wakeup.notify_all()
+            self._room.notify_all()
 
     def stats(self) -> dict:
         """Queue/batch counters for the service's ``stats()`` block."""
@@ -230,6 +258,7 @@ class MicroBatchScheduler(Generic[T]):
                 if verdict == DISPATCH:
                     take = min(int(arg), len(self._queue))
                     batch = [self._queue.popleft()[0] for _ in range(take)]
+                    self._room.notify_all()
                     self._batches += 1
                     self._dispatched += take
                     self._max_batch_seen = max(self._max_batch_seen, take)

@@ -252,12 +252,15 @@ class TranslationService:
         ``(question, table[, beam_width])`` tuples.  Results come back
         in input order, one :class:`TranslationResult` per request —
         a bad or failing request yields a ``"failed"`` envelope at its
-        index and never poisons the rest of the batch.  The whole call
-        is enqueued atomically, so its requests coalesce into as few
-        micro-batches as the admission policy allows (mixed tables
-        included — the coalesced kernels accept heterogeneous schemas).
-        Requests past the queue bound get ``Overloaded`` envelopes at
-        their indices; the admitted prefix is served.
+        index and never poisons the rest of the batch.  The call is
+        enqueued atomically when the queue has room for it, so its
+        requests coalesce into as few micro-batches as the admission
+        policy allows (mixed tables included — the coalesced kernels
+        accept heterogeneous schemas).  It blocks for its results
+        anyway, so under a ``max_queued`` bound it enqueues what fits
+        and waits for room as the queue drains instead of refusing the
+        rest; concurrent :meth:`submit` calls that find the queue full
+        are still refused.
         """
         items = list(requests)
         self.metrics.increment("batches")
@@ -276,9 +279,7 @@ class TranslationService:
             futures.append((i, future))
             if pending is not None:
                 pendings.append(pending)
-        admitted = self.scheduler.submit_many(pendings)
-        for pending in pendings[admitted:]:
-            self._refuse(pending)
+        self.scheduler.submit_waiting(pendings)
         for i, future in futures:
             results[i] = future.result()
         return results  # fully populated: every index was served

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    BiGRU,
     BiLSTM,
     GRUCell,
     InferenceArena,
@@ -170,6 +171,29 @@ class TestRNNKernelTwins:
         arena.reset()
         net.forward_batch_np(inputs.astype(np.float32), lengths, arena, "t")
         assert arena.grows == 0
+
+
+    def test_bigru_padded_lane_bit_equal_to_unpadded(self, rng):
+        # The translator encodes a cohort of ragged questions in one
+        # masked pass.  A lane's states must not depend on how long its
+        # partners are: [x, x] (no mask) and [x, longer] (x padded) have
+        # the same row count per cell step, so any difference is the
+        # hold's doing (e.g. padding steps leaking into the backward
+        # direction).
+        net = BiGRU(32, 24, rng, num_layers=2)
+        x = rng.standard_normal((5, 32)).astype(np.float32)
+        longer = rng.standard_normal((9, 32)).astype(np.float32)
+
+        def encode(partner):
+            total = max(len(x), len(partner))
+            inputs = np.zeros((total, 2, 32), dtype=np.float32)
+            inputs[:len(x), 0] = x
+            inputs[:len(partner), 1] = partner
+            lengths = np.array([len(x), len(partner)])
+            out = net.forward_batch_np(inputs, lengths, InferenceArena(), "e")
+            return out[:len(x), 0].copy()
+
+        assert np.array_equal(encode(x), encode(longer))
 
 
 class TestLinearTwins:

@@ -146,7 +146,9 @@ def decode_per_beam(model, source: list[str], header_tokens: list[str],
     step runs its ``decoder_cell``, ``_attend`` and ``_step_distribution``
     on a single beam — the loop the lockstep float32 decoder batches.
     Expansion order and tie-breaking (``_top_k``) are the decoder's, so
-    both must pick the same tokens.
+    both must pick the same tokens.  It never retires a search early: it
+    stops only when every expansion is EOS or after ``max_decode_len``
+    steps, so it is the reference for the decoder's stop rule.
     """
     candidates = build_candidates(source, header_tokens, extra_symbols,
                                   extended=model.config.extended_grammar)

@@ -201,6 +201,43 @@ class TestMicroBatchScheduler:
         _drain(lambda: len(seen) == 5)
         assert seen == ["running", "a", "b", "c", "d"]
 
+    def test_submit_waiting_queues_past_the_bound_as_it_drains(self):
+        seen = []
+        scheduler = MicroBatchScheduler(
+            seen.extend, policy=SchedulerPolicy(max_batch=2, max_queued=2))
+        scheduler.submit_waiting(range(7))
+        _drain(lambda: len(seen) == 7)
+        assert seen == list(range(7))
+        assert scheduler.stats()["max_batch"] <= 2
+
+    def test_submit_waiting_raises_when_closed_while_waiting(self):
+        started, gate = threading.Event(), threading.Event()
+
+        def process(batch):
+            started.set()
+            gate.wait(timeout=5.0)
+
+        scheduler = MicroBatchScheduler(
+            process, policy=SchedulerPolicy(max_queued=1))
+        scheduler.submit("running")
+        assert started.wait(timeout=5.0)
+        errors = []
+
+        def wait_for_room():
+            try:
+                scheduler.submit_waiting(["a", "b", "c"])
+            except QueueClosed as exc:
+                errors.append(exc)
+
+        waiter = threading.Thread(target=wait_for_room)
+        waiter.start()
+        _drain(lambda: scheduler.stats()["queued"] == 1)
+        scheduler.close()
+        waiter.join(timeout=5.0)
+        gate.set()
+        assert not waiter.is_alive()
+        assert len(errors) == 1
+
     def test_process_error_reaches_handler_and_worker_survives(self):
         failures, done = [], threading.Event()
 

@@ -692,12 +692,52 @@ class TestQueueBound:
         requests.insert(1, "junk")
         results = service.translate_batch(requests)
         service.close()
+        # translate_batch waits for room: only the malformed request
+        # fails, at its own index.
         assert [r.status for r in results] \
-            == ["ok", "failed", "ok", "failed", "failed"]
+            == ["ok", "failed", "ok", "ok", "ok"]
         assert results[1].error["type"] == "ReproError"
-        assert [r.error["type"] for r in results[3:]] \
-            == ["Overloaded", "Overloaded"]
-        assert service.metrics.counter("rejections") == 2
+        assert service.metrics.counter("rejections") == 0
+
+    def test_batch_larger_than_the_bound_is_served_in_full(self):
+        service = TranslationService(
+            fitted_model(StubTranslator()), cache_size=64,
+            scheduler_policy=SchedulerPolicy(max_queued=4))
+        try:
+            results = service.translate_batch(distinct_requests(12))
+        finally:
+            service.close()
+        assert [r.status for r in results] == ["ok"] * 12
+        assert service.metrics.counter("rejections") == 0
+        assert service.metrics.counter("served_ok") == 12
+
+    def test_submit_burst_is_refused_while_a_batch_waits(self):
+        service, gated, running = self._blocked_service(max_queued=4)
+        batch_results = []
+        batch = threading.Thread(target=lambda: batch_results.extend(
+            service.translate_batch(distinct_requests(12))))
+        try:
+            batch.start()
+            # The batch fills the queue to its bound and waits for room.
+            deadline = time.monotonic() + 5.0
+            while service.scheduler.stats()["queued"] < 4:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            burst = [service.submit(f"which film has year {100 + i} ?",
+                                    make_table(rows=[(f"f{i}", "d", i)]))
+                     for i in range(3)]
+            assert all(f.done() for f in burst)
+            assert [f.result().error["type"] for f in burst] \
+                == ["Overloaded"] * 3
+            gated.release.set()
+            batch.join(timeout=10.0)
+            assert not batch.is_alive()
+            assert running.result(timeout=10).status == "ok"
+        finally:
+            gated.release.set()
+            service.close()
+        assert [r.status for r in batch_results] == ["ok"] * 12
+        assert service.metrics.counter("rejections") == 3
 
     def test_default_policy_is_unbounded(self, stub_service):
         assert stub_service.scheduler.policy.max_queued is None
