@@ -27,13 +27,16 @@ test-faults:
 test-pipeline:
 	$(PYTHON) -m pytest tests/pipeline -q
 
-# Decoder differentials under five hash seeds.  Tier-1 leaves
-# PYTHONHASHSEED unpinned and training depends on it, so one run checks
-# one trained model; this runs the lockstep-vs-oracle, cohort-vs-solo
-# and early-retirement tests against five (about 12 s per seed).
+# Model differentials under five hash seeds.  Tier-1 runs once under an
+# unpinned PYTHONHASHSEED; this reruns the decoder's lockstep-vs-oracle,
+# cohort-vs-solo and early-retirement tests and the column classifier's
+# batched forward and batched influence against their per-pair oracles
+# under hash seeds 0-4, each run with fresh Hypothesis examples.
 DECODE_TESTS = tests/pipeline/test_batched_inference.py \
 	tests/pipeline/test_coalesced_kernels.py \
-	tests/pipeline/test_decode_retirement.py
+	tests/pipeline/test_decode_retirement.py \
+	tests/core/test_influence_batched.py \
+	tests/core/test_classifier_forward.py
 
 test-decode-seeds:
 	for seed in 0 1 2 3 4; do \

@@ -145,8 +145,11 @@ class Annotator:
         pairs = []
         for example in examples:
             q = example.question_tokens
-            used = {example.query.select_column.lower()}
-            used.update(c.column.lower() for c in example.query.conditions)
+            # An insertion-ordered dict, not a set: the pair order (and
+            # so the trained model) must not depend on PYTHONHASHSEED.
+            used = dict.fromkeys(
+                [example.query.select_column.lower()]
+                + [c.column.lower() for c in example.query.conditions])
             others = [c for c in example.table.column_names
                       if c.lower() not in used]
             for column in used:

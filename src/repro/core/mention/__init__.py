@@ -9,7 +9,6 @@ from repro.core.mention.adversarial import (
 from repro.core.mention.column_classifier import (
     ClassifierConfig,
     ColumnMentionClassifier,
-    EmbeddedWord,
     EncodedColumns,
 )
 from repro.core.mention.matcher import (
@@ -28,8 +27,7 @@ from repro.core.mention.value_classifier import (
 )
 
 __all__ = [
-    "ClassifierConfig", "ColumnMentionClassifier", "EmbeddedWord",
-    "EncodedColumns",
+    "ClassifierConfig", "ColumnMentionClassifier", "EncodedColumns",
     "InfluenceProfile", "compute_influence", "contrastive_profile",
     "locate_mention",
     "ColumnMatcher", "MentionCandidate", "cell_index",

@@ -66,8 +66,9 @@ def compute_influence(classifier: ColumnMentionClassifier,
     """The influence level ``I(w)`` of every question word, per pair.
 
     One batched forward with gradient capture over all ``(question,
-    column)`` pairs (:meth:`ColumnMentionClassifier.forward_capture`),
-    then one backward of the *sum* of the per-pair losses.  Pairs share
+    column)`` pairs (:meth:`ColumnMentionClassifier.forward` with
+    ``capture=True``), then one backward of the *sum* of the per-pair
+    losses.  Pairs share
     no activations, so each pair's ``dL/dE(w)`` is exactly what a pass
     over that pair alone would give.  The backward is restricted to the
     embedding leaves: the shared classifier's parameters get no
@@ -80,8 +81,8 @@ def compute_influence(classifier: ColumnMentionClassifier,
         return []
     norm_fn = _NORMS[norm]
 
-    logits, word_leaves, char_leaves = classifier.forward_capture(
-        pairs, encoded=encoded)
+    logits, word_leaves, char_leaves = classifier.forward(
+        pairs, encoded=encoded, capture=True)
     # Backpropagate the loss of the *adversarial* label (0 = "not
     # mentioned"): its per-logit gradient is σ(x), so the per-word
     # pattern matches dL/dE(w) while the scale stays informative even

@@ -47,8 +47,7 @@ from repro.nn import (
 )
 from repro.text import CHAR_VOCAB_SIZE, WordEmbeddings, char_ids
 
-__all__ = ["ClassifierConfig", "ColumnMentionClassifier", "EmbeddedWord",
-           "EncodedColumns"]
+__all__ = ["ClassifierConfig", "ColumnMentionClassifier", "EncodedColumns"]
 
 
 @dataclass
@@ -73,22 +72,6 @@ class ClassifierConfig:
     @property
     def emb_dim(self) -> int:
         return self.word_dim + self.char_out
-
-
-@dataclass
-class EmbeddedWord:
-    """One word's embedded representation with gradient capture points.
-
-    ``word_leaf`` and ``char_leaf`` are graph *leaves*, so after a
-    backward pass their ``.grad`` holds exactly ``dL/dE_word(w)`` and
-    ``dL/dE_char(w)`` — the quantities the adversarial text method
-    (Section IV-C) measures.
-    """
-
-    word: str
-    word_leaf: Tensor
-    char_leaf: Tensor
-    combined: Tensor
 
 
 @dataclass
@@ -205,159 +188,37 @@ class ColumnMentionClassifier(Module):
         self.head = MLP(
             [(2 * cfg.hidden + 2) * cfg.max_column_words, cfg.mlp_hidden, 1],
             rng, hidden_activation="tanh")
-        # Shared zero block padding short columns to max_column_words —
-        # constant, so one instance serves every forward call (gradients
-        # never flow into a non-leaf zeros tensor).
-        self._feature_pad = Tensor.zeros(1, 2 * cfg.hidden + 2)
         self._trained = False
         # Reused float32 buffers of the batched inference path.
         self.arena = InferenceArena()
         self._wordvec32: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    # Embedding
-    # ------------------------------------------------------------------
-
-    def embed_words(self, words: list[str],
-                    capture: bool = False) -> list[EmbeddedWord]:
-        """Embed a word sequence.
-
-        With ``capture=True`` the word vector and the char-CNN output
-        become graph leaves so their gradients can be read afterwards
-        (inference-time adversarial analysis; training gradients into
-        the char CNN are cut, so use ``capture=False`` when fitting).
-        """
-        out = []
-        for word in words:
-            word_leaf = Tensor(
-                self.embeddings.vector(word).reshape(1, -1),
-                requires_grad=capture)
-            char_vec = self.char_encoder(char_ids(word)).reshape(
-                1, self.config.char_out)
-            if capture:
-                char_vec = Tensor(char_vec.numpy().copy(), requires_grad=True)
-            combined = concat([word_leaf, char_vec], axis=-1)
-            out.append(EmbeddedWord(word, word_leaf, char_vec, combined))
-        return out
-
-    # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
 
-    def _question_side(self, question: list[str], capture: bool = False,
-                       ) -> tuple[list[EmbeddedWord], Tensor, Tensor]:
-        """Column-independent work: ``(embedded, memory S^q, q_unit)``.
+    def _word_vectors(self, words) -> dict[str, Tensor]:
+        """``emb(w) = [E_word(w); E_char(w)]`` as one ``(1, emb_dim)``
+        graph node per distinct word; the char CNN runs in the graph."""
+        vectors: dict[str, Tensor] = {}
+        for word in words:
+            if word not in vectors:
+                vectors[word] = concat(
+                    [Tensor(self.embeddings.vector(word).reshape(1, -1)),
+                     self.char_encoder(char_ids(word)).reshape(
+                         1, self.config.char_out)], axis=-1)
+        return vectors
 
-        The float64 question side of :meth:`forward`;
-        :meth:`_question_side_np` is its float32 form for batched
-        scoring.
-        """
-        q_embedded = self.embed_words(question, capture=capture)
-        s_q = self.question_rnn([e.combined for e in q_embedded])
-        memory = concat(s_q, axis=0)  # (n, hidden)
-        q_matrix = concat([e.combined for e in q_embedded], axis=0)
-        q_norms = ((q_matrix * q_matrix).sum(axis=1, keepdims=True)
-                   + 1e-8) ** 0.5
-        return q_embedded, memory, q_matrix / q_norms
-
-    def forward(self, question: list[str], column: list[str],
-                capture: bool = False,
-                ) -> tuple[Tensor, list[EmbeddedWord]]:
-        """Return ``(logit, embedded_question_words)``."""
-        if not question or not column:
-            raise ModelError("question and column must be non-empty")
+    def _capture_leaves(self, questions: list[list[str]], n_max: int,
+                        ) -> tuple[list[Tensor], list[Tensor]]:
+        """One word and one char leaf per question position, ``(P, dim)``
+        each; the char CNN runs under ``no_grad`` once per distinct word."""
         cfg = self.config
-        column = column[:cfg.max_column_words]
-
-        q_embedded, memory, q_unit = self._question_side(question,
-                                                         capture=capture)
-        c_embedded = self.embed_words(column)
-        s_c = self.column_rnn([e.combined for e in c_embedded])
-
-        # Attentive BiLSTM over the column (part iii).
-        def run_direction(cell, states):
-            h, c = cell.initial_state(1)
-            outputs = []
-            for s_t in states:
-                query = concat([s_t, h], axis=-1).reshape(
-                    s_t.shape[1] + h.shape[1])
-                context, _ = self.attention(memory, query)
-                z_t = concat([s_t, context.reshape(1, -1)], axis=-1)
-                h, c = cell(z_t, h, c)
-                outputs.append(h)
-            return outputs
-
-        fwd = run_direction(self.fwd_cell, s_c)
-        bwd = list(reversed(run_direction(self.bwd_cell, list(reversed(s_c)))))
-        d_states = [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-
-        # BiDAF-style similarity features: per column word, the max and
-        # mean cosine similarity against all question words, computed on
-        # the combined word+char embeddings *inside the graph*.
-        for t, emb_t in enumerate(c_embedded):
-            c_norm = ((emb_t.combined * emb_t.combined).sum(
-                axis=1, keepdims=True) + 1e-8) ** 0.5
-            c_unit = emb_t.combined / c_norm
-            if capture:
-                # Row-wise product sums, not a gemv: identical question
-                # words then tie exactly, so ``max`` splits their
-                # influence as :meth:`forward_capture` does.  Fitting
-                # keeps the gemv, so trained weights do not depend on it.
-                sims = (q_unit * c_unit).sum(axis=1)  # (n,)
-            else:
-                sims = q_unit @ c_unit.reshape(cfg.emb_dim)  # (n,)
-            sim_features = concat(
-                [sims.max(axis=0, keepdims=True),
-                 sims.mean(axis=0, keepdims=True)], axis=-1).reshape(1, 2)
-            d_states[t] = concat([d_states[t], sim_features], axis=-1)
-
-        # Zero-pad to max_column_words and concatenate for the MLP head.
-        while len(d_states) < cfg.max_column_words:
-            d_states.append(self._feature_pad)
-        features = concat(d_states, axis=-1)
-        logit = self.head(features).reshape(1)
-        return logit, q_embedded
-
-    def forward_capture(self, pairs: list[tuple[list[str], list[str]]],
-                        encoded: EncodedColumns | None = None,
-                        ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
-        """Batched :meth:`forward` with gradient capture over P pairs.
-
-        Returns ``(logits (P,), word_leaves, char_leaves)``.  There is
-        one word and one char leaf per question position, each
-        ``(P, dim)``; row ``p`` holds ``E_word``/``E_char`` of pair
-        ``p``'s word at that position (zero past its length).  Every op
-        is row-wise across pairs: padded question and column steps are
-        length-masked, attention and the max feature give padding zero
-        weight, and feature rows past a column's length are zero.  So
-        pair ``p``'s logit depends only on its own rows, and
-        backpropagating the *sum* of the per-pair losses gives each pair
-        exactly its own ``dL/dE(w)``.
-
-        The column side is constant: ``encoded`` (one row per pair, e.g.
-        cached ``SchemaEncoding`` rows) when given, else
-        :meth:`encode_columns`.  The char CNN runs under ``no_grad``,
-        once per distinct word.
-        """
-        if not pairs:
-            raise ModelError("forward_capture() needs at least one pair")
-        if any(not question or not column for question, column in pairs):
-            raise ModelError("question and column must be non-empty")
-        cfg = self.config
-        if encoded is None:
-            encoded = self.encode_columns([column for _q, column in pairs])
-        elif len(encoded) != len(pairs):
-            raise ModelError(f"{len(encoded)} encoded columns for "
-                             f"{len(pairs)} pairs")
-        count = len(pairs)
-        q_lengths = np.array([len(q) for q, _c in pairs], dtype=np.intp)
-        n_max = int(q_lengths.max())
-
-        words = np.zeros((n_max, count, cfg.word_dim))
-        chars = np.zeros((n_max, count, cfg.char_out))
+        words = np.zeros((n_max, len(questions), cfg.word_dim))
+        chars = np.zeros((n_max, len(questions), cfg.char_out))
         seen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         with no_grad():
-            for p, (question, _column) in enumerate(pairs):
+            for p, question in enumerate(questions):
                 for i, word in enumerate(question):
                     vectors = seen.get(word)
                     if vectors is None:
@@ -365,14 +226,73 @@ class ColumnMentionClassifier(Module):
                             self.embeddings.vector(word),
                             self.char_encoder(char_ids(word)).numpy())
                     words[i, p], chars[i, p] = vectors
-        word_leaves = [Tensor(w, requires_grad=True) for w in words]
-        char_leaves = [Tensor(c, requires_grad=True) for c in chars]
-        steps = [concat([w, c], axis=-1)
-                 for w, c in zip(word_leaves, char_leaves)]
+        return ([Tensor(w, requires_grad=True) for w in words],
+                [Tensor(c, requires_grad=True) for c in chars])
+
+    def forward(self, pairs: list[tuple[list[str], list[str]]], *,
+                encoded: EncodedColumns | None = None,
+                capture: bool = False,
+                ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
+        """Logits of P ``(question, column)`` pairs in one masked graph.
+
+        Returns ``(logits (P,), word_leaves, char_leaves)``.  Every op is
+        row-wise across pairs: padded question and column steps are
+        length-masked, attention and the max feature give padding zero
+        weight, and feature rows past a column's length are zero.  So
+        pair ``p``'s logit depends only on its own rows, and
+        backpropagating the *sum* of the per-pair losses gives each pair
+        exactly its own gradients.
+
+        Only the inputs depend on the mode.  By default (training) the
+        char CNN, the column BiLSTM and the column unit vectors run in
+        the graph, and the leaf lists are empty.  With ``capture=True``
+        (Section IV-C) there is one word and one char leaf per question
+        position, each ``(P, dim)``: row ``p`` holds ``E_word``/``E_char``
+        of pair ``p``'s word there (zero past its length), so a backward
+        leaves ``dL/dE(w)`` on them.  The column side is then constant:
+        ``encoded`` (one row per pair, e.g. cached ``SchemaEncoding``
+        rows) when given, else :meth:`encode_columns`.
+        """
+        if not pairs:
+            raise ModelError("forward() needs at least one pair")
+        if any(not question or not column for question, column in pairs):
+            raise ModelError("question and column must be non-empty")
+        if encoded is not None and not capture:
+            raise ModelError("encoded= is the constant column side of "
+                             "capture=True")
+        cfg = self.config
+        count = len(pairs)
+        questions = [question for question, _column in pairs]
+        columns = [column[:cfg.max_column_words] for _q, column in pairs]
+        q_lengths = np.array([len(q) for q in questions], dtype=np.intp)
+        n_max = int(q_lengths.max())
+
+        if capture:
+            word_leaves, char_leaves = self._capture_leaves(questions, n_max)
+            steps = [concat([w, c], axis=-1)
+                     for w, c in zip(word_leaves, char_leaves)]
+            if encoded is None:
+                encoded = self.encode_columns(columns)
+            elif len(encoded) != count:
+                raise ModelError(f"{len(encoded)} encoded columns for "
+                                 f"{count} pairs")
+            c_lengths = encoded.lengths
+            states = [Tensor(s_t) for s_t in encoded.states]
+            units = [Tensor(encoded.units[:, None, t])
+                     for t in range(len(states))]
+        else:
+            word_leaves, char_leaves = [], []
+            vectors = self._word_vectors(
+                word for sequence in questions + columns for word in sequence)
+            steps, _ = pack_steps([[vectors[w] for w in q] for q in questions])
+            c_steps, c_lengths = pack_steps(
+                [[vectors[w] for w in column] for column in columns])
+            states = self.column_rnn(c_steps, c_lengths)
+            units = [(x / ((x * x).sum(axis=1, keepdims=True) + 1e-8) ** 0.5
+                      ).reshape(count, 1, cfg.emb_dim) for x in c_steps]
 
         # Question side: masked lockstep LSTM, padded memory.
-        memory = stack(self.question_rnn.forward_batch(steps, q_lengths),
-                       axis=1)                                  # (P, n, H)
+        memory = stack(self.question_rnn(steps, q_lengths), axis=1)  # (P, n, H)
         memory_proj = self.attention.memory_proj(memory)
         pad_bias = Tensor(np.where(
             np.arange(n_max)[None, :] < q_lengths[:, None], 0.0, -1e9))
@@ -381,12 +301,11 @@ class ColumnMentionClassifier(Module):
                    + 1e-8) ** 0.5
         q_unit = q_matrix / q_norms
 
-        # Attentive BiLSTM over the constant column states (part iii),
-        # length-masked like ``LSTM.forward_batch``.
-        total = len(encoded.states)
-        states = [Tensor(s_t) for s_t in encoded.states]
-        masks = [None if (encoded.lengths > t).all() else Tensor(
-                     (encoded.lengths > t).astype(np.float64).reshape(-1, 1))
+        # Attentive BiLSTM over the column states (part iii),
+        # length-masked like ``LSTM.forward``.
+        total = len(states)
+        masks = [None if (c_lengths > t).all() else Tensor(
+                     (c_lengths > t).astype(np.float64).reshape(-1, 1))
                  for t in range(total)]
 
         def run_direction(cell, order):
@@ -409,7 +328,11 @@ class ColumnMentionClassifier(Module):
         fwd = run_direction(self.fwd_cell, range(total))
         bwd = run_direction(self.bwd_cell, range(total - 1, -1, -1))
 
-        # Similarity features against each pair's own question words.
+        # BiDAF-style similarity features: per column word, the max and
+        # mean cosine similarity against the pair's own question words,
+        # as row-wise product sums (not a gemv, whose rounding depends
+        # on the row's position), so repeated question words tie exactly
+        # and ``max`` splits their gradient evenly.
         lengths_col = q_lengths.astype(np.float64).reshape(count, 1)
         width = 2 * cfg.hidden + 2
         features = []
@@ -417,7 +340,7 @@ class ColumnMentionClassifier(Module):
             if t >= total:
                 features.append(Tensor.zeros(count, width))
                 continue
-            sims = (q_unit * Tensor(encoded.units[:, None, t])).sum(axis=2)
+            sims = (q_unit * units[t]).sum(axis=2)
             row = concat([fwd[t], bwd[t],
                           (sims + pad_bias).max(axis=1, keepdims=True),
                           sims.sum(axis=1, keepdims=True) / lengths_col],
@@ -449,8 +372,9 @@ class ColumnMentionClassifier(Module):
             for idx in order:
                 question, column, label = pairs[idx]
                 optimizer.zero_grad()
-                logit, _ = self(question, column)
-                loss = binary_cross_entropy_with_logits(logit, [float(label)])
+                logits, _, _ = self([(question, column)])
+                loss = binary_cross_entropy_with_logits(logits,
+                                                        [float(label)])
                 loss.backward()
                 clip_grad_norm(self.parameters(), clip)
                 optimizer.step()
@@ -465,8 +389,8 @@ class ColumnMentionClassifier(Module):
     def predict_proba(self, question: list[str], column: list[str]) -> float:
         """Probability that ``column`` is mentioned in ``question``."""
         with no_grad():
-            logit, _ = self(question, column)
-        return float(1.0 / (1.0 + np.exp(-logit.numpy()[0])))
+            logits, _, _ = self([(question, column)])
+        return float(1.0 / (1.0 + np.exp(-logits.numpy()[0])))
 
     # ------------------------------------------------------------------
     # Batched inference (the vectorized fast path)
@@ -486,15 +410,15 @@ class ColumnMentionClassifier(Module):
         if any(not column for column in tokens):
             raise ModelError("question and column must be non-empty")
         with no_grad():
-            embedded = [self.embed_words(column) for column in tokens]
+            vectors = self._word_vectors(
+                word for column in tokens for word in column)
             steps, lengths = pack_steps(
-                [[e.combined for e in col] for col in embedded])
-            states = [s.numpy()
-                      for s in self.column_rnn.forward_batch(steps, lengths)]
+                [[vectors[word] for word in column] for column in tokens])
+            states = [s.numpy() for s in self.column_rnn(steps, lengths)]
             units = np.zeros((len(tokens), len(steps), cfg.emb_dim))
-            for b, col in enumerate(embedded):
-                for t, emb_t in enumerate(col):
-                    vec = emb_t.combined.numpy()
+            for b, column in enumerate(tokens):
+                for t, word in enumerate(column):
+                    vec = vectors[word].numpy()
                     norm = np.sqrt((vec * vec).sum() + 1e-8)
                     units[b, t] = vec.reshape(-1) / norm
         return EncodedColumns(tokens=tokens, lengths=lengths,
@@ -538,7 +462,7 @@ class ColumnMentionClassifier(Module):
 
     def _question_side_np(self, question: list[str], tag: str,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float32 arena form of :meth:`_question_side`.
+        """Float32 question side of :meth:`score_columns_multi`.
 
         Returns ``(memory (n, hidden), memory_proj (n, attn), q_unit
         (n, emb))`` — all arena-owned under ``tag``-scoped keys, so
@@ -721,8 +645,3 @@ class ColumnMentionClassifier(Module):
         logits = self.head.forward_np(features, arena, "m.head")
         probs = sigmoid_(logits).reshape(batch)
         return [probs[rows].astype(np.float64) for rows in slices]
-
-    def predict(self, question: list[str], column: list[str],
-                threshold: float = 0.5) -> bool:
-        """Binary mention decision."""
-        return self.predict_proba(question, column) > threshold

@@ -2,9 +2,10 @@
 
 This package stands in for PyTorch/TensorFlow, which the paper used but
 which are unavailable offline.  It provides reverse-mode autodiff
-(:mod:`repro.nn.tensor`), the layers the paper's models need (LSTM, GRU,
-bidirectional variants, 1-D character convolutions, additive attention,
-embeddings, MLPs), losses, and optimizers with gradient clipping.
+(:mod:`repro.nn.tensor`), the layers the paper's models need (LSTM and
+GRU cells, LSTM/BiLSTM/BiGRU sequence layers, 1-D character
+convolutions, additive attention, embeddings, MLPs), losses, and
+optimizers with gradient clipping.
 """
 
 from repro.nn.arena import InferenceArena, sigmoid_, softmax_rows_, tanh_
@@ -25,7 +26,6 @@ from repro.nn.rnn import (
     LSTM,
     BiGRU,
     BiLSTM,
-    GRU,
     GRUCell,
     LSTMCell,
     pack_steps,
@@ -46,7 +46,7 @@ __all__ = [
     "Module", "Parameter", "bump_generation", "current_generation",
     "InferenceArena", "sigmoid_", "tanh_", "softmax_rows_",
     "Linear", "Embedding", "MLP", "Dropout", "LayerNorm",
-    "LSTMCell", "GRUCell", "LSTM", "BiLSTM", "GRU", "BiGRU", "pack_steps",
+    "LSTMCell", "GRUCell", "LSTM", "BiLSTM", "BiGRU", "pack_steps",
     "Conv1d", "CharConvEncoder",
     "AdditiveAttention",
     "softmax", "log_softmax", "masked_softmax",

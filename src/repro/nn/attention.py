@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.arena import InferenceArena, softmax_rows_, tanh_
-from repro.nn.functional import masked_softmax, softmax
+from repro.nn.functional import softmax
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter, current_generation
 from repro.nn.tensor import Tensor
@@ -52,53 +52,6 @@ class AdditiveAttention(Module):
             self._v32_gen = gen
         return self._v32
 
-    def scores(self, memory: Tensor, query: Tensor) -> Tensor:
-        """Return unnormalized attention scores ``e`` of shape ``(T,)``.
-
-        ``memory`` is ``(T, memory_dim)``; ``query`` is ``(query_dim,)``
-        or ``(1, query_dim)``.
-        """
-        if memory.ndim != 2:
-            raise ShapeError(f"attention memory must be 2-D, got {memory.shape}")
-        if query.ndim == 1:
-            query = query.reshape(1, query.shape[0])
-        hidden = (self.memory_proj(memory) + self.query_proj(query)).tanh()
-        return hidden @ self.v
-
-    def forward(self, memory: Tensor, query: Tensor,
-                mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """Return ``(context, weights)`` for one query over the memory."""
-        e = self.scores(memory, query)
-        if mask is not None:
-            weights = masked_softmax(e, np.asarray(mask, dtype=bool), axis=-1)
-        else:
-            weights = softmax(e, axis=-1)
-        context = weights.reshape(1, weights.shape[0]) @ memory
-        return context.reshape(memory.shape[1]), weights
-
-    def scores_batch(self, memory: Tensor, queries: Tensor) -> Tensor:
-        """Scores for B queries at once: ``(B, T)`` from ``(B, query_dim)``.
-
-        Row ``b`` equals :meth:`scores` on ``queries[b]`` — one shared
-        memory projection, one broadcast add, one flattened matmul
-        instead of B independent calls.
-        """
-        if memory.ndim != 2:
-            raise ShapeError(f"attention memory must be 2-D, got {memory.shape}")
-        if queries.ndim != 2:
-            raise ShapeError(f"batched queries must be 2-D, got {queries.shape}")
-        t, attn = memory.shape[0], self.v.shape[0]
-        b = queries.shape[0]
-        hidden = (self.memory_proj(memory).reshape(1, t, attn)
-                  + self.query_proj(queries).reshape(b, 1, attn)).tanh()
-        return (hidden.reshape(b * t, attn) @ self.v).reshape(b, t)
-
-    def forward_batch(self, memory: Tensor,
-                      queries: Tensor) -> tuple[Tensor, Tensor]:
-        """Batched :meth:`forward`: ``(contexts (B, md), weights (B, T))``."""
-        weights = softmax(self.scores_batch(memory, queries), axis=-1)
-        return weights @ memory, weights
-
     def forward_padded(self, memory: Tensor, memory_proj: Tensor,
                        queries: Tensor, pad_bias: Tensor) -> Tensor:
         """B queries, each over its own zero-padded memory: ``(B, md)``.
@@ -106,9 +59,13 @@ class AdditiveAttention(Module):
         ``memory`` is ``(B, T, md)`` and ``memory_proj`` its
         ``memory_proj`` projection (computed once, reused per query);
         ``pad_bias`` is a constant ``(B, T)`` tensor, 0 on live positions
-        and ``-1e9`` on padding, so padding gets exactly zero weight and row ``b``
-        equals :meth:`forward` over row ``b``'s live prefix.
+        and ``-1e9`` on padding, so padding gets exactly zero weight and
+        row ``b`` equals attending over row ``b``'s live prefix alone.
+        One query over one memory is the ``B = 1`` case.
         """
+        if memory.ndim != 3:
+            raise ShapeError(
+                f"padded attention memory must be 3-D, got {memory.shape}")
         b, t, attn = memory_proj.shape
         hidden = (memory_proj + self.query_proj(queries).reshape(b, 1, attn)
                   ).tanh()
@@ -128,7 +85,7 @@ class AdditiveAttention(Module):
 
     def scores_batch_np(self, memory_proj: np.ndarray, queries: np.ndarray,
                         arena: InferenceArena, tag: str) -> np.ndarray:
-        """Arena twin of :meth:`scores_batch` given the projected memory.
+        """Float32 attention scores of B queries over one projected memory.
 
         ``memory_proj`` is the ``(T, attn)`` output of
         :meth:`project_memory_np`; ``queries`` is ``(B, query_dim)``.
@@ -149,7 +106,8 @@ class AdditiveAttention(Module):
     def forward_batch_np(self, memory: np.ndarray, memory_proj: np.ndarray,
                          queries: np.ndarray, arena: InferenceArena,
                          tag: str) -> tuple[np.ndarray, np.ndarray]:
-        """Arena twin of :meth:`forward_batch`: ``(contexts, weights)``.
+        """B queries over one memory: ``(contexts, weights)``, the float32
+        twin of :meth:`forward_padded` over that memory tiled B times.
 
         The returned score buffer is softmaxed in place, so it doubles
         as the weights; contexts land in their own slab.

@@ -1,4 +1,4 @@
-"""Recurrent cells and sequence layers (LSTM / GRU, uni- and bi-directional).
+"""Recurrent cells and sequence layers (LSTM, BiLSTM and BiGRU).
 
 Sequences are represented as Python lists of ``(batch, features)``
 tensors — one entry per time step.  This keeps per-step autodiff graphs
@@ -9,14 +9,16 @@ exactly as the paper specifies for both the classifier's question/column
 LSTMs (Section IV-B) and the seq2seq encoder (Section V-B):
 ``x_i^(l+1) = L^(l+1)(h_i^(l))`` with ``L^l(x) = W_0^l x + b_0^l``.
 
-Every sequence layer also has a ``forward_batch`` lockstep runner: B
+Each sequence layer has one Tensor ``forward``, a lockstep runner: B
 variable-length sequences, packed into per-step ``(B, features)``
 tensors with :func:`pack_steps`, advance through ONE cell call per time
 step.  Finished lanes are length-masked with a hold update
 ``h ← h_new·m + h·(1−m)``; the backward direction iterates global time
 from the end with the same ``t < len_b`` mask and stores each state at
 its original index, so lane ``b``'s outputs match running that sequence
-alone (exactly — masked lanes never contaminate live ones).
+alone (exactly — masked lanes never contaminate live ones).  A single
+sequence is the one-lane case with no ``lengths``.  The ``*_np``
+methods are the float32 arena twins used at inference.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, concat
 
-__all__ = ["LSTMCell", "GRUCell", "LSTM", "BiLSTM", "GRU", "BiGRU",
-           "pack_steps"]
+__all__ = ["LSTMCell", "GRUCell", "LSTM", "BiLSTM", "BiGRU", "pack_steps"]
 
 
 def pack_steps(sequences: list[list[Tensor]],
@@ -40,7 +41,7 @@ def pack_steps(sequences: list[list[Tensor]],
     Each input sequence is a list of ``(1, features)`` tensors.  Returns
     ``(steps, lengths)`` where ``steps[t]`` stacks row ``b`` from
     sequence ``b`` (zero rows past its length) and ``lengths[b]`` is the
-    true length of sequence ``b`` — the mask ``forward_batch`` needs.
+    true length of sequence ``b`` — the mask the layers' ``forward`` needs.
     """
     if not sequences or any(not seq for seq in sequences):
         raise ShapeError("pack_steps() requires non-empty sequences")
@@ -216,28 +217,15 @@ class LSTM(Module):
                     for l in range(num_layers)]
         self.cells = [LSTMCell(hidden_size, hidden_size, rng) for _ in range(num_layers)]
 
-    def forward(self, steps: list[Tensor]) -> list[Tensor]:
-        """Run over a sequence; return top-layer hidden states per step."""
-        _check_steps(steps)
-        batch = steps[0].shape[0]
-        outputs = steps
-        for pre, cell in zip(self.pre, self.cells):
-            h, c = cell.initial_state(batch)
-            layer_out = []
-            for x in outputs:
-                h, c = cell(pre(x), h, c)
-                layer_out.append(h)
-            outputs = layer_out
-        return outputs
-
-    def forward_batch(self, steps: list[Tensor],
-                      lengths: np.ndarray | None = None,
-                      reverse: bool = False) -> list[Tensor]:
-        """Lockstep run over B packed sequences (see :func:`pack_steps`).
+    def forward(self, steps: list[Tensor],
+                lengths: np.ndarray | None = None,
+                reverse: bool = False) -> list[Tensor]:
+        """Lockstep run over B packed sequences (see :func:`pack_steps`);
+        returns the top layer's hidden states per step.
 
         With ``reverse=True`` every layer consumes global time from the
         end; outputs stay at their original indices, so lane ``b``
-        matches a per-item run over its reversed sequence (its first
+        matches a one-lane run over its reversed sequence (its first
         live step is ``t = lengths[b] - 1``, from the zero state).
         """
         _check_steps(steps)
@@ -265,7 +253,7 @@ class LSTM(Module):
                          lengths: np.ndarray | None,
                          arena: InferenceArena, tag: str,
                          reverse: bool = False) -> np.ndarray:
-        """Arena twin of :meth:`forward_batch` on a ``(T, B, feat)`` array.
+        """Arena twin of :meth:`forward` on a ``(T, B, feat)`` array.
 
         The per-layer pre-transform runs as ONE ``(T·B, feat)`` matmul;
         cell steps write into reused slabs.  Returns the arena-owned
@@ -314,24 +302,18 @@ class BiLSTM(Module):
         self.forward_rnn = LSTM(input_size, hidden_size, rng, num_layers)
         self.backward_rnn = LSTM(input_size, hidden_size, rng, num_layers)
 
-    def forward(self, steps: list[Tensor]) -> list[Tensor]:
-        _check_steps(steps)
-        fwd = self.forward_rnn(steps)
-        bwd = list(reversed(self.backward_rnn(list(reversed(steps)))))
-        return [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-
-    def forward_batch(self, steps: list[Tensor],
-                      lengths: np.ndarray | None = None) -> list[Tensor]:
+    def forward(self, steps: list[Tensor],
+                lengths: np.ndarray | None = None) -> list[Tensor]:
         """Lockstep bidirectional run; per-step ``[forward; backward]``."""
         _check_steps(steps)
-        fwd = self.forward_rnn.forward_batch(steps, lengths)
-        bwd = self.backward_rnn.forward_batch(steps, lengths, reverse=True)
+        fwd = self.forward_rnn(steps, lengths)
+        bwd = self.backward_rnn(steps, lengths, reverse=True)
         return [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
     def forward_batch_np(self, inputs: np.ndarray,
                          lengths: np.ndarray | None,
                          arena: InferenceArena, tag: str) -> np.ndarray:
-        """Arena twin of :meth:`forward_batch`; returns ``(T, B, 2H)``."""
+        """Arena twin of :meth:`forward`; returns ``(T, B, 2H)``."""
         total, batch, _ = inputs.shape
         hs = self.hidden_size
         fwd = self.forward_rnn.forward_batch_np(
@@ -342,88 +324,6 @@ class BiLSTM(Module):
         out[..., :hs] = fwd
         out[..., hs:] = bwd
         return out
-
-
-class GRU(Module):
-    """Stacked unidirectional GRU with per-layer affine pre-transforms."""
-
-    def __init__(self, input_size: int, hidden_size: int,
-                 rng: np.random.Generator, num_layers: int = 1):
-        super().__init__()
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.pre = [Linear(input_size if l == 0 else hidden_size, hidden_size, rng)
-                    for l in range(num_layers)]
-        self.cells = [GRUCell(hidden_size, hidden_size, rng) for _ in range(num_layers)]
-
-    def forward(self, steps: list[Tensor]) -> list[Tensor]:
-        """Run over a sequence; return top-layer hidden states per step."""
-        _check_steps(steps)
-        batch = steps[0].shape[0]
-        outputs = steps
-        for pre, cell in zip(self.pre, self.cells):
-            h = cell.initial_state(batch)
-            layer_out = []
-            for x in outputs:
-                h = cell(pre(x), h)
-                layer_out.append(h)
-            outputs = layer_out
-        return outputs
-
-    def forward_batch(self, steps: list[Tensor],
-                      lengths: np.ndarray | None = None,
-                      reverse: bool = False) -> list[Tensor]:
-        """Lockstep run over B packed sequences (see :class:`LSTM`)."""
-        _check_steps(steps)
-        batch = steps[0].shape[0]
-        masks = _step_masks(lengths, len(steps), batch)
-        order = range(len(steps) - 1, -1, -1) if reverse \
-            else range(len(steps))
-        outputs = list(steps)
-        for pre, cell in zip(self.pre, self.cells):
-            h = cell.initial_state(batch)
-            layer_out: list[Tensor | None] = [None] * len(steps)
-            for t in order:
-                h_new = cell(pre(outputs[t]), h)
-                if masks is not None:
-                    m = masks[t]
-                    h = h_new * m + h * (1.0 - m)
-                else:
-                    h = h_new
-                layer_out[t] = h
-            outputs = layer_out
-        return outputs
-
-    def forward_batch_np(self, inputs: np.ndarray,
-                         lengths: np.ndarray | None,
-                         arena: InferenceArena, tag: str,
-                         reverse: bool = False) -> np.ndarray:
-        """Arena twin of :meth:`forward_batch`; returns ``(T, B, H)``."""
-        total, batch, _ = inputs.shape
-        masks = _masks_np(lengths, total, batch, arena, f"{tag}.mask")
-        order = range(total - 1, -1, -1) if reverse else range(total)
-        cur = inputs
-        for li, (pre, cell) in enumerate(zip(self.pre, self.cells)):
-            hs = cell.hidden_size
-            x = arena.take(f"{tag}.pre{li}", (total, batch, hs))
-            pre.forward_np(cur.reshape(total * batch, -1),
-                           x.reshape(total * batch, hs))
-            out = arena.take(f"{tag}.out{li}", (total, batch, hs))
-            h = arena.take(f"{tag}.h{li}", (batch, hs))
-            hn = arena.take(f"{tag}.hn{li}", (batch, hs))
-            xh = arena.take(f"{tag}.xh{li}", (batch, 2 * hs))
-            h[...] = 0.0
-            for t in order:
-                xh[:, :hs] = x[t]
-                xh[:, hs:] = h
-                cell.step_np(xh, h, hn, arena, f"{tag}.cell{li}")
-                if masks is not None:
-                    _blend_(h, hn, masks[t])
-                else:
-                    h, hn = hn, h
-                out[t] = h
-            cur = out
-        return cur
 
 
 class BiGRU(Module):
@@ -443,64 +343,39 @@ class BiGRU(Module):
         self.fwd_cells = [GRUCell(hidden_size, hidden_size, rng) for _ in range(num_layers)]
         self.bwd_cells = [GRUCell(hidden_size, hidden_size, rng) for _ in range(num_layers)]
 
-    def forward(self, steps: list[Tensor]) -> list[Tensor]:
-        """Return per-step ``[forward; backward]`` states of the top layer."""
-        _check_steps(steps)
-        batch = steps[0].shape[0]
-        outputs = steps
-        for pre, fwd_cell, bwd_cell in zip(self.pre, self.fwd_cells, self.bwd_cells):
-            inputs = [pre(x) for x in outputs]
-            h = fwd_cell.initial_state(batch)
-            fwd = []
-            for x in inputs:
-                h = fwd_cell(x, h)
-                fwd.append(h)
-            h = bwd_cell.initial_state(batch)
-            bwd = []
-            for x in reversed(inputs):
-                h = bwd_cell(x, h)
-                bwd.append(h)
-            bwd.reverse()
-            outputs = [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-        return outputs
-
-    def forward_batch(self, steps: list[Tensor],
-                      lengths: np.ndarray | None = None) -> list[Tensor]:
-        """Lockstep bidirectional run; per-step ``[forward; backward]``."""
+    def forward(self, steps: list[Tensor],
+                lengths: np.ndarray | None = None) -> list[Tensor]:
+        """Lockstep bidirectional run; per-step ``[forward; backward]``
+        states of the top layer."""
         _check_steps(steps)
         batch = steps[0].shape[0]
         masks = _step_masks(lengths, len(steps), batch)
+        total = len(steps)
         outputs = list(steps)
         for pre, fwd_cell, bwd_cell in zip(self.pre, self.fwd_cells,
                                            self.bwd_cells):
             inputs = [pre(x) for x in outputs]
-            h = fwd_cell.initial_state(batch)
-            fwd: list[Tensor | None] = [None] * len(steps)
-            for t in range(len(steps)):
-                h_new = fwd_cell(inputs[t], h)
-                if masks is not None:
-                    m = masks[t]
-                    h = h_new * m + h * (1.0 - m)
-                else:
-                    h = h_new
-                fwd[t] = h
-            h = bwd_cell.initial_state(batch)
-            bwd: list[Tensor | None] = [None] * len(steps)
-            for t in range(len(steps) - 1, -1, -1):
-                h_new = bwd_cell(inputs[t], h)
-                if masks is not None:
-                    m = masks[t]
-                    h = h_new * m + h * (1.0 - m)
-                else:
-                    h = h_new
-                bwd[t] = h
-            outputs = [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+            halves = []
+            for cell, order in ((fwd_cell, range(total)),
+                                (bwd_cell, range(total - 1, -1, -1))):
+                h = cell.initial_state(batch)
+                states: list[Tensor | None] = [None] * total
+                for t in order:
+                    h_new = cell(inputs[t], h)
+                    if masks is not None:
+                        m = masks[t]
+                        h = h_new * m + h * (1.0 - m)
+                    else:
+                        h = h_new
+                    states[t] = h
+                halves.append(states)
+            outputs = [concat([f, b], axis=-1) for f, b in zip(*halves)]
         return outputs
 
     def forward_batch_np(self, inputs: np.ndarray,
                          lengths: np.ndarray | None,
                          arena: InferenceArena, tag: str) -> np.ndarray:
-        """Arena twin of :meth:`forward_batch`; returns ``(T, B, 2H)``.
+        """Arena twin of :meth:`forward`; returns ``(T, B, 2H)``.
 
         Matches the Tensor layout: layer ``l+1`` consumes the previous
         layer's concatenated ``[forward; backward]`` slab through its

@@ -328,9 +328,11 @@ class TestClassifierMechanics:
     def test_forward_validates_inputs(self):
         clf = ColumnMentionClassifier(EMB)
         with pytest.raises(ModelError):
-            clf([], ["col"])
+            clf([([], ["col"])])
         with pytest.raises(ModelError):
-            clf(["word"], [])
+            clf([(["word"], [])])
+        with pytest.raises(ModelError):
+            clf([])
 
     def test_embedding_dim_mismatch_raises(self):
         with pytest.raises(ModelError):
@@ -347,8 +349,9 @@ class TestClassifierMechanics:
 
     def test_long_columns_truncated(self):
         clf = ColumnMentionClassifier(EMB)
-        logit, _ = clf(tokenize("a question"), ["a", "b", "c", "d", "e", "f"])
-        assert logit.shape == (1,)
+        logits, _, _ = clf([(tokenize("a question"),
+                             ["a", "b", "c", "d", "e", "f"])])
+        assert logits.shape == (1,)
 
     def test_capture_leaves_have_grads_after_backward(self):
         clf = ColumnMentionClassifier(EMB)

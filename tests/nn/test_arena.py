@@ -145,7 +145,7 @@ class TestRNNKernelTwins:
         inputs = rng.standard_normal((t, b, 3))
         lengths = np.array([5, 3, 1])
         steps = [Tensor(inputs[i]) for i in range(t)]
-        ref = lstm.forward_batch(steps, lengths)
+        ref = lstm(steps, lengths)
 
         arena = InferenceArena()
         out = lstm.forward_batch_np(inputs.astype(np.float32), lengths,
@@ -158,8 +158,7 @@ class TestRNNKernelTwins:
         t, b = 4, 2
         inputs = rng.standard_normal((t, b, 3))
         lengths = np.array([4, 2])
-        ref = net.forward_batch([Tensor(inputs[i]) for i in range(t)],
-                                lengths)
+        ref = net([Tensor(inputs[i]) for i in range(t)], lengths)
 
         arena = InferenceArena()
         out = net.forward_batch_np(inputs.astype(np.float32), lengths,
@@ -226,7 +225,10 @@ class TestAttentionTwin:
                                 rng=rng)
         memory = rng.standard_normal((7, 6))
         queries = rng.standard_normal((3, 4))
-        ref_ctx, ref_w = att.forward_batch(Tensor(memory), Tensor(queries))
+        # Reference: the Tensor attention over the memory tiled per query.
+        tiled = Tensor(np.tile(memory, (3, 1, 1)))
+        ref_ctx = att.forward_padded(tiled, att.memory_proj(tiled),
+                                     Tensor(queries), Tensor(np.zeros((3, 7))))
 
         arena = InferenceArena()
         m32 = memory.astype(np.float32)
@@ -234,7 +236,8 @@ class TestAttentionTwin:
         ctx, weights = att.forward_batch_np(
             m32, mp, queries.astype(np.float32), arena, "a")
         np.testing.assert_allclose(ctx, ref_ctx.numpy(), atol=1e-5)
-        np.testing.assert_allclose(weights, ref_w.numpy(), atol=1e-5)
+        np.testing.assert_allclose(weights.sum(axis=1), np.ones(3), atol=1e-6)
+        np.testing.assert_allclose(weights @ m32, ctx, atol=1e-6)
 
 
 class TestGenerationCache:

@@ -92,12 +92,22 @@ class TestCharConvEncoder:
         assert np.linalg.norm(a - b) < np.linalg.norm(a - c)
 
 
+def attend(att, memory, query, pad_bias=None):
+    """One ``(q,)`` query over one ``(T, md)`` memory: ``(1, md)``."""
+    t, md = memory.shape
+    memory = memory.reshape(1, t, md)
+    bias = np.zeros(t) if pad_bias is None else pad_bias
+    return att.forward_padded(memory, att.memory_proj(memory),
+                              query.reshape(1, query.shape[-1]),
+                              Tensor(bias.reshape(1, t)))
+
+
 class TestAdditiveAttention:
     def test_weights_form_distribution(self):
-        att = AdditiveAttention(6, 4, 5, RNG)
-        memory = Tensor(RNG.standard_normal((7, 6)))
-        _, weights = att(memory, Tensor(RNG.standard_normal(4)))
-        w = weights.numpy()
+        # Over one-hot memory rows the context is the weight vector.
+        att = AdditiveAttention(7, 4, 5, RNG)
+        w = attend(att, Tensor(np.eye(7)),
+                   Tensor(RNG.standard_normal(4))).numpy().reshape(-1)
         assert w.shape == (7,)
         assert (w >= 0).all()
         assert w.sum() == pytest.approx(1.0)
@@ -105,79 +115,90 @@ class TestAdditiveAttention:
     def test_context_is_convex_combination(self):
         att = AdditiveAttention(6, 4, 5, RNG)
         mem = RNG.standard_normal((7, 6))
-        context, _ = att(Tensor(mem), Tensor(RNG.standard_normal(4)))
-        c = context.numpy()
+        c = attend(att, Tensor(mem), Tensor(RNG.standard_normal(4))).numpy()
         assert (c <= mem.max(axis=0) + 1e-9).all()
         assert (c >= mem.min(axis=0) - 1e-9).all()
 
     def test_mask_excludes_positions(self):
-        att = AdditiveAttention(6, 4, 5, RNG)
-        memory = Tensor(RNG.standard_normal((5, 6)))
-        mask = np.array([True, True, False, False, False])
-        _, weights = att(memory, Tensor(np.zeros(4)), mask=mask)
-        assert weights.numpy()[2:].max() < 1e-6
+        att = AdditiveAttention(5, 4, 5, RNG)
+        pad_bias = np.array([0.0, 0.0, -1e9, -1e9, -1e9])
+        w = attend(att, Tensor(np.eye(5)), Tensor(np.zeros(4)),
+                   pad_bias).numpy().reshape(-1)
+        assert w[2:].max() == 0.0
+        assert w[:2].sum() == pytest.approx(1.0)
 
     def test_2d_query_accepted(self):
         att = AdditiveAttention(6, 4, 5, RNG)
         memory = Tensor(RNG.standard_normal((5, 6)))
-        context, _ = att(memory, Tensor(np.zeros((1, 4))))
-        assert context.shape == (6,)
+        context = attend(att, memory, Tensor(np.zeros((1, 4))))
+        assert context.shape == (1, 6)
 
     def test_bad_memory_raises(self):
         att = AdditiveAttention(6, 4, 5, RNG)
         with pytest.raises(ShapeError):
-            att(Tensor(np.zeros((2, 3, 6))), Tensor(np.zeros(4)))
+            att.forward_padded(Tensor(np.zeros((2, 6))),
+                               Tensor(np.zeros((2, 5))),
+                               Tensor(np.zeros((1, 4))),
+                               Tensor(np.zeros((1, 2))))
 
     def test_gradients_flow_to_all_parameters(self):
         att = AdditiveAttention(6, 4, 5, RNG)
         memory = Tensor(RNG.standard_normal((5, 6)), requires_grad=True)
         query = Tensor(RNG.standard_normal(4), requires_grad=True)
-        context, _ = att(memory, query)
-        context.sum().backward()
+        attend(att, memory, query).sum().backward()
         assert memory.grad is not None
         assert query.grad is not None
-        assert att.v.grad is not None
+        for param in att.parameters():
+            assert param.grad is not None
 
 
 class TestBatchedAdditiveAttention:
-    """scores_batch/forward_batch must match per-query calls exactly."""
+    """B queries through ``forward_padded`` must match one-query calls."""
 
     def make(self, seed=13):
         att = AdditiveAttention(6, 4, 5, np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1)
-        memory = Tensor(rng.standard_normal((7, 6)))
-        queries = Tensor(rng.standard_normal((3, 4)))
+        memory = rng.standard_normal((7, 6))
+        queries = rng.standard_normal((3, 4))
         return att, memory, queries
 
     def test_scores_match_per_query(self):
+        # One memory shared by every query: the memory tiled B times.
         att, memory, queries = self.make()
-        batched = att.scores_batch(memory, queries).numpy()
-        assert batched.shape == (3, 7)
+        tiled = Tensor(np.tile(memory, (3, 1, 1)))
+        contexts = att.forward_padded(tiled, att.memory_proj(tiled),
+                                      Tensor(queries),
+                                      Tensor(np.zeros((3, 7)))).numpy()
+        assert contexts.shape == (3, 6)
         for b in range(3):
-            single = att.scores(memory,
-                                Tensor(queries.numpy()[b:b + 1])).numpy()
-            np.testing.assert_allclose(batched[b], single.reshape(-1),
+            single = attend(att, Tensor(memory), Tensor(queries[b])).numpy()
+            np.testing.assert_allclose(contexts[b], single.reshape(-1),
                                        atol=1e-12)
 
     def test_forward_matches_per_query(self):
+        # Ragged memories: row b attends over its live prefix only.
         att, memory, queries = self.make(seed=17)
-        contexts, weights = att.forward_batch(memory, queries)
-        assert contexts.shape == (3, 6)
-        assert weights.shape == (3, 7)
-        np.testing.assert_allclose(weights.numpy().sum(axis=1),
-                                   np.ones(3), atol=1e-12)
-        for b in range(3):
-            context, w = att(memory, Tensor(queries.numpy()[b:b + 1]))
-            np.testing.assert_allclose(contexts.numpy()[b],
-                                       context.numpy().reshape(-1),
+        lengths = np.array([7, 4, 2])
+        padded = np.zeros((3, 7, 6))
+        for b, n in enumerate(lengths):
+            padded[b, :n] = memory[:n] * (b + 1)
+        pad_bias = np.where(np.arange(7)[None, :] < lengths[:, None],
+                            0.0, -1e9)
+        padded_t = Tensor(padded)
+        contexts = att.forward_padded(padded_t, att.memory_proj(padded_t),
+                                      Tensor(queries),
+                                      Tensor(pad_bias)).numpy()
+        for b, n in enumerate(lengths):
+            single = attend(att, Tensor(padded[b, :n]),
+                            Tensor(queries[b])).numpy()
+            np.testing.assert_allclose(contexts[b], single.reshape(-1),
                                        atol=1e-12)
-            np.testing.assert_allclose(weights.numpy()[b],
-                                       w.numpy().reshape(-1), atol=1e-12)
 
     def test_gradients_flow_through_batch(self):
         att, memory, queries = self.make(seed=19)
-        queries = Tensor(queries.numpy(), requires_grad=True)
-        contexts, _ = att.forward_batch(memory, queries)
-        contexts.sum().backward()
+        queries = Tensor(queries, requires_grad=True)
+        tiled = Tensor(np.tile(memory, (3, 1, 1)))
+        att.forward_padded(tiled, att.memory_proj(tiled), queries,
+                           Tensor(np.zeros((3, 7)))).sum().backward()
         assert queries.grad is not None
         assert att.v.grad is not None

@@ -1,4 +1,4 @@
-"""Tests for LSTM/GRU cells and sequence layers."""
+"""Tests for LSTM/GRU cells and the LSTM, BiLSTM and BiGRU layers."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.nn import (
     LSTM,
     BiGRU,
     BiLSTM,
-    GRU,
     GRUCell,
     LSTMCell,
     Tensor,
@@ -84,7 +83,7 @@ class TestGRUCell:
 
 class TestSequenceLayers:
     @pytest.mark.parametrize("cls,out_mult", [
-        (LSTM, 1), (GRU, 1), (BiLSTM, 2), (BiGRU, 2),
+        (LSTM, 1), (BiLSTM, 2), (BiGRU, 2),
     ])
     def test_output_shapes(self, cls, out_mult):
         layer = cls(3, 5, RNG, num_layers=2)
@@ -92,7 +91,7 @@ class TestSequenceLayers:
         assert len(outs) == 4
         assert outs[0].shape == (2, 5 * out_mult)
 
-    @pytest.mark.parametrize("cls", [LSTM, GRU, BiLSTM, BiGRU])
+    @pytest.mark.parametrize("cls", [LSTM, BiLSTM, BiGRU])
     def test_empty_sequence_raises(self, cls):
         layer = cls(3, 5, RNG)
         with pytest.raises(ShapeError):
@@ -112,8 +111,8 @@ class TestSequenceLayers:
         assert np.abs(base[:, fwd_dim:] - perturbed[:, fwd_dim:]).max() > 1e-8
 
     def test_unidirectional_is_causal(self):
-        """A unidirectional GRU output at step t ignores steps > t."""
-        layer = GRU(2, 3, np.random.default_rng(5))
+        """A unidirectional LSTM output at step t ignores steps > t."""
+        layer = LSTM(2, 3, np.random.default_rng(5))
         steps = make_steps(t=3, batch=1, dim=2, seed=1)
         base = layer(steps)[0].numpy().copy()
         steps2 = [Tensor(s.numpy().copy()) for s in steps]
@@ -138,8 +137,8 @@ class TestSequenceLayers:
         assert two.num_parameters() > one.num_parameters()
 
     def test_deterministic_given_seed(self):
-        a = GRU(3, 4, np.random.default_rng(9))
-        b = GRU(3, 4, np.random.default_rng(9))
+        a = BiGRU(3, 4, np.random.default_rng(9))
+        b = BiGRU(3, 4, np.random.default_rng(9))
         steps = make_steps(seed=3)
         np.testing.assert_allclose(a(steps)[-1].numpy(), b(steps)[-1].numpy())
 
@@ -165,12 +164,13 @@ class TestPackSteps:
 
 
 class TestBatchedSequenceLayers:
-    """forward_batch must match B independent per-item runs exactly."""
+    """A masked B-lane forward must match B one-lane runs exactly."""
 
     LENGTHS = [5, 2, 4, 1]
 
     def per_item(self, layer, sequences, reverse=False):
-        """Reference: run each sequence alone (reversed if asked)."""
+        """Reference: an unmasked one-lane run of each sequence
+        (over the reversed sequence if asked)."""
         outs = []
         for seq in sequences:
             seq = list(reversed(seq)) if reverse else seq
@@ -185,31 +185,31 @@ class TestBatchedSequenceLayers:
                     batched[t].numpy()[b], reference[b][t], atol=1e-12)
 
     @pytest.mark.parametrize("cls,layers", [
-        (LSTM, 1), (GRU, 1), (BiLSTM, 1), (BiGRU, 1),
-        (LSTM, 2), (GRU, 2), (BiLSTM, 2), (BiGRU, 2),
+        (LSTM, 1), (BiLSTM, 1), (BiGRU, 1),
+        (LSTM, 2), (BiLSTM, 2), (BiGRU, 2),
     ])
     def test_variable_lengths_match_per_item(self, cls, layers):
         layer = cls(3, 4, np.random.default_rng(7), num_layers=layers)
         sequences = make_sequences(self.LENGTHS, seed=2)
         steps, lengths = pack_steps(sequences)
-        batched = layer.forward_batch(steps, lengths)
+        batched = layer(steps, lengths)
         self.assert_matches(batched, self.per_item(layer, sequences), lengths)
 
-    @pytest.mark.parametrize("cls", [LSTM, GRU])
+    @pytest.mark.parametrize("cls", [LSTM])
     def test_reverse_matches_reversed_per_item(self, cls):
         layer = cls(3, 4, np.random.default_rng(8))
         sequences = make_sequences(self.LENGTHS, seed=3)
         steps, lengths = pack_steps(sequences)
-        batched = layer.forward_batch(steps, lengths, reverse=True)
+        batched = layer(steps, lengths, reverse=True)
         self.assert_matches(
             batched, self.per_item(layer, sequences, reverse=True), lengths)
 
     def test_uniform_lengths_need_no_mask(self):
-        layer = GRU(3, 4, np.random.default_rng(4))
+        layer = LSTM(3, 4, np.random.default_rng(4))
         sequences = make_sequences([3, 3], seed=5)
         steps, lengths = pack_steps(sequences)
-        with_mask = layer.forward_batch(steps, lengths)
-        without = layer.forward_batch(steps)
+        with_mask = layer(steps, lengths)
+        without = layer(steps)
         for a, b in zip(with_mask, without):
             np.testing.assert_allclose(a.numpy(), b.numpy())
 
@@ -217,7 +217,7 @@ class TestBatchedSequenceLayers:
         layer = BiGRU(3, 4, np.random.default_rng(6))
         steps = make_steps(t=3, batch=2, dim=3, seed=9)
         lengths = np.array([3, 2])
-        outs = layer.forward_batch(steps, lengths)
+        outs = layer(steps, lengths)
         total = outs[0].sum()
         for o in outs[1:]:
             total = total + o.sum()
@@ -230,7 +230,7 @@ class TestBatchedSequenceLayers:
         layer = LSTM(3, 4, np.random.default_rng(10))
         sequences = make_sequences([1, 4], seed=11)
         steps, lengths = pack_steps(sequences)
-        outs = layer.forward_batch(steps, lengths)
+        outs = layer(steps, lengths)
         for t in range(1, 4):
             np.testing.assert_allclose(outs[t].numpy()[0],
                                        outs[0].numpy()[0])

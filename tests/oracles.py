@@ -12,9 +12,20 @@ import numpy as np
 
 from repro.core.mention import InfluenceProfile, MentionCandidate
 from repro.core.seq2seq.vocab import EOS, build_candidates
-from repro.nn import Tensor, binary_cross_entropy_with_logits, concat, no_grad
+from repro.nn import (
+    Tensor,
+    binary_cross_entropy_with_logits,
+    concat,
+    no_grad,
+    softmax,
+)
 from repro.sqlengine import Table
-from repro.text import is_stop_word, normalized_edit_similarity, tokenize
+from repro.text import (
+    char_ids,
+    is_stop_word,
+    normalized_edit_similarity,
+    tokenize,
+)
 
 
 def _feed(digest, part: str) -> None:
@@ -211,30 +222,117 @@ _PAIR_NORMS = {
 }
 
 
+def _run_lstm(lstm, steps: list) -> list:
+    """One sequence through a stacked LSTM, one cell call per step."""
+    outputs = steps
+    for pre, cell in zip(lstm.pre, lstm.cells):
+        h, c = cell.initial_state(1)
+        layer_out = []
+        for x in outputs:
+            h, c = cell(pre(x), h, c)
+            layer_out.append(h)
+        outputs = layer_out
+    return outputs
+
+
+def _attend(attention, memory: Tensor, query: Tensor) -> Tensor:
+    """Additive attention of one ``(1, q)`` query over ``(n, md)``."""
+    hidden = (attention.memory_proj(memory)
+              + attention.query_proj(query)).tanh()
+    weights = softmax(hidden @ attention.v, axis=-1)
+    return weights.reshape(1, memory.shape[0]) @ memory
+
+
+def classifier_forward_per_pair(classifier, question: list[str],
+                                column: list[str], capture: bool = False):
+    """The column-mention classifier on one pair, written on its cells.
+
+    Returns ``(logit (1,), word_leaves, char_leaves)``: with
+    ``capture=True`` one ``(1, word_dim)`` and one ``(1, char_out)`` leaf
+    per question word (empty lists otherwise), and the char CNN output
+    of the question is cut from the graph as in the batched capture
+    mode.  Each word is embedded where it occurs, the question LSTM, the
+    column BiLSTM and the attentive BiLSTM run one sequence at a time,
+    and attention scores one query at a time — the per-pair loop that
+    :meth:`ColumnMentionClassifier.forward` batches over padded, masked
+    pairs.  Similarity features are row-wise product sums, like the
+    batched graph, so repeated question words tie in ``max`` on both.
+    """
+    cfg = classifier.config
+    column = column[:cfg.max_column_words]
+
+    def embed(word: str, leaf: bool):
+        word_vec = Tensor(classifier.embeddings.vector(word).reshape(1, -1),
+                          requires_grad=leaf)
+        char_vec = classifier.char_encoder(char_ids(word)).reshape(
+            1, cfg.char_out)
+        if leaf:
+            char_vec = Tensor(char_vec.numpy().copy(), requires_grad=True)
+        return word_vec, char_vec, concat([word_vec, char_vec], axis=-1)
+
+    q_embedded = [embed(word, capture) for word in question]
+    q_steps = [combined for _w, _c, combined in q_embedded]
+    memory = concat(_run_lstm(classifier.question_rnn, q_steps), axis=0)
+    q_matrix = concat(q_steps, axis=0)
+    q_unit = q_matrix / ((q_matrix * q_matrix).sum(axis=1, keepdims=True)
+                         + 1e-8) ** 0.5
+
+    c_steps = [embed(word, False)[2] for word in column]
+    column_rnn = classifier.column_rnn
+    c_fwd = _run_lstm(column_rnn.forward_rnn, c_steps)
+    c_bwd = _run_lstm(column_rnn.backward_rnn, c_steps[::-1])[::-1]
+    s_c = [concat([f, b], axis=-1) for f, b in zip(c_fwd, c_bwd)]
+
+    def run_direction(cell, states):
+        h, c = cell.initial_state(1)
+        outputs = []
+        for s_t in states:
+            context = _attend(classifier.attention, memory,
+                              concat([s_t, h], axis=-1))
+            h, c = cell(concat([s_t, context], axis=-1), h, c)
+            outputs.append(h)
+        return outputs
+
+    fwd = run_direction(classifier.fwd_cell, s_c)
+    bwd = run_direction(classifier.bwd_cell, s_c[::-1])[::-1]
+    width = 2 * cfg.hidden + 2
+    features = []
+    for t in range(cfg.max_column_words):
+        if t >= len(column):
+            features.append(Tensor.zeros(1, width))
+            continue
+        c_unit = c_steps[t] / ((c_steps[t] * c_steps[t]).sum(
+            axis=1, keepdims=True) + 1e-8) ** 0.5
+        sims = (q_unit * c_unit).sum(axis=1)                         # (n,)
+        features.append(concat(
+            [fwd[t], bwd[t], sims.max(axis=0, keepdims=True).reshape(1, 1),
+             sims.mean(axis=0, keepdims=True).reshape(1, 1)], axis=-1))
+    logit = classifier.head(concat(features, axis=-1)).reshape(1)
+    word_leaves = [w for w, _c, _x in q_embedded] if capture else []
+    char_leaves = [c for _w, c, _x in q_embedded] if capture else []
+    return logit, word_leaves, char_leaves
+
+
 def influence_per_pair(classifier, question: list[str], column: list[str],
                        alpha: float = 1.0, beta: float = 0.0,
                        norm: str = "l2") -> InfluenceProfile:
-    """Section IV-C influence of one pair on the float64 training forward.
+    """Section IV-C influence of one pair on the per-pair float64 forward.
 
-    One ``forward(capture=True)`` and one backward of the BCE loss toward
-    label 0 per (question, column) pair, reading ``dL/dE(w)`` off the
-    embedding leaves — the loop :func:`repro.core.mention.
-    compute_influence` batches.  Writes ``.grad`` onto the classifier's
-    parameters (it zeroes them first).
+    One :func:`classifier_forward_per_pair` with ``capture=True`` and one
+    backward of the BCE loss toward label 0 per (question, column) pair,
+    reading ``dL/dE(w)`` off the embedding leaves — the loop
+    :func:`repro.core.mention.compute_influence` batches.  Writes
+    ``.grad`` onto the classifier's parameters (it zeroes them first).
     """
     norm_fn = _PAIR_NORMS[norm]
     classifier.eval()
     classifier.zero_grad()
-    logit, embedded = classifier(question, column, capture=True)
+    logit, word_leaves, char_leaves = classifier_forward_per_pair(
+        classifier, question, column, capture=True)
     loss = binary_cross_entropy_with_logits(logit, [0.0])
     loss.backward()
 
-    word_norms = np.zeros(len(question))
-    char_norms = np.zeros(len(question))
-    for i, emb in enumerate(embedded):
-        if emb.word_leaf.grad is not None:
-            word_norms[i] = norm_fn(emb.word_leaf.grad)
-        if emb.char_leaf.grad is not None:
-            char_norms[i] = norm_fn(emb.char_leaf.grad)
+    word_norms = np.array([norm_fn(leaf.grad) for leaf in word_leaves])
+    char_norms = np.array([norm_fn(leaf.grad) for leaf in char_leaves])
     combined = alpha * word_norms + beta * char_norms
     return InfluenceProfile(list(question), word_norms, char_norms, combined)
