@@ -6,7 +6,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check test test-faults test-pipeline test-eval test-decode-seeds \
-	lint bench-perf-smoke \
+	golden-sql lint bench-perf-smoke \
 	bench-robustness bench-accuracy bench-smoke bench
 
 # Tier-1: the full unit/integration/property suite.
@@ -43,6 +43,13 @@ test-decode-seeds:
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest $(DECODE_TESTS) -q \
 			|| exit 1; \
 	done
+
+# Golden SQL answer key: what the tier-1 session model answers on the
+# 54-pair serving corpus (SQL or recovery error), checked on every
+# serving path by tests/pipeline/test_golden_sql.py.  Regenerate it only
+# when a change is meant to move the SQL, and say why in CHANGES.md.
+golden-sql:
+	$(PYTHON) -m tests.golden
 
 # Robustness harness suite: attack generators + determinism contract,
 # executor-backed validity gate, few-shot transfer mechanics, report

@@ -25,12 +25,7 @@ import numpy as np
 from repro.caching import LRUCache
 from repro.data.records import Example
 from repro.errors import ModelError
-from repro.pipeline import (
-    Pipeline,
-    PipelineContext,
-    StageTrace,
-    artifact_cache_middleware,
-)
+from repro.pipeline import Pipeline, PipelineContext, StageTrace
 from repro.sqlengine import Table, table_fingerprint
 from repro.text import (
     KnowledgeBase,
@@ -254,7 +249,7 @@ class Annotator:
             self._pipeline = Pipeline(
                 (_ValueDetectionStage(self), _ColumnDetectionStage(self),
                  _MentionResolutionStage(self), _SymbolAllocationStage(self)),
-                middleware=(artifact_cache_middleware,), name="annotate")
+                name="annotate")
         return self._pipeline
 
     def annotate(self, question: str | list[str], table: Table,
@@ -427,10 +422,9 @@ class Annotator:
         classifier hits by the +2 offset) and the columns that still
         need a classifier score.  The matcher runs once for the whole
         table (:meth:`ColumnMatcher.best` shares the question's spans
-        and span vectors across columns).  ``needed`` is what a
-        cross-request scheduler coalesces into one ``score_columns``
-        pass before handing each request back to
-        :meth:`columns_from_scores`.
+        and span vectors across columns).  ``needed`` is what the
+        column stage scores for all its lanes in one
+        ``score_columns_multi`` pass.
         """
         cfg = self.config
         scored: dict[str, tuple[tuple[int, int], float]] = {}
@@ -521,50 +515,6 @@ class Annotator:
         return {column: span
                 for span, (_conf, column) in best_for_span.items()}
 
-    def columns_from_scores(self, tokens: list[str], blocked: set[int],
-                            scored: dict[str, tuple[tuple[int, int], float]],
-                            needed: list[str], probs,
-                            schema: SchemaEncoding | None = None,
-                            ) -> dict[str, tuple[int, int]]:
-        """Phase two for one request: threshold, localize, dedup spans.
-
-        ``probs`` are the classifier probabilities for ``needed`` (from
-        :meth:`ColumnMentionClassifier.score_columns`).  All of the
-        request's positive columns are localized in one batched
-        :meth:`influence_profiles` pass; ``schema`` supplies their cached
-        column states.  A cohort (``NLIDB.cohort_artifacts``) runs the
-        same three parts with one localization pass for all its lanes.
-        """
-        positive = self.positive_columns(needed, probs)
-        [profiles] = self.influence_profiles([(tokens, positive, schema)])
-        return self.locate_columns(blocked, scored, positive, profiles)
-
-    def _detect_columns(self, tokens: list[str], table: Table,
-                        blocked: set[int],
-                        use_classifier: bool = True,
-                        schema: SchemaEncoding | None = None,
-                        info: dict | None = None,
-                        ) -> dict[str, tuple[int, int]]:
-        # ``use_classifier=False`` (context-free mode) keeps only the
-        # matcher's string/edit/semantic/knowledge candidates.  Pass a
-        # ``SchemaEncoding`` to reuse cached column-RNN states; ``info``
-        # (when given) reports the classifier batch size.
-        scored, needed = self.column_scoring_plan(
-            tokens, table, blocked, use_classifier=use_classifier)
-        if info is not None:
-            info["batch"] = len(needed)
-        probs = ()
-        if needed:
-            # One lockstep classifier pass over every undecided column —
-            # the question side is computed once and broadcast.
-            encoded = schema.encoded_subset(needed) if schema is not None \
-                else None
-            probs = self.column_classifier.score_columns(
-                tokens, [tokenize(column) for column in needed],
-                encoded=encoded)
-        return self.columns_from_scores(tokens, blocked, scored, needed,
-                                        probs, schema=schema)
-
     # -- symbol allocation ------------------------------------------------
 
     def _allocate_symbols(self, tokens: list[str], table: Table,
@@ -610,53 +560,76 @@ class _ValueDetectionStage(_AnnotatorStage):
     """Exact cell matching plus (full mode) the statistics classifier."""
 
     name = "annotate.values"
-    provides = ("value_spans",)
 
-    def run(self, ctx) -> None:
-        tokens = ctx.question_tokens
-        if not tokens:
-            raise ModelError("cannot annotate an empty question")
-        use_classifier = ctx.mode == "full"
-        schema, _status = self.annotator.context_schema(ctx)
-        spans = self.annotator._detect_values(tokens, ctx.table,
-                                              use_classifier=use_classifier,
-                                              schema=schema)
-        ctx.artifacts["value_spans"] = spans
-        ctx.note(classifier=use_classifier
-                 and self.annotator.config.use_value_classifier,
-                 spans=len(spans))
+    def run(self, ctxs) -> None:
+        annotator = self.annotator
+        use_classifier = ctxs[0].mode == "full"
+        for ctx in ctxs:
+            tokens = ctx.question_tokens
+            if not tokens:
+                raise ModelError("cannot annotate an empty question")
+            schema, _status = annotator.context_schema(ctx)
+            spans = annotator._detect_values(tokens, ctx.table,
+                                             use_classifier=use_classifier,
+                                             schema=schema)
+            ctx.artifacts["value_spans"] = spans
+            ctx.note(classifier=use_classifier
+                     and annotator.config.use_value_classifier,
+                     spans=len(spans))
 
 
 class _ColumnDetectionStage(_AnnotatorStage):
     """Context-free matching plus (full mode) classifier + adversarial
-    localization of column mentions."""
+    localization of column mentions.
+
+    Per lane: the matcher plan (:meth:`Annotator.column_scoring_plan`).
+    Over all lanes at once: ONE ``score_columns_multi`` pass over every
+    lane's undecided columns, each lane attending over its own
+    question, and ONE :meth:`Annotator.influence_profiles` pass over
+    every lane's positive (question, column) pairs.  Per lane again:
+    threshold, locate, one column per span.
+    """
 
     name = "annotate.columns"
-    provides = ("column_spans",)
 
-    def run(self, ctx) -> None:
+    def run(self, ctxs) -> None:
         annotator = self.annotator
-        value_spans = ctx.artifacts["value_spans"]
-        blocked = {i for candidate in value_spans
-                   for i in range(candidate.start, candidate.end)}
-        use_classifier = ctx.mode == "full"
-        # The cached column-RNN states are encoded only when the
-        # classifier actually runs; the context-free rung must stay
-        # cheap and model-independent.
-        schema, cache_status = None, "off"
-        if (use_classifier and annotator.config.use_column_classifier
-                and annotator.column_classifier._trained):
-            schema, cache_status = annotator.context_schema(ctx)
-        info: dict = {}
-        spans = annotator._detect_columns(ctx.question_tokens, ctx.table,
-                                          blocked,
-                                          use_classifier=use_classifier,
-                                          schema=schema, info=info)
-        ctx.artifacts["column_spans"] = spans
-        ctx.note(classifier=use_classifier
-                 and annotator.config.use_column_classifier,
-                 columns=len(spans), schema_cache=cache_status,
-                 batch=info.get("batch", 0))
+        full = ctxs[0].mode == "full"
+        classify = full and annotator.config.use_column_classifier
+        plans = []
+        for ctx in ctxs:
+            blocked = {i for candidate in ctx.artifacts["value_spans"]
+                       for i in range(candidate.start, candidate.end)}
+            # The cached column-RNN states are encoded only when the
+            # classifier actually runs; the context-free rung must stay
+            # cheap and model-independent.
+            schema, cache_status = None, "off"
+            if classify and annotator.column_classifier._trained:
+                schema, cache_status = annotator.context_schema(ctx)
+            scored, needed = annotator.column_scoring_plan(
+                ctx.question_tokens, ctx.table, blocked, use_classifier=full)
+            plans.append((blocked, schema, cache_status, scored, needed))
+
+        scoring = [(ctx.question_tokens, schema.encoded_subset(needed))
+                   for ctx, (_b, schema, _c, _s, needed) in zip(ctxs, plans)
+                   if needed]
+        probs = iter(annotator.column_classifier.score_columns_multi(scoring)
+                     if scoring else ())
+        positives = [annotator.positive_columns(
+                         needed, next(probs) if needed else ())
+                     for _b, _schema, _c, _s, needed in plans]
+        profiles = annotator.influence_profiles(
+            [(ctx.question_tokens, positive, plan[1])
+             for ctx, plan, positive in zip(ctxs, plans, positives)])
+
+        for ctx, plan, positive, profile in zip(ctxs, plans, positives,
+                                                profiles):
+            blocked, _schema, cache_status, scored, needed = plan
+            spans = annotator.locate_columns(blocked, scored, positive,
+                                             profile)
+            ctx.artifacts["column_spans"] = spans
+            ctx.note(classifier=classify, columns=len(spans),
+                     schema_cache=cache_status, batch=len(needed))
 
 
 class _MentionResolutionStage(_AnnotatorStage):
@@ -664,26 +637,26 @@ class _MentionResolutionStage(_AnnotatorStage):
     them (dependency tree vs the linear token-distance fallback)."""
 
     name = "annotate.resolve"
-    provides = ("assignments",)
 
-    def run(self, ctx) -> None:
-        assignments, strategy = self.annotator.resolve_assignments(
-            ctx.question_tokens, ctx.artifacts["column_spans"],
-            ctx.artifacts["value_spans"])
-        ctx.artifacts["assignments"] = assignments
-        ctx.note(strategy=strategy, pairs=len(assignments))
+    def run(self, ctxs) -> None:
+        for ctx in ctxs:
+            assignments, strategy = self.annotator.resolve_assignments(
+                ctx.question_tokens, ctx.artifacts["column_spans"],
+                ctx.artifacts["value_spans"])
+            ctx.artifacts["assignments"] = assignments
+            ctx.note(strategy=strategy, pairs=len(assignments))
 
 
 class _SymbolAllocationStage(_AnnotatorStage):
     """Allocate ``c_i`` / ``v_i`` indices in first-reference order."""
 
     name = "annotate.symbols"
-    provides = ("annotation",)
 
-    def run(self, ctx) -> None:
-        ctx.artifacts["annotation"] = self.annotator._allocate_symbols(
-            ctx.question_tokens, ctx.table, ctx.artifacts["column_spans"],
-            ctx.artifacts["assignments"])
+    def run(self, ctxs) -> None:
+        for ctx in ctxs:
+            ctx.artifacts["annotation"] = self.annotator._allocate_symbols(
+                ctx.question_tokens, ctx.table,
+                ctx.artifacts["column_spans"], ctx.artifacts["assignments"])
 
 
 class _LinearTree:

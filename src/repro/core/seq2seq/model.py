@@ -121,10 +121,6 @@ class _Cohort:
 class AnnotatedSeq2Seq(Module):
     """Sequence-to-sequence translation of ``qᵃ`` into ``sᵃ``."""
 
-    #: The serving/pipeline layers may pass precomputed frozen token
-    #: vectors (header + structural tokens) to :meth:`translate`.
-    accepts_token_vectors = True
-
     def __init__(self, embeddings: WordEmbeddings,
                  config: Seq2SeqConfig | None = None):
         super().__init__()
@@ -149,13 +145,10 @@ class AnnotatedSeq2Seq(Module):
         #: Reused inference buffers for the float32 arena fast path —
         #: grown on the first request of each shape class, then steady.
         self.arena = InferenceArena()
-        # Optional observer called as ``timing_hook(stage, seconds)``
-        # with stage ∈ {"encode", "beam_search"} on every translate()
-        # call (the serving layer's latency histograms attach here).
-        self.timing_hook = None
-        #: Facts about the most recent :meth:`translate` decode (path,
-        #: steps, beam width, candidate count) — the translate pipeline
-        #: stage copies these into its trace record.
+        #: Facts about the most recent :meth:`translate_many` decode
+        #: (path, steps, beam width, candidate count, and the encode and
+        #: beam-search wall times) — the translate pipeline stage copies
+        #: these into each lane's trace record.
         self.last_decode: dict = {}
         self._fitted = False
 
@@ -688,23 +681,22 @@ class AnnotatedSeq2Seq(Module):
         with no_grad():
             start = perf_counter()
             cohort = self._encode_cohort(requests)
-            if self.timing_hook is not None:
-                self.timing_hook("encode", perf_counter() - start)
-            start = perf_counter()
+            encoded = perf_counter()
             outputs, steps = self._decode_lanes(cohort)
-            if self.timing_hook is not None:
-                self.timing_hook("beam_search", perf_counter() - start)
+            timings = {"encode_s": encoded - start,
+                       "beam_search_s": perf_counter() - encoded}
         widths = cohort.width.tolist()
         n_cand = cohort.n_cand.tolist()
         if len(requests) == 1:
             self.last_decode = {
                 "path": "lockstep", "steps": steps[0],
                 "beam_width": widths[0], "candidates": n_cand[0],
+                **timings,
             }
         else:
             self.last_decode = {
                 "path": "lockstep_many", "lanes": len(requests),
                 "steps": steps, "beam_width": widths,
-                "candidates": n_cand,
+                "candidates": n_cand, **timings,
             }
         return outputs

@@ -271,3 +271,12 @@ class TransformerTranslator(Module):
                 finished = [(nll / max(len(t), 1), t) for nll, t in beams]
         finished.sort(key=lambda b: b[0])
         return finished[0][1]
+
+    def translate_many(self, requests: list[dict]) -> list[list[str]]:
+        """The translator protocol's cohort call: :meth:`translate` per
+        request (``token_vectors`` are ignored; this model embeds its
+        own candidates)."""
+        return [self.translate(req["source"], req["header_tokens"],
+                               req.get("extra_symbols", ()),
+                               beam_width=req.get("beam_width"))
+                for req in requests]

@@ -3,11 +3,12 @@
 The paper's three-step pipeline (annotation ``q → qᵃ``, translation
 ``qᵃ → sᵃ``, recovery ``sᵃ → s``) is the spine of the system; this
 package gives it one owner.  A :class:`Pipeline` sequences
-:class:`Stage` objects over a :class:`PipelineContext` (question
-tokens, table, artifacts, deadline, rng) while middleware composes the
-cross-cutting concerns — deadline checks, fault injection, artifact
-caching — and every run leaves an append-only :class:`StageTrace` of
-per-stage records (name, wall time, outcome, attempt, cache hit).
+:class:`Stage` objects over a cohort of :class:`PipelineContext` lanes
+(question tokens, table, artifacts, deadline, rng) — a single request
+is a cohort of one — while guards run the cross-cutting checks before
+each stage, per lane (deadline checks, fault injection), and every
+lane leaves an append-only :class:`StageTrace` of per-stage records
+(name, wall time, outcome, attempt, batch identity).
 
 Layering: this package depends only on ``repro.errors`` (and, for
 typing, ``repro.sqlengine``).  ``repro.core`` builds its pipelines
@@ -15,15 +16,10 @@ from it; ``repro.serving`` adds caching, retries, degradation ladders,
 and breakers *around* it.
 """
 
-from repro.pipeline.batching import BatchInfo, BatchTraceMiddleware
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.deadline import Deadline
-from repro.pipeline.executor import Middleware, Pipeline, Stage
-from repro.pipeline.middleware import (
-    FaultMiddleware,
-    artifact_cache_middleware,
-    deadline_middleware,
-)
+from repro.pipeline.executor import Guard, Pipeline, Stage
+from repro.pipeline.guards import FaultGuard, deadline_guard
 from repro.pipeline.trace import (
     OUTCOME_CACHED,
     OUTCOME_ERROR,
@@ -35,9 +31,8 @@ from repro.pipeline.trace import (
 )
 
 __all__ = [
-    "Pipeline", "Stage", "Middleware", "PipelineContext",
+    "Pipeline", "Stage", "Guard", "PipelineContext",
     "StageRecord", "StageTrace", "Deadline", "WIRE_SCHEMA_VERSION",
     "OUTCOME_OK", "OUTCOME_ERROR", "OUTCOME_CACHED", "OUTCOME_SKIPPED",
-    "deadline_middleware", "FaultMiddleware", "artifact_cache_middleware",
-    "BatchInfo", "BatchTraceMiddleware",
+    "deadline_guard", "FaultGuard",
 ]

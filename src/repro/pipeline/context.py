@@ -4,8 +4,9 @@ A :class:`PipelineContext` is created per translation attempt and
 threaded through every stage: inputs (question tokens, table and its
 content fingerprint, mode, beam width), cross-cutting controls (the
 deadline, an optional RNG), the ``artifacts`` dict stages read from
-and write to, and the append-only :class:`~repro.pipeline.trace.
-StageTrace` the executor fills in.
+and write to, the append-only :class:`~repro.pipeline.trace.
+StageTrace` the executor fills in, and — once the lane has failed —
+the error that took it out of its cohort.
 
 The ``trace`` is injectable so a caller (the serving layer's retry /
 degradation ladder) can accumulate records from several pipeline runs
@@ -18,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import ReproError
 from repro.pipeline.deadline import Deadline
 from repro.pipeline.trace import StageRecord, StageTrace
 
@@ -31,10 +33,8 @@ __all__ = ["PipelineContext"]
 class PipelineContext:
     """Everything a stage may read or produce while translating.
 
-    Stages communicate exclusively through :attr:`artifacts` (keyed by
-    the names they declare in their ``provides`` tuple), so the
-    executor — not the stages — owns sequencing, and middleware can
-    skip a stage whose artifacts are already present.
+    Stages communicate exclusively through :attr:`artifacts`, so the
+    executor — not the stages — owns sequencing.
     """
 
     question_tokens: list[str]
@@ -53,6 +53,13 @@ class PipelineContext:
     #: The record of the stage currently executing (executor-managed).
     current_record: StageRecord | None = field(
         default=None, init=False, repr=False, compare=False)
+    #: The error that failed this lane; the executor runs no further
+    #: stage for it.
+    failure: ReproError | None = field(default=None, init=False,
+                                       compare=False)
+    #: Batch identity (``batch_id``, ``batch_size``, ``batch_lane``)
+    #: stamped into every record's detail; empty outside a batch.
+    batch: dict = field(default_factory=dict, init=False, compare=False)
 
     def note(self, **detail) -> None:
         """Attach detail to the currently running stage's trace record.

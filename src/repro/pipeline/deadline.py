@@ -2,7 +2,7 @@
 
 :class:`Deadline` lives in the pipeline package (not the serving
 layer) because budget checks are a *stage-graph* concern: the
-:func:`~repro.pipeline.middleware.deadline_middleware` consults the
+:func:`~repro.pipeline.guards.deadline_guard` consults the
 context's deadline before every stage, so any pipeline — full,
 context-free, or a future variant — gets enforcement without per-call
 wiring.  The serving layer re-exports it unchanged.

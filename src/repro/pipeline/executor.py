@@ -1,14 +1,21 @@
 """The typed stage-graph executor.
 
 A :class:`Pipeline` owns stage sequencing for the paper's
-annotate → translate → recover spine (and the annotator's sub-stages):
-it runs each :class:`Stage` through an onion of middleware, records a
-:class:`~repro.pipeline.trace.StageRecord` per stage into the
-context's trace — wall time, outcome, attempt, cache hit — and labels
-escaping :class:`~repro.errors.ReproError` exceptions with the stage
-they died in.  Cross-cutting concerns (deadlines, fault injection,
-artifact caching, metrics) compose as middleware instead of accreting
-into each caller.
+annotate → translate → recover spine (and the annotator's sub-stages).
+It runs a *cohort*: a list of contexts that share one mode, each
+stage called once over every live lane, so a stage can batch its
+model work across requests.  A single request is a cohort of one
+(:meth:`Pipeline.run`).
+
+Per lane and per stage the executor appends a
+:class:`~repro.pipeline.trace.StageRecord` — wall time (the stage's
+wall over the whole cohort, i.e. the time that request spent in it),
+outcome, attempt, batch identity — runs the pipeline's guards
+(deadline checks, fault injection) before the stage, and labels an
+escaping :class:`~repro.errors.ReproError` with the stage it died in.
+A failure fails only its lane: a guard that raises keeps its lane out
+of the stage, and an error escaping a multi-lane stage call re-runs
+that stage lane by lane.
 """
 
 from __future__ import annotations
@@ -21,44 +28,42 @@ from repro.errors import ReproError
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.trace import OUTCOME_ERROR, StageRecord
 
-__all__ = ["Stage", "Middleware", "Pipeline"]
+__all__ = ["Stage", "Guard", "Pipeline"]
 
 
 @runtime_checkable
 class Stage(Protocol):
     """One named unit of pipeline work.
 
-    A stage reads inputs from the context (and prior stages'
-    ``artifacts``) and writes the artifacts named in its optional
-    ``provides`` tuple.  Stages must be stateless with respect to the
-    request: all per-question state lives on the context, so one stage
+    ``run`` receives every live lane of a cohort (contexts sharing one
+    mode) and reads inputs from each context (and prior stages'
+    ``artifacts``).  Stages must be stateless with respect to the
+    request: all per-question state lives on the contexts, so one stage
     instance may serve concurrent pipelines.
     """
 
     name: str
 
-    def run(self, ctx: PipelineContext) -> None: ...
+    def run(self, ctxs: list[PipelineContext]) -> None: ...
 
 
-#: Middleware wraps a stage execution: it may inspect the context,
-#: raise (deadline checks, fault injection), skip the stage by not
-#: calling ``call_next`` (artifact caching), or simply delegate.
-Middleware = Callable[[Stage, PipelineContext, Callable[[], None]], None]
+#: A guard runs before a stage, once per lane: it may sleep or raise
+#: (deadline checks, fault injection); raising fails only that lane.
+Guard = Callable[[Stage, PipelineContext], None]
 
 
 class Pipeline:
-    """An ordered stage graph executed under shared middleware.
+    """An ordered stage graph executed under per-lane guards.
 
-    Pipelines are immutable and stateless: stages and middleware are
-    fixed at construction, all per-request state lives on the
-    :class:`PipelineContext`, so one pipeline instance is safely
-    shared across threads and requests.
+    Pipelines are immutable and stateless: stages and guards are fixed
+    at construction, all per-request state lives on the
+    :class:`PipelineContext`, so one pipeline instance is safely shared
+    across threads and requests.
     """
 
-    __slots__ = ("stages", "middleware", "name")
+    __slots__ = ("stages", "guards", "name")
 
-    def __init__(self, stages: Sequence[Stage],
-                 middleware: Sequence[Middleware] = (),
+    def __init__(self, stages: Sequence[Stage], guards: Sequence[Guard] = (),
                  name: str = "pipeline"):
         stages = tuple(stages)
         seen: set[str] = set()
@@ -67,66 +72,107 @@ class Pipeline:
             if not stage_name or not callable(getattr(stage, "run", None)):
                 raise ValueError(
                     f"{stage!r} does not implement the Stage protocol "
-                    "(needs a 'name' and a 'run(ctx)')")
+                    "(needs a 'name' and a 'run(ctxs)')")
             if stage_name in seen:
                 raise ValueError(f"duplicate stage name {stage_name!r}")
             seen.add(stage_name)
         self.stages = stages
-        self.middleware = tuple(middleware)
+        self.guards = tuple(guards)
         self.name = name
 
     def stage_names(self) -> tuple[str, ...]:
         return tuple(stage.name for stage in self.stages)
 
-    def with_middleware(self, *middleware: Middleware) -> "Pipeline":
-        """A copy of this pipeline with ``middleware`` wrapped outermost.
-
-        Later layers (a service's deadline check) belong outside
-        earlier ones (fault injection, artifact caching), so prepending
-        is the natural composition direction.
-        """
-        return Pipeline(self.stages, tuple(middleware) + self.middleware,
-                        name=self.name)
-
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        """Execute every stage in order; returns the same context.
+        """Run one context (a cohort of one); returns the same context.
 
-        One :class:`StageRecord` is appended per stage — including
-        failing ones, so a raised run still leaves a complete partial
-        trace on the context for the caller to inspect.
+        Raises the lane's failure.  One :class:`StageRecord` is appended
+        per stage entered — including the failing one, so a raised run
+        still leaves a complete partial trace on the context.
         """
-        for stage in self.stages:
-            self._run_stage(stage, ctx)
+        self.run_cohort([ctx])
+        if ctx.failure is not None:
+            raise ctx.failure
         return ctx
+
+    def run_cohort(self, ctxs: Sequence[PipelineContext],
+                   batch_id: int | None = None) -> None:
+        """Run every stage over the lanes that have not failed.
+
+        The contexts must share one mode.  A lane that fails keeps its
+        error on ``ctx.failure`` and leaves the cohort; the others run
+        on.  ``batch_id`` stamps each lane's batch identity
+        (``batch_id``, ``batch_size``, ``batch_lane``) into the detail
+        of every record it gets, nested pipelines' included.
+        """
+        if batch_id is not None:
+            for lane, ctx in enumerate(ctxs):
+                ctx.batch = {"batch_id": batch_id, "batch_size": len(ctxs),
+                             "batch_lane": lane}
+        for stage in self.stages:
+            live = [ctx for ctx in ctxs if ctx.failure is None]
+            if not live:
+                return
+            self._run_stage(stage, live)
 
     # ------------------------------------------------------------------
 
-    def _run_stage(self, stage: Stage, ctx: PipelineContext) -> None:
-        record = StageRecord(stage=stage.name, attempt=ctx.attempt,
-                             mode=ctx.mode)
-        previous = ctx.current_record  # nested pipelines share the ctx
-        ctx.trace.append(record)
-        ctx.current_record = record
+    def _run_stage(self, stage: Stage, ctxs: list[PipelineContext]) -> None:
+        # Nested pipelines share the contexts: save the enclosing
+        # stage's records and restore them when this stage ends.
+        previous = [ctx.current_record for ctx in ctxs]
+        for ctx in ctxs:
+            record = StageRecord(stage=stage.name, attempt=ctx.attempt,
+                                 mode=ctx.mode, detail=dict(ctx.batch))
+            ctx.trace.append(record)
+            ctx.current_record = record
         start = perf_counter()
         try:
-            self._call(stage, ctx, 0)
-        except ReproError as exc:
-            record.outcome = OUTCOME_ERROR
-            record.error = type(exc).__name__
-            record.message = str(exc)
-            # Label the error with the stage it escaped from, unless a
-            # deeper layer (a nested pipeline, the fault injector, a
-            # deadline check) already named one.
-            if getattr(exc, "stage", None) is None:
-                exc.stage = stage.name
-            raise
+            admitted = [ctx for ctx in ctxs if self._guard(stage, ctx)]
+            if admitted:
+                self._call(stage, admitted)
         finally:
-            record.wall_s = perf_counter() - start
-            ctx.current_record = previous
+            wall = perf_counter() - start
+            for ctx, outer in zip(ctxs, previous):
+                record = ctx.current_record
+                record.wall_s = wall
+                if ctx.failure is not None:
+                    _fail(record, stage, ctx.failure)
+                ctx.current_record = outer
 
-    def _call(self, stage: Stage, ctx: PipelineContext, index: int) -> None:
-        if index < len(self.middleware):
-            self.middleware[index](
-                stage, ctx, lambda: self._call(stage, ctx, index + 1))
-        else:
-            stage.run(ctx)
+    def _guard(self, stage: Stage, ctx: PipelineContext) -> bool:
+        try:
+            for guard in self.guards:
+                guard(stage, ctx)
+        except ReproError as exc:
+            ctx.failure = exc
+            return False
+        return True
+
+    @staticmethod
+    def _call(stage: Stage, ctxs: list[PipelineContext]) -> None:
+        try:
+            stage.run(ctxs)
+            return
+        except ReproError as exc:
+            if len(ctxs) == 1:
+                ctxs[0].failure = exc
+                return
+        # A multi-lane call failed: find the faulty lane(s) by re-running
+        # the stage one lane at a time.
+        for ctx in ctxs:
+            if ctx.failure is None:
+                try:
+                    stage.run([ctx])
+                except ReproError as exc:
+                    ctx.failure = exc
+
+
+def _fail(record: StageRecord, stage: Stage, exc: ReproError) -> None:
+    record.outcome = OUTCOME_ERROR
+    record.error = type(exc).__name__
+    record.message = str(exc)
+    # Label the error with the stage it escaped from, unless a deeper
+    # layer (a nested pipeline, a guard) already named one.
+    if getattr(exc, "stage", None) is None:
+        exc.stage = stage.name

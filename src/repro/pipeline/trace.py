@@ -1,9 +1,9 @@
 """Per-stage execution records: the pipeline's observability spine.
 
-Every :meth:`~repro.pipeline.executor.Pipeline.run` appends one
-:class:`StageRecord` per stage to the context's :class:`StageTrace` —
-stage name, outcome, wall time, attempt ordinal, annotation mode, and
-whether the stage was served from pre-seeded artifacts.  The serving
+Every pipeline run appends one :class:`StageRecord` per stage and per
+lane to the lane context's :class:`StageTrace` — stage name, outcome,
+wall time, attempt ordinal, annotation mode, and (for a lane of a
+batch) its batch identity.  The serving
 layer derives its per-stage metrics and the ``TranslationResult.trace``
 field from these records instead of hand-rolled timer blocks.
 """
@@ -31,9 +31,10 @@ WIRE_SCHEMA_VERSION = 4
 
 #: The stage ran to completion.
 OUTCOME_OK = "ok"
-#: The stage (or a middleware guarding it) raised.
+#: The stage (or a guard run before it) raised.
 OUTCOME_ERROR = "error"
-#: A middleware served the stage's artifacts without running it.
+#: The answer came from a cache without running the stage (the
+#: serving layer's translation-cache hit).
 OUTCOME_CACHED = "cached"
 #: The stage was deliberately bypassed (e.g. breaker short-circuit).
 OUTCOME_SKIPPED = "skipped"
@@ -51,7 +52,9 @@ class StageRecord:
         One of :data:`OUTCOME_OK` / :data:`OUTCOME_ERROR` /
         :data:`OUTCOME_CACHED` / :data:`OUTCOME_SKIPPED`.
     wall_s:
-        Wall-clock seconds spent in the stage, middleware included.
+        Wall-clock seconds spent in the stage, guards included.  In a
+        cohort every lane's record carries the stage's wall over the
+        whole cohort: the time that request spent in the stage.
     attempt:
         1-based attempt ordinal of the pipeline run that produced the
         record (retries re-run the pipeline with a higher ordinal).
@@ -59,13 +62,14 @@ class StageRecord:
         The annotation mode the run executed under (``"full"`` or
         ``"context_free"``).
     cached:
-        Whether the stage was answered from pre-seeded artifacts (or,
-        at the serving layer, the translation cache).
+        Whether the serving layer answered from its translation cache.
     error / message:
         Exception type name and text when ``outcome == "error"``.
     detail:
         Free-form stage annotations (e.g. the mention-resolution
-        strategy), attached via :meth:`PipelineContext.note`.
+        strategy), attached via :meth:`PipelineContext.note`; a lane of
+        a batch also carries ``batch_id``, ``batch_size`` and
+        ``batch_lane``.
     """
 
     stage: str

@@ -11,11 +11,15 @@ precise, seeded schedule:
 >>> flaky = FaultyNLIDB(nlidb, FaultInjector(plan))
 >>> service = TranslationService(flaky, policy=policy)
 
-The first two ``annotate`` calls raise a retryable
+The first two ``annotate`` stage entries raise a retryable
 :class:`InjectedFault`; everything after succeeds — exactly the shape
 a retry policy must absorb.  ``kind="permanent"`` faults are
 non-retryable (they exercise the ladder and the breaker), and
 ``kind="latency"`` sleeps without raising (it exercises deadlines).
+
+The plan runs as a pipeline guard, once per lane before each top-level
+stage, so a faulty model coalesces like any other: in a 4-lane cohort
+a fault fails the one lane it hits, and the other three run on.
 Probabilistic plans use a private seeded :class:`random.Random`, so a
 fault matrix is reproducible run-over-run and machine-over-machine.
 """
@@ -180,45 +184,32 @@ class FaultInjector:
 class FaultyNLIDB:
     """An :class:`NLIDB` lookalike with faults injected before stages.
 
-    Pipeline execution gets faults via :class:`~repro.pipeline.
-    FaultMiddleware` (see :meth:`pipeline`); the three staged-inference
-    methods are also intercepted for direct callers.  Every other
-    attribute (``translator``, ``config``, ``header_tokens``,
-    ``_fitted``, …) is delegated, so the wrapper is a drop-in argument
-    to :class:`~repro.serving.service.TranslationService`.
+    Pipeline execution gets faults via a :class:`~repro.pipeline.
+    FaultGuard` (see :meth:`pipeline`); ``annotate`` and ``recover``
+    are also intercepted for direct callers.  Every other attribute
+    (``translator``, ``config``, ``header_tokens``, ``_fitted``, …) is
+    delegated, so the wrapper is a drop-in argument to
+    :class:`~repro.serving.service.TranslationService`.
     """
-
-    #: Fault plans target individual stages, and the coalesced cohort
-    #: path bypasses per-stage execution — so a faulty model must never
-    #: coalesce.  A class attribute (not ``__getattr__`` delegation to
-    #: the wrapped model's property) guarantees it.
-    coalescible = False
 
     def __init__(self, nlidb, injector: FaultInjector):
         self._nlidb = nlidb
         self.injector = injector
 
-    def pipeline(self, mode: str = "full", middleware=()):
-        """The wrapped model's stage graph, plus fault middleware.
+    def pipeline(self, mode: str = "full", guards=()):
+        """The wrapped model's stage graph, plus the fault guard.
 
-        The injector hook runs innermost — directly before each stage,
-        inside the caller's deadline checks — which mirrors where the
-        old per-method shims sat.
+        The injector runs last before each stage — after the caller's
+        deadline check, so a fault never fires on a lane whose budget
+        is already spent.
         """
-        from repro.pipeline import FaultMiddleware
+        from repro.pipeline import FaultGuard
         return self._nlidb.pipeline(
-            mode, middleware=tuple(middleware)
-            + (FaultMiddleware(self.injector),))
+            mode, guards=tuple(guards) + (FaultGuard(self.injector),))
 
     def annotate(self, question, table, mode: str = "full"):
         self.injector.before("annotate", mode=mode)
         return self._nlidb.annotate(question, table, mode=mode)
-
-    def predict_annotated(self, annotation, beam_width=None,
-                          header_tokens=None):
-        self.injector.before("translate")
-        return self._nlidb.predict_annotated(annotation, beam_width,
-                                             header_tokens=header_tokens)
 
     def recover(self, source, predicted, annotation):
         self.injector.before("recover")

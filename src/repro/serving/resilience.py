@@ -8,7 +8,7 @@ unhandled exception.  This module holds the three mechanisms
 :class:`~repro.serving.service.TranslationService` composes:
 
 * :class:`~repro.pipeline.Deadline` (re-exported) — a per-request
-  latency budget enforced per stage by ``deadline_middleware``, raising
+  latency budget enforced per stage by ``deadline_guard``, raising
   :class:`~repro.errors.DeadlineExceeded` with the stage it expired in;
 * :class:`ResiliencePolicy` — the knob bundle: deadline, bounded
   retry/backoff schedule, degradation switch, breaker thresholds;
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from time import monotonic
 from typing import Callable
 
-# Deadline moved down into repro.pipeline (it is enforced by pipeline
-# middleware now); re-exported here for backward compatibility.
+# Deadline moved down into repro.pipeline (it is enforced by a pipeline
+# guard now); re-exported here for backward compatibility.
 from repro.pipeline.deadline import Deadline
 
 __all__ = ["Deadline", "ResiliencePolicy", "CircuitBreaker",

@@ -41,21 +41,25 @@ without touching model semantics:
   requests are served by the new one, and the translation cache is
   emptied so no old-model answer outlives the switch.
 
-Coalesced execution never changes results: a batch's lanes are
-computed by the same kernels on the same per-request shapes (see
-:meth:`~repro.core.nlidb.NLIDB.cohort_artifacts`), so the SQL is
-byte-identical to the sequential path — pinned by differential tests.
-A lane the cohort cannot serve (any per-lane failure, a tripped
-breaker, a fault-injection wrapper) falls back to the ordinary
-sequential ladder with its usual retry/breaker accounting.
+There is one way to run a request: the
+:class:`~repro.pipeline.Pipeline` stage graph over a cohort of
+contexts.  A batch's first full attempt runs every breaker-allowed,
+unexpired leader as ONE cohort — one column-scoring pass, one
+adversarial-localization pass and one lockstep decode over all lanes —
+and a solo request is a cohort of one.  Coalescing never changes
+results: the cohort kernels compute each lane on its own per-request
+shapes, so the SQL is byte-identical to a solo run — pinned by
+differential tests and the golden SQL key.  A lane that fails the
+shared attempt goes on down the ladder (retry, context-free, failure)
+as cohorts of one, with the usual retry, backoff and breaker
+accounting; breaker verdicts are settled lane by lane, in order.
 
-Every ladder rung executes through the same
-:class:`~repro.pipeline.Pipeline` stage graph (deadline checks ride as
-middleware; coalesced lanes add
-:class:`~repro.pipeline.BatchTraceMiddleware`, so their stage records
-carry the batch id, size, lane, and shared-kernel wall times); the
-per-stage metrics, the envelope's ``timings``, and its ``trace`` are
-all derived from the run's :class:`~repro.pipeline.StageTrace` records.
+Deadline checks (and a fault wrapper's injections) run as per-lane
+guards before every stage, so they fail one lane, never its cohort.
+Each lane's stage records carry the stage's wall over the cohort and,
+in a cohort of two or more, the batch id, size and lane; the per-stage
+metrics, the decode histograms, the envelope's ``timings`` and its
+``trace`` are all derived from those records.
 
 The public API returns :class:`~repro.serving.results.
 TranslationResult` envelopes and **never raises** for per-request
@@ -100,19 +104,17 @@ from repro.errors import (
 from repro.pipeline import (
     OUTCOME_CACHED,
     OUTCOME_SKIPPED,
-    BatchInfo,
-    BatchTraceMiddleware,
     StageRecord,
     StageTrace,
     WIRE_SCHEMA_VERSION,
-    deadline_middleware,
+    deadline_guard,
 )
 from repro.sqlengine import Table, table_fingerprint
 
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.requests import TranslationRequest, as_request
 from repro.serving.resilience import (
-    BREAKER_CLOSED,
+    BREAKER_OPEN,
     CircuitBreaker,
     Deadline,
     ResiliencePolicy,
@@ -124,15 +126,24 @@ __all__ = ["TranslationService", "DEFAULT_CACHE_SIZE"]
 
 DEFAULT_CACHE_SIZE = 1024
 
+#: Decode facts a translate record carries, and the histogram each
+#: feeds.
+_DECODE_FACTS = (("encode_s", "seq2seq.encode"),
+                 ("beam_search_s", "seq2seq.beam_search"))
+
 
 @dataclass
 class _Pending:
-    """One queued request: what to compute and whom to tell."""
+    """One queued request: what to compute and whom to tell, plus its
+    request-level trace, timings and attempt count across every rung."""
 
     request: TranslationRequest
     key: tuple
     deadline: Deadline
     future: Future = field(default_factory=Future)
+    trace: StageTrace = field(default_factory=StageTrace)
+    timings: dict = field(default_factory=dict)
+    attempts: int = 0
 
 
 class TranslationService:
@@ -143,10 +154,9 @@ class TranslationService:
     ----------
     nlidb:
         A *fitted* :class:`NLIDB` (or a wrapper such as
-        :class:`~repro.serving.faults.FaultyNLIDB`).  The service
-        attaches the translator's ``timing_hook`` (when present) to its
-        own metrics and runs every batch under the model's
-        ``inference_lock``.
+        :class:`~repro.serving.faults.FaultyNLIDB`).  The service runs
+        every batch under the model's ``inference_lock`` and keeps no
+        state on the model, so several services may share one.
     cache_size:
         Capacity of the translation LRU cache.
     metrics:
@@ -190,16 +200,12 @@ class TranslationService:
             raise ModelError("TranslationService needs a fitted NLIDB")
         self.nlidb = nlidb
         # Both ladder rungs execute through the same stage-graph
-        # executor; the per-request deadline check rides as the
-        # outermost middleware (a FaultyNLIDB adds its fault middleware
-        # underneath, where its per-method shims used to sit).
+        # executor; the per-request deadline check is the first guard
+        # (a FaultyNLIDB adds its fault guard after it).
         self._pipelines = {
-            mode: nlidb.pipeline(mode, middleware=(deadline_middleware,))
+            mode: nlidb.pipeline(mode, guards=(deadline_guard,))
             for mode in ("full", "context_free")
         }
-        translator = getattr(nlidb, "translator", None)
-        if translator is not None and hasattr(translator, "timing_hook"):
-            translator.timing_hook = self._record_translator_stage
 
     # ------------------------------------------------------------------
     # Public API
@@ -293,9 +299,8 @@ class TranslationService:
 
         Waits for the running batch, which finishes on the old model
         and caches its results before the switch; no new batch starts
-        meanwhile.  Then it installs the new model (pipelines and
-        translator ``timing_hook`` included) and empties the
-        translation cache, so no old-model answer is served once
+        meanwhile.  Then it installs the new model's pipelines and
+        empties the translation cache, so no old-model answer is served once
         ``swap`` returns.  Queued requests stay queued and are served by
         the new model; none is lost.  Raises :class:`ModelError`, and
         changes nothing, when ``nlidb`` is not fitted.
@@ -387,9 +392,10 @@ class TranslationService:
 
         Order of business: re-check the cache (another lane may have
         warmed a key since admission), dedupe identical requests into
-        leaders + followers, run the coalescible leaders through the
-        shared kernels, walk everything left through the sequential
-        ladder, then mirror leader outcomes onto followers.
+        leaders + followers, run the first full attempt of every
+        breaker-allowed, unexpired leader as one cohort, walk each
+        leader in order down the ladder from wherever it stands, then
+        mirror leader outcomes onto followers.
 
         The whole batch runs under the served model's
         ``inference_lock``, taken under the swap lock so that a batch
@@ -426,10 +432,12 @@ class TranslationService:
                 else:
                     leaders[p.key] = p
 
-            served = self._serve_coalesced(list(leaders.values()))
-            for p in leaders.values():
-                if p.key not in served:
-                    self._serve_sequential(p)
+            shared = [p for p in leaders.values()
+                      if not p.deadline.expired() and self.breaker.allow()]
+            firsts = dict(zip([p.key for p in shared],
+                              self._run_shared(shared)))
+            for key, p in leaders.items():
+                self._serve(p, firsts.get(key))
             for key, dupes in followers.items():
                 leader_future = leaders[key].future
                 for p in dupes:
@@ -437,75 +445,33 @@ class TranslationService:
         finally:
             lock.release()
 
-    def _serve_coalesced(self, leaders: list[_Pending]) -> set:
-        """Run eligible leaders through the shared cohort kernels.
+    def _run_shared(self, lanes: list[_Pending]) -> list:
+        """The first full attempt of every lane, as ONE cohort.
 
-        Returns the keys whose futures were resolved here; everything
-        else (ineligible batches, lanes the cohort dropped) belongs to
-        the sequential ladder, where retry/breaker/degradation
-        accounting lives.  Requires ≥2 live lanes — a singleton batch
-        gains nothing from the merged kernels and keeps low-load p50 on
-        the untouched sequential path.
+        Returns each lane's outcome (its translation or the error that
+        failed it).  A cohort of two or more stamps its batch identity
+        on every lane's records and feeds the coalescing counters.
         """
-        served: set = set()
-        if (len(leaders) < 2
-                or not getattr(self.nlidb, "coalescible", False)
-                or self.breaker.state != BREAKER_CLOSED):
-            return served
-        lanes = [p for p in leaders if not p.deadline.expired()]
-        if len(lanes) < 2:
-            return served
-        try:
-            artifacts, stats = self.nlidb.cohort_artifacts(
-                [(list(p.request.question), p.request.table,
-                  p.request.beam_width) for p in lanes],
-                keys=[p.request.fingerprint for p in lanes])
-        except ReproError:
-            self.metrics.increment("coalesce_fallbacks", len(lanes))
-            return served
-        self.metrics.increment("coalesced_batches")
-        info = BatchInfo(
-            self._batch_seq, len(lanes), 0,
-            kernel_walls={"annotate": stats.get("annotate_s", 0.0),
-                          "translate": stats.get("decode_s", 0.0)})
-        for lane, (p, seeded) in enumerate(zip(lanes, artifacts)):
-            if seeded is None:
-                self.metrics.increment("coalesce_fallbacks")
-                continue
-            timings: dict[str, float] = {}
-            trace = StageTrace()
-            try:
-                translation = self._run_pipeline(
-                    p.request, mode="full", deadline=p.deadline,
-                    trace=trace, attempt=1, timings=timings,
-                    artifacts=seeded, batch=info.for_lane(lane))
-            except ReproError:
-                # Only the deadline can fire here (the model stages are
-                # pre-seeded; recovery reports errors in-band) — the
-                # sequential ladder turns it into the usual envelope.
-                self.metrics.increment("coalesce_fallbacks")
-                continue
-            except BaseException as exc:
-                p.future.set_exception(exc)
-                served.add(p.key)
-                continue
-            # A completed full-path run: same breaker/cache treatment
-            # as a sequential full-rung success.
-            self.breaker.record_success()
-            self.metrics.increment("coalesced_requests")
-            result = TranslationResult.from_translation(
-                translation, attempts=1, timings=timings,
-                trace=tuple(trace))
-            self._cache.put(p.key, translation)
-            p.future.set_result(self._finish(result))
-            served.add(p.key)
-        return served
+        if not lanes:
+            return []
+        for p in lanes:
+            p.attempts = 1
+        coalesced = len(lanes) > 1
+        outcomes = self._run_pipeline(
+            lanes, mode="full", attempt=1,
+            batch_id=self._batch_seq if coalesced else None)
+        if coalesced:
+            self.metrics.increment("coalesced_batches")
+            for outcome in outcomes:
+                self.metrics.increment(
+                    "coalesce_fallbacks" if isinstance(outcome, ReproError)
+                    else "coalesced_requests")
+        return outcomes
 
-    def _serve_sequential(self, p: _Pending) -> None:
+    def _serve(self, p: _Pending, first=None) -> None:
         """One lane through the degradation ladder; resolves its future."""
         try:
-            result, cacheable = self._compute_resilient(p.request,
-                                                        p.deadline)
+            result, cacheable = self._compute_resilient(p, first)
             if cacheable and result.translation is not None:
                 self._cache.put(p.key, result.translation)
             p.future.set_result(self._finish(result))
@@ -547,34 +513,39 @@ class TranslationService:
         self.metrics.increment(f"served_{result.status}")
         return result
 
-    def _compute_resilient(self, request: TranslationRequest,
-                           deadline: Deadline,
+    def _compute_resilient(self, p: _Pending, first=None,
                            ) -> tuple[TranslationResult, bool]:
         """Walk the degradation ladder; always return an envelope.
 
-        Returns ``(result, cacheable)`` — only translations produced by
-        the *full* pipeline are cacheable.  Degraded results are served
-        but never cached, so repeat traffic re-attempts the full path
-        once the underlying failure clears.
+        ``first`` is the outcome of the request's first full attempt
+        when it already ran in the batch's shared cohort; the ladder
+        goes on from there.  Returns ``(result, cacheable)`` — only
+        translations produced by the *full* pipeline are cacheable.
+        Degraded results are served but never cached, so repeat traffic
+        re-attempts the full path once the underlying failure clears.
 
-        One request-level :class:`StageTrace` accumulates across every
-        rung and retry attempt; each rung's slice also feeds the
-        per-stage metrics and the envelope's ``timings``.
+        The request-level ``p.trace`` accumulates across every rung and
+        retry attempt; each rung's slice also feeds the per-stage
+        metrics and the envelope's ``timings``.
         """
-        timings: dict[str, float] = {}
-        trace = StageTrace()
-        attempts_box = [0]
         failure: BaseException | None = None
+        if first is None:
+            allowed = self.breaker.allow()
+        else:
+            # The shared attempt was admitted by the breaker.  A failure
+            # settled after an earlier lane of this batch opened it is a
+            # short circuit, exactly as it would have been in lane order.
+            allowed = (not isinstance(first, ReproError)
+                       or self.breaker.state != BREAKER_OPEN)
 
         # Rung 1: the full adversarial pipeline, behind the breaker.
-        if self.breaker.allow():
+        if allowed:
             try:
-                translation = self._attempt_full(
-                    request, deadline, timings, trace, attempts_box)
+                translation = self._attempt_full(p, first)
                 self.breaker.record_success()
                 return TranslationResult.from_translation(
-                    translation, attempts=attempts_box[0],
-                    timings=timings, trace=tuple(trace)), True
+                    translation, attempts=p.attempts, timings=p.timings,
+                    trace=tuple(p.trace)), True
             except ReproError as exc:
                 failure = exc
                 self.breaker.record_failure()
@@ -583,108 +554,103 @@ class TranslationService:
                     # No budget left for a fallback rung either.
                     self.metrics.increment("deadline_exceeded")
                     return TranslationResult.from_failure(
-                        exc, attempts=attempts_box[0],
-                        timings=timings, trace=tuple(trace)), False
+                        exc, attempts=p.attempts, timings=p.timings,
+                        trace=tuple(p.trace)), False
         else:
             self.metrics.increment("breaker_short_circuits")
             failure = CircuitOpen(
                 "circuit breaker open: full pipeline skipped")
-            trace.append(StageRecord(
+            p.trace.append(StageRecord(
                 stage="full", outcome=OUTCOME_SKIPPED,
                 detail={"reason": "circuit breaker open"}))
 
         # Rung 2: context-free matcher-only annotation (cheap, model-
         # independent detection; the paper's exact/edit/semantic case).
-        if self.policy.degradation and not deadline.expired():
-            try:
-                translation = self._run_pipeline(
-                    request, mode="context_free", deadline=deadline,
-                    trace=trace, attempt=1, timings=timings)
+        if self.policy.degradation and not p.deadline.expired():
+            [outcome] = self._run_pipeline([p], mode="context_free",
+                                           attempt=1)
+            if not isinstance(outcome, ReproError):
                 self.metrics.increment("degraded_fallbacks")
                 return TranslationResult.from_translation(
-                    translation, degraded=True, cause=failure,
-                    attempts=attempts_box[0], timings=timings,
-                    trace=tuple(trace)), False
-            except ReproError as exc:
-                self.metrics.increment("degraded_failures")
-                if isinstance(exc, DeadlineExceeded):
-                    self.metrics.increment("deadline_exceeded")
-                failure = exc
+                    outcome, degraded=True, cause=failure,
+                    attempts=p.attempts, timings=p.timings,
+                    trace=tuple(p.trace)), False
+            self.metrics.increment("degraded_failures")
+            if isinstance(outcome, DeadlineExceeded):
+                self.metrics.increment("deadline_exceeded")
+            failure = outcome
 
         # Rung 3: structured failure — the envelope still comes back.
         return TranslationResult.from_failure(
             failure if failure is not None
             else ServingError("degradation disabled and full path failed"),
-            attempts=attempts_box[0], timings=timings,
-            trace=tuple(trace)), False
+            attempts=p.attempts, timings=p.timings,
+            trace=tuple(p.trace)), False
 
-    def _attempt_full(self, request: TranslationRequest, deadline: Deadline,
-                      timings: dict[str, float], trace: StageTrace,
-                      attempts_box: list[int]) -> Translation:
-        """The full pipeline with bounded retry on retryable failures."""
+    def _attempt_full(self, p: _Pending, outcome=None) -> Translation:
+        """The full pipeline with bounded retry on retryable failures.
+
+        ``outcome`` is the first attempt's, when the shared cohort
+        already ran it; each retry is a cohort of one.
+        """
         retries = 0
         while True:
-            attempts_box[0] += 1
-            try:
-                return self._run_pipeline(
-                    request, mode="full", deadline=deadline, trace=trace,
-                    attempt=attempts_box[0], timings=timings)
-            except ReproError as exc:
-                if (isinstance(exc, DeadlineExceeded)
-                        or not is_retryable(exc)
-                        or retries >= self.policy.max_retries):
-                    raise
-                retries += 1
-                self.metrics.increment("retries")
-                delay = min(self.policy.backoff_delay(retries),
-                            deadline.remaining())
-                if delay > 0:
-                    self._sleep(delay)
+            if outcome is None:
+                p.attempts += 1
+                [outcome] = self._run_pipeline([p], mode="full",
+                                               attempt=p.attempts)
+            if not isinstance(outcome, ReproError):
+                return outcome
+            if (isinstance(outcome, DeadlineExceeded)
+                    or not is_retryable(outcome)
+                    or retries >= self.policy.max_retries):
+                raise outcome
+            retries += 1
+            self.metrics.increment("retries")
+            delay = min(self.policy.backoff_delay(retries),
+                        p.deadline.remaining())
+            if delay > 0:
+                self._sleep(delay)
+            outcome = None
 
-    def _run_pipeline(self, request: TranslationRequest, *, mode: str,
-                      deadline: Deadline, trace: StageTrace, attempt: int,
-                      timings: dict[str, float],
-                      artifacts: dict | None = None,
-                      batch: BatchInfo | None = None) -> Translation:
-        """Execute one pipeline variant over one fresh context.
+    def _run_pipeline(self, lanes: list[_Pending], *, mode: str,
+                      attempt: int, batch_id: int | None = None) -> list:
+        """Run one pipeline variant over fresh contexts, one per lane.
 
-        The context gets fresh artifacts (a retry must recompute) but
-        shares the request-level ``trace``; this run's slice of it is
-        absorbed into metrics and ``timings`` whether the run completed
-        or raised.  A coalesced lane passes ``artifacts`` pre-seeded by
-        the shared kernels (the artifact-cache middleware marks those
-        stages ``cached``; only recovery runs live) and a ``batch``
-        identity stamped into every record by
-        :class:`BatchTraceMiddleware`.
+        The contexts get fresh artifacts (a retry must recompute) but
+        share each request's ``trace``; every lane's slice of it is
+        absorbed into metrics and that lane's ``timings`` whether the
+        lane completed or failed.  Returns each lane's translation or
+        the error that failed it.
         """
         # Caller holds the model's inference lock (the arena buffers and
         # weight snapshots are shared, so inference must not interleave).
         prefix = "" if mode == "full" else "degraded."
-        ctx = self.nlidb.context(list(request.question), request.table,
-                                 mode=mode, beam_width=request.beam_width,
-                                 deadline=deadline, trace=trace,
-                                 attempt=attempt, artifacts=artifacts,
-                                 table_key=request.fingerprint)
-        pipeline = self._pipelines[mode]
-        if batch is not None:
-            pipeline = self.nlidb.pipeline(
-                mode, middleware=(deadline_middleware,
-                                  BatchTraceMiddleware(batch)))
-        mark = len(trace)
-        try:
-            pipeline.run(ctx)
-        except ReproError as exc:
-            if (getattr(exc, "stage", None) == "annotate"
-                    and not isinstance(exc, DeadlineExceeded)):
-                self.metrics.increment(prefix + "annotation_failures")
-            raise
-        finally:
-            self._absorb(trace[mark:], prefix, timings)
-        translation: Translation = ctx.artifacts["translation"]
-        translation.trace = tuple(trace[mark:])
-        if translation.error is not None:
-            self.metrics.increment(prefix + "recovery_failures")
-        return translation
+        ctxs = [self.nlidb.context(list(p.request.question), p.request.table,
+                                   mode=mode, beam_width=p.request.beam_width,
+                                   deadline=p.deadline, trace=p.trace,
+                                   attempt=attempt,
+                                   table_key=p.request.fingerprint)
+                for p in lanes]
+        marks = [len(p.trace) for p in lanes]
+        self._pipelines[mode].run_cohort(ctxs, batch_id=batch_id)
+        outcomes = []
+        for p, ctx, mark in zip(lanes, ctxs, marks):
+            records = p.trace[mark:]
+            self._absorb(records, prefix, p.timings)
+            exc = ctx.failure
+            if exc is not None:
+                if (exc.stage == "annotate"
+                        and not isinstance(exc, DeadlineExceeded)):
+                    self.metrics.increment(prefix + "annotation_failures")
+                outcomes.append(exc)
+                continue
+            translation: Translation = ctx.artifacts["translation"]
+            translation.trace = tuple(records)
+            if translation.error is not None:
+                self.metrics.increment(prefix + "recovery_failures")
+            outcomes.append(translation)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Helpers
@@ -697,7 +663,9 @@ class TranslationService:
         Deadline-refused stages are excluded: the deadline fires
         *before* a stage starts, so no work was timed.  Sub-stages
         (dotted names) feed the latency histograms but stay out of the
-        envelope's top-level ``timings``.
+        envelope's top-level ``timings``.  A translate record's decode
+        facts feed the ``seq2seq.encode`` / ``seq2seq.beam_search``
+        histograms, one observation per decoded request.
         """
         for record in records:
             if record.error == "DeadlineExceeded":
@@ -708,6 +676,9 @@ class TranslationService:
                 # Accumulate across retries so a request's timings sum
                 # to its real pipeline time.
                 timings[name] = timings.get(name, 0.0) + record.wall_s
+            for fact, histogram in _DECODE_FACTS:
+                if fact in record.detail:
+                    self.metrics.observe(histogram, record.detail[fact])
 
     def _resolve_width(self, beam_width: int | None) -> int | None:
         if beam_width is not None:
@@ -717,6 +688,3 @@ class TranslationService:
         translator = getattr(self.nlidb, "translator", None)
         return getattr(getattr(translator, "config", None),
                        "beam_width", None)
-
-    def _record_translator_stage(self, stage: str, seconds: float) -> None:
-        self.metrics.observe(f"seq2seq.{stage}", seconds)

@@ -9,28 +9,21 @@ conftests instead.
 
 import pytest
 
-from repro.core import NLIDB, NLIDBConfig
-from repro.core.seq2seq.model import Seq2SeqConfig
-from repro.data import generate_wikisql_style
-from repro.text import WordEmbeddings
+from tests import golden
 
 
 @pytest.fixture(scope="session")
 def serving_dataset():
     # dev is the serving corpus: ≥ 50 (question, table) pairs spread
     # round-robin over every training domain (≥ 3 domains guaranteed,
-    # asserted in the differential suite).
-    return generate_wikisql_style(seed=23, train_size=60, dev_size=54,
-                                  test_size=0, rows_per_table=6)
+    # asserted in the differential suite).  The recipe lives in
+    # tests/golden.py, which regenerates the golden SQL key from it.
+    return golden.serving_dataset()
 
 
 @pytest.fixture(scope="session")
 def nlidb(serving_dataset):
-    cfg = NLIDBConfig(classifier_epochs=1, value_epochs=12,
-                      seq2seq_epochs=4,
-                      seq2seq=Seq2SeqConfig(hidden=24, attention_dim=24))
-    return NLIDB(WordEmbeddings(dim=32, seed=0), cfg).fit(
-        serving_dataset.train)
+    return golden.train_session_model(serving_dataset.train)
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,12 @@ class TestConfigSwitches:
         kb.add("population", mention_phrases=["how many people live in"])
         annotator = Annotator(EMB, knowledge=kb)
         tokens = "how many people live in mayo ?".split()
-        spans = annotator._detect_columns(tokens, census_table(), set())
+        # The matcher pass and span dedup of the column stage; the
+        # classifier is untrained, so it scores nothing.
+        scored, needed = annotator.column_scoring_plan(
+            tokens, census_table(), set())
+        assert needed == []
+        spans = annotator.locate_columns(set(), scored, {}, {})
         assert "population" in spans
         start, end = spans["population"]
         assert (start, end) == (0, 5)

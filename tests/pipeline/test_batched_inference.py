@@ -180,7 +180,9 @@ class TestNoGraphUnderNoGrad:
         example = corpus[0]
         annotation = nlidb.annotate(example.question_tokens, example.table)
         graph_spy.clear()
-        nlidb.predict_annotated(annotation)
+        nlidb.translator.translate(annotation.annotated_tokens(),
+                                   nlidb.header_tokens(example.table),
+                                   nlidb._symbols(annotation))
         assert not graph_spy
 
     def test_spy_itself_detects_graphs(self, graph_spy):

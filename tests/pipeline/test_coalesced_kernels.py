@@ -9,11 +9,13 @@ per-request — attention softmax over exactly that request's memory,
 similarity features, top-k pruning — stays grouped, so results are
 bit-identical, not merely close.  These tests pin that equivalence for
 the multi-schema column scorer, the multi-request lockstep decoder and
-the cohort stage runner.
+a cohort run of the stage graph.
 """
 
 import numpy as np
 import pytest
+
+from repro.errors import ModelError
 
 
 @pytest.fixture(scope="module")
@@ -82,48 +84,60 @@ class TestLockstepManyDecoder:
         assert predicted == solo
 
 
+def run_cohort(nlidb, requests):
+    """Run ``(tokens, table)`` requests through the stage graph as ONE
+    cohort; returns the lanes' contexts."""
+    ctxs = [nlidb.context(tokens, table) for tokens, table in requests]
+    nlidb.pipeline().run_cohort(ctxs)
+    return ctxs
+
+
 class TestCohortArtifacts:
     def test_cohort_matches_sequential_pipeline(self, nlidb,
                                                 cohort_examples):
-        requests = [(list(e.question_tokens), e.table, None)
-                    for e in cohort_examples]
-        lanes, stats = nlidb.cohort_artifacts(requests)
-        assert stats["lanes"] == len(requests)
-        assert stats["failed"] == 0
-        for example, lane in zip(cohort_examples, lanes):
+        ctxs = run_cohort(nlidb, [(list(e.question_tokens), e.table)
+                                  for e in cohort_examples])
+        for example, ctx in zip(cohort_examples, ctxs):
+            assert ctx.failure is None
             reference = nlidb.translate(example.question_tokens,
                                         example.table)
-            assert lane["source"] == reference.annotated_tokens
-            assert lane["predicted"] == reference.predicted_annotated_sql
-            recovered = nlidb.recover(lane["source"], lane["predicted"],
-                                      lane["annotation"])
-            assert recovered.result_equal(reference)
+            translation = ctx.artifacts["translation"]
+            assert ctx.artifacts["source"] == reference.annotated_tokens
+            assert ctx.artifacts["predicted"] \
+                == reference.predicted_annotated_sql
+            assert translation.result_equal(reference)
+            decode = ctx.trace.last("translate").detail
+            assert decode["decode_path"] == "lockstep_many"
 
     def test_failed_lane_is_none_not_poisonous(self, nlidb,
                                                cohort_examples):
         good = cohort_examples[0]
-        requests = [(list(good.question_tokens), good.table, None),
-                    ([], good.table, None),  # empty question -> ModelError
-                    (list(good.question_tokens), good.table, None)]
-        lanes, stats = nlidb.cohort_artifacts(requests)
-        assert lanes[1] is None
-        assert lanes[0] is not None and lanes[2] is not None
-        assert stats["failed"] == 1
+        ctxs = run_cohort(nlidb, [
+            (list(good.question_tokens), good.table),
+            ([], good.table),  # empty question -> ModelError
+            (list(good.question_tokens), good.table)])
+        assert isinstance(ctxs[1].failure, ModelError)
+        assert ctxs[1].failure.stage == "annotate"
+        assert "translation" not in ctxs[1].artifacts
+        for ctx in (ctxs[0], ctxs[2]):
+            assert ctx.failure is None
+            assert ctx.artifacts["translation"].query is not None
+        # The healthy lanes still decoded together.
+        assert ctxs[0].trace.last("translate").detail["decode_path"] \
+            == "lockstep_many"
 
 
 class TestCohortLocalization:
-    """Phase C of ``cohort_artifacts``: one batched adversarial
+    """The column stage of a cohort: one batched adversarial
     localization pass over every lane's positive (question, column)
-    pairs, with Phase B's failure accounting."""
+    pairs, and a failing pass fails only the lanes that had pairs."""
 
     @staticmethod
     def _requests(corpus):
-        return [(list(e.question_tokens), e.table, None)
-                for e in corpus[:16]]
+        return [(list(e.question_tokens), e.table) for e in corpus[:16]]
 
     def _spy(self, monkeypatch, fail=False):
         import repro.core.annotator as annotator_module
-        from repro.errors import ModelError
 
         original = annotator_module.compute_influence
         calls = []
@@ -141,27 +155,29 @@ class TestCohortLocalization:
                                            monkeypatch):
         calls = self._spy(monkeypatch)
         requests = self._requests(corpus)
-        lanes, stats = nlidb.cohort_artifacts(requests)
-        assert stats["failed"] == 0
+        ctxs = run_cohort(nlidb, requests)
+        assert all(ctx.failure is None for ctx in ctxs)
         assert len(calls) == 1
-        assert len(calls[0]) == stats["influence_batch"] > 0
-        for (tokens, table, _width), lane in zip(requests, lanes):
+        assert len(calls[0]) > 0
+        for (tokens, table), ctx in zip(requests, ctxs):
             reference = nlidb.annotate(tokens, table)
-            assert lane["annotation"].annotated_tokens() == \
+            assert ctx.artifacts["annotation"].annotated_tokens() == \
                 reference.annotated_tokens()
 
     def test_failed_localization_fails_only_lanes_with_pairs(
             self, nlidb, corpus, monkeypatch):
         requests = self._requests(corpus)
         calls = self._spy(monkeypatch)
-        nlidb.cohort_artifacts(requests)
+        run_cohort(nlidb, requests)
         localized = set(calls[0])
         monkeypatch.undo()
 
         self._spy(monkeypatch, fail=True)
-        lanes, stats = nlidb.cohort_artifacts(requests)
-        failed = {tuple(tokens) for (tokens, _t, _w), lane
-                  in zip(requests, lanes) if lane is None}
+        ctxs = run_cohort(nlidb, requests)
+        failed = {tuple(tokens) for (tokens, _t), ctx
+                  in zip(requests, ctxs) if ctx.failure is not None}
         assert failed == localized
-        assert stats["failed"] == sum(1 for (tokens, _t, _w) in requests
-                                      if tuple(tokens) in localized)
+        assert all(ctx.failure.stage == "annotate" for ctx in ctxs
+                   if ctx.failure is not None)
+        assert all("translation" in ctx.artifacts for ctx in ctxs
+                   if ctx.failure is None)

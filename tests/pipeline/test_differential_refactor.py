@@ -1,9 +1,9 @@
 """Differential guarantee: the stage graph changed *how* the pipeline
 runs, not *what* it computes.
 
-``legacy_translate`` re-composes the three staged methods exactly the
-way the pre-refactor ``NLIDB.translate`` did (direct calls, no
-executor, no middleware); its SQL must be byte-identical to the
+``legacy_translate`` re-composes the three steps exactly the way the
+pre-refactor ``NLIDB.translate`` did (direct calls, no executor, no
+guards); its SQL must be byte-identical to the
 pipeline path — directly and through the serving layer — on the full
 session corpus (≥ 50 (question, table) pairs over ≥ 3 domains).
 """
@@ -14,7 +14,12 @@ from repro.serving import TranslationService
 def legacy_translate(nlidb, question_tokens, table):
     """The pre-stage-graph composition of annotate→translate→recover."""
     annotation = nlidb.annotator.annotate(question_tokens, table)
-    source, predicted = nlidb.predict_annotated(annotation)
+    source = annotation.annotated_tokens(
+        append=nlidb.config.column_name_appending,
+        header_encoding=nlidb.config.header_encoding)
+    predicted = nlidb.translator.translate(
+        source, nlidb.header_tokens(table),
+        extra_symbols=nlidb._symbols(annotation))
     return nlidb.recover(source, predicted, annotation)
 
 

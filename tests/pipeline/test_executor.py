@@ -1,7 +1,8 @@
 """Unit tests for the stage-graph executor itself.
 
 Toy stages only — no models — so sequencing, trace recording, error
-labelling, and middleware composition are pinned down in isolation.
+labelling, per-lane guards and cohort failure isolation are pinned down
+in isolation.
 The real annotate → translate → recover graphs are covered by
 ``test_nlidb_pipeline.py`` and ``test_service_traces.py``.
 """
@@ -10,39 +11,39 @@ import pytest
 
 from repro.errors import DeadlineExceeded, ReproError, ServingError
 from repro.pipeline import (
-    OUTCOME_CACHED,
     OUTCOME_ERROR,
     OUTCOME_OK,
     Deadline,
-    FaultMiddleware,
+    FaultGuard,
     Pipeline,
     PipelineContext,
     StageRecord,
     StageTrace,
-    artifact_cache_middleware,
-    deadline_middleware,
+    deadline_guard,
 )
 
 
 class Emit:
-    """Toy stage: writes ``value`` under ``key``, optionally raising."""
+    """Toy stage: writes ``value`` under ``key`` for every lane,
+    optionally raising; ``calls`` records each call's lane count."""
 
     def __init__(self, name, key=None, value=None,
                  error: Exception | None = None):
         self.name = name
-        if key is not None:
-            self.provides = (key,)
         self.key = key
         self.value = value
         self.error = error
         self.runs = 0
+        self.calls = []
 
-    def run(self, ctx):
+    def run(self, ctxs):
         self.runs += 1
+        self.calls.append(len(ctxs))
         if self.error is not None:
             raise self.error
-        if self.key is not None:
-            ctx.artifacts[self.key] = self.value
+        for ctx in ctxs:
+            if self.key is not None:
+                ctx.artifacts[self.key] = self.value
 
 
 def ctx_for(**kwargs):
@@ -56,8 +57,8 @@ class TestPipelineExecution:
         class Probe:
             name = "probe"
 
-            def run(self, ctx):
-                order.append(ctx.artifacts["a"])
+            def run(self, ctxs):
+                order.extend(ctx.artifacts["a"] for ctx in ctxs)
 
         pipe = Pipeline((Emit("first", "a", 1), Probe()))
         ctx = pipe.run(ctx_for())
@@ -105,8 +106,9 @@ class TestPipelineExecution:
         class Noisy:
             name = "noisy"
 
-            def run(self, ctx):
-                ctx.note(strategy="linear", pairs=2)
+            def run(self, ctxs):
+                for ctx in ctxs:
+                    ctx.note(strategy="linear", pairs=2)
 
         ctx = Pipeline((Noisy(),)).run(ctx_for())
         assert ctx.trace.last("noisy").detail == {"strategy": "linear",
@@ -119,11 +121,11 @@ class TestPipelineExecution:
 
         class Composite:
             name = "outer"
-            provides = ("a",)
 
-            def run(self, ctx):
-                inner.run(ctx)
-                ctx.note(composed=True)  # must land on *outer*'s record
+            def run(self, ctxs):
+                inner.run_cohort(ctxs)
+                for ctx in ctxs:
+                    ctx.note(composed=True)  # lands on *outer*'s record
 
         ctx = Pipeline((Composite(),)).run(ctx_for())
         assert ctx.trace.stage_names() == ["outer", "outer.sub"]
@@ -134,38 +136,24 @@ class TestPipelineExecution:
 
 
 class TestMiddleware:
+    """Guards: per-lane checks that run before every stage."""
+
     def test_onion_order_first_listed_outermost(self):
         events = []
 
-        def mw(tag):
-            def middleware(stage, ctx, call_next):
+        def guard(tag):
+            def check(stage, ctx):
                 events.append(f"{tag}>{stage.name}")
-                call_next()
-                events.append(f"{tag}<{stage.name}")
-            return middleware
+            return check
 
-        pipe = Pipeline((Emit("s", "a", 1),), middleware=(mw("A"), mw("B")))
+        pipe = Pipeline((Emit("s", "a", 1), Emit("t", "b", 2)),
+                        guards=(guard("A"), guard("B")))
         pipe.run(ctx_for())
-        assert events == ["A>s", "B>s", "B<s", "A<s"]
-
-    def test_with_middleware_prepends_outermost(self):
-        events = []
-
-        def mw(tag):
-            def middleware(stage, ctx, call_next):
-                events.append(tag)
-                call_next()
-            return middleware
-
-        base = Pipeline((Emit("s", "a", 1),), middleware=(mw("inner"),))
-        wrapped = base.with_middleware(mw("outer"))
-        wrapped.run(ctx_for())
-        assert events == ["outer", "inner"]
-        assert base.middleware != wrapped.middleware  # base untouched
+        assert events == ["A>s", "B>s", "A>t", "B>t"]
 
     def test_deadline_middleware_refuses_expired_budget(self):
         stage = Emit("translate", "a", 1)
-        pipe = Pipeline((stage,), middleware=(deadline_middleware,))
+        pipe = Pipeline((stage,), guards=(deadline_guard,))
         ctx = ctx_for(deadline=Deadline(0.0))
         with pytest.raises(DeadlineExceeded) as err:
             pipe.run(ctx)
@@ -176,7 +164,7 @@ class TestMiddleware:
         assert record.error == "DeadlineExceeded"
 
     def test_deadline_middleware_noop_without_deadline(self):
-        pipe = Pipeline((Emit("s", "a", 1),), middleware=(deadline_middleware,))
+        pipe = Pipeline((Emit("s", "a", 1),), guards=(deadline_guard,))
         ctx = pipe.run(ctx_for())
         assert ctx.trace.last("s").outcome == OUTCOME_OK
 
@@ -191,28 +179,100 @@ class TestMiddleware:
                                       retryable=True)
 
         pipe = Pipeline((Emit("good", "a", 1), Emit("bad", "b", 2)),
-                        middleware=(FaultMiddleware(Injector()),))
+                        guards=(FaultGuard(Injector()),))
         ctx = ctx_for(mode="context_free")
         with pytest.raises(ServingError):
             pipe.run(ctx)
         assert seen == [("good", "context_free"), ("bad", "context_free")]
         assert ctx.trace.last("bad").outcome == OUTCOME_ERROR
 
-    def test_artifact_cache_skips_satisfied_stage(self):
-        stage = Emit("s", "a", 1)
-        pipe = Pipeline((stage,), middleware=(artifact_cache_middleware,))
-        ctx = pipe.run(ctx_for(artifacts={"a": 99}))
-        assert stage.runs == 0
-        assert ctx.artifacts["a"] == 99  # pre-seeded value untouched
-        record = ctx.trace.last("s")
-        assert record.outcome == OUTCOME_CACHED and record.cached
 
-    def test_artifact_cache_runs_unsatisfied_stage(self):
-        stage = Emit("s", "a", 1)
-        pipe = Pipeline((stage,), middleware=(artifact_cache_middleware,))
-        ctx = pipe.run(ctx_for())
-        assert stage.runs == 1
-        assert ctx.trace.last("s").outcome == OUTCOME_OK
+class TestCohort:
+    def test_each_stage_is_called_once_over_every_lane(self):
+        first, second = Emit("first", "a", 1), Emit("second", "b", 2)
+        ctxs = [ctx_for() for _ in range(3)]
+        Pipeline((first, second)).run_cohort(ctxs)
+        assert first.calls == [3] and second.calls == [3]
+        for ctx in ctxs:
+            assert ctx.failure is None
+            assert ctx.trace.stage_names() == ["first", "second"]
+            assert ctx.artifacts == {"a": 1, "b": 2}
+
+    def test_every_lane_records_the_cohort_wall(self):
+        ctxs = [ctx_for() for _ in range(3)]
+        Pipeline((Emit("s", "a", 1),)).run_cohort(ctxs)
+        walls = {ctx.trace.last("s").wall_s for ctx in ctxs}
+        assert len(walls) == 1 and walls.pop() >= 0.0
+
+    def test_batch_identity_is_stamped_on_every_record(self):
+        inner = Pipeline((Emit("outer.sub", "a", 1),))
+
+        class Composite:
+            name = "outer"
+
+            def run(self, ctxs):
+                inner.run_cohort(ctxs)
+
+        ctxs = [ctx_for() for _ in range(2)]
+        Pipeline((Composite(),)).run_cohort(ctxs, batch_id=7)
+        for lane, ctx in enumerate(ctxs):
+            for record in ctx.trace:
+                assert record.detail == {"batch_id": 7, "batch_size": 2,
+                                         "batch_lane": lane}
+
+    def test_no_batch_identity_without_a_batch_id(self):
+        ctxs = [ctx_for() for _ in range(2)]
+        Pipeline((Emit("s", "a", 1),)).run_cohort(ctxs)
+        assert all(ctx.trace.last("s").detail == {} for ctx in ctxs)
+
+    def test_guard_fails_only_its_lane(self):
+        def refuse_lane_one(stage, ctx):
+            if ctx.question_tokens == ["bad"]:
+                raise ServingError("refused", stage=stage.name)
+
+        stage, after = Emit("s", "a", 1), Emit("t", "b", 2)
+        ctxs = [ctx_for(), PipelineContext(question_tokens=["bad"]),
+                ctx_for()]
+        Pipeline((stage, after), guards=(refuse_lane_one,)).run_cohort(ctxs)
+        assert stage.calls == [2] and after.calls == [2]
+        assert isinstance(ctxs[1].failure, ServingError)
+        assert ctxs[1].trace.stage_names() == ["s"]  # left the cohort
+        assert ctxs[1].trace.last("s").outcome == OUTCOME_ERROR
+        for ctx in (ctxs[0], ctxs[2]):
+            assert ctx.failure is None
+            assert ctx.artifacts == {"a": 1, "b": 2}
+
+    def test_failing_cohort_call_is_rerun_lane_by_lane(self):
+        class PoisonedLane:
+            name = "s"
+
+            def __init__(self):
+                self.calls = []
+
+            def run(self, ctxs):
+                self.calls.append(len(ctxs))
+                for ctx in ctxs:
+                    if ctx.question_tokens == ["bad"]:
+                        raise ReproError("poisoned lane")
+                    ctx.artifacts["a"] = 1
+
+        stage = PoisonedLane()
+        ctxs = [ctx_for(), PipelineContext(question_tokens=["bad"]),
+                ctx_for()]
+        Pipeline((stage, Emit("t", "b", 2))).run_cohort(ctxs)
+        assert stage.calls == [3, 1, 1, 1]
+        assert ctxs[1].failure.stage == "s"
+        assert ctxs[1].trace.last("s").error == "ReproError"
+        assert [ctx.failure for ctx in (ctxs[0], ctxs[2])] == [None, None]
+        assert all(ctx.artifacts == {"a": 1, "b": 2}
+                   for ctx in (ctxs[0], ctxs[2]))
+
+    def test_run_raises_the_lane_failure(self):
+        boom = ServingError("boom")
+        ctx = ctx_for()
+        with pytest.raises(ServingError) as err:
+            Pipeline((Emit("s", error=boom),)).run(ctx)
+        assert err.value is boom and ctx.failure is boom
 
 
 class TestStageTrace:

@@ -1,8 +1,7 @@
 """The NLIDB's annotate → translate → recover graph, end to end.
 
 Runs on a stub translator (no training) so the stage decomposition,
-trace contents, artifact pre-seeding, and fault wiring are fast to
-assert; the trained-model equivalence is pinned by
+trace contents, cohort runs and fault wiring are fast to assert; the trained-model equivalence is pinned by
 ``test_differential_refactor.py``.
 """
 
@@ -10,11 +9,7 @@ import pytest
 
 from repro.core import NLIDB, NLIDBConfig
 from repro.errors import ModelError
-from repro.pipeline import (
-    OUTCOME_CACHED,
-    OUTCOME_OK,
-    StageTrace,
-)
+from repro.pipeline import OUTCOME_OK, StageTrace
 from repro.serving import FaultInjector, FaultSpec, FaultyNLIDB, InjectedFault
 from repro.sqlengine import Column, DataType, Table
 from repro.text import WordEmbeddings
@@ -40,6 +35,11 @@ class StubTranslator:
                   beam_width=None):
         self.calls += 1
         return ["select", "g1"]
+
+    def translate_many(self, requests):
+        return [self.translate(r["source"], r["header_tokens"],
+                               r["extra_symbols"], r["beam_width"])
+                for r in requests]
 
 
 def make_table():
@@ -102,20 +102,6 @@ class TestTranslateTrace:
         assert recover.outcome == OUTCOME_OK  # soft failure, no raise
         assert recover.detail["recovered"] is False
 
-    def test_stage_timer_sees_completed_top_level_stages(self, model):
-        seen = []
-        model.stage_timer = lambda stage, s: seen.append((stage, s))
-        model.translate(QUESTION, make_table())
-        assert [stage for stage, _ in seen] == list(TOP_STAGES)
-        assert all(s >= 0.0 for _, s in seen)
-
-    def test_stage_timer_omits_failed_stage(self, model):
-        seen = []
-        model.stage_timer = lambda stage, s: seen.append(stage)
-        with pytest.raises(ModelError):
-            model.translate([], make_table())
-        assert seen == []
-
     def test_empty_question_fails_in_annotate(self, model):
         with pytest.raises(ModelError) as err:
             model.translate([], make_table())
@@ -128,19 +114,6 @@ class TestTranslateTrace:
 
 
 class TestArtifactPreSeeding:
-    def test_preseeded_annotation_skips_the_composite(self, model):
-        table = make_table()
-        annotation = model.annotate(QUESTION, table)
-        ctx = model.context(QUESTION, table,
-                            artifacts={"annotation": annotation})
-        model.pipeline().run(ctx)
-        annotate = ctx.trace.last("annotate")
-        assert annotate.outcome == OUTCOME_CACHED and annotate.cached
-        # Sub-stages never ran: the composite was skipped wholesale.
-        assert ctx.trace.stage_names() == ["annotate", "translate",
-                                           "recover"]
-        assert ctx.artifacts["translation"].query is not None
-
     def test_annotator_trace_collection(self, model):
         trace = StageTrace()
         model.annotator.annotate(QUESTION, make_table(), trace=trace)

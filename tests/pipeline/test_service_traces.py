@@ -43,6 +43,11 @@ class StubTranslator:
                   beam_width=None):
         return ["select", "g1"]
 
+    def translate_many(self, requests):
+        return [self.translate(r["source"], r["header_tokens"],
+                               r["extra_symbols"], r["beam_width"])
+                for r in requests]
+
 
 def make_table(i=0):
     return Table(f"films_{i}", [Column("film"), Column("director"),

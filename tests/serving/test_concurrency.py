@@ -8,6 +8,8 @@ direct pipeline exactly and the counters must still sum.
 
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.serving import TranslationService
+
 WORKERS = 8
 REQUESTS_PER_WORKER = 25
 
@@ -64,3 +66,27 @@ class TestConcurrentServing:
         assert metrics.counter("requests") == 4 * len(pairs)
         assert metrics.counter("cache_hits") \
             + metrics.counter("cache_misses") == metrics.counter("requests")
+
+
+class TestSharedModelAttribution:
+    def test_each_service_books_its_own_decodes(self, nlidb, corpus):
+        # Two services on ONE model.  Decode timings travel on each
+        # request's translate record, so each service's histograms count
+        # exactly the requests it decoded — whichever service was built
+        # last, and whichever served first.
+        first = TranslationService(nlidb, cache_size=64)
+        second = TranslationService(nlidb, cache_size=64)
+        try:
+            first.translate_batch([(e.question_tokens, e.table)
+                                   for e in corpus[:6]])
+            for e in corpus[6:9]:
+                second.translate(e.question_tokens, e.table)
+        finally:
+            first.close()
+            second.close()
+        for service, decoded in ((first, 6), (second, 3)):
+            histograms = service.stats()["histograms"]
+            assert service.metrics.counter("cache_misses") == decoded
+            assert histograms["seq2seq.beam_search"]["count"] == decoded
+            assert histograms["seq2seq.encode"]["count"] == decoded
+            assert histograms["translate"]["count"] == decoded

@@ -50,6 +50,11 @@ class StubTranslator:
         self.calls += 1
         return ["select", "g1"]
 
+    def translate_many(self, requests):
+        return [self.translate(r["source"], r["header_tokens"],
+                               r["extra_symbols"], r["beam_width"])
+                for r in requests]
+
 
 def make_table(i=0):
     return Table(f"films_{i}", [Column("film"), Column("director"),
@@ -204,6 +209,48 @@ class TestFaultMatrix:
         results = service.translate_batch(requests)
         assert_all_structured(results, len(requests))
         assert all(r.status == "ok" for r in results)
+
+
+class TestFaultInACohort:
+    """A fault is a per-lane guard: it fails one lane of a cohort and
+    leaves the other lanes' envelopes exactly as a fault-free run
+    serves them."""
+
+    @staticmethod
+    def envelope(result):
+        # Everything but wall-clock times.
+        payload = result.to_dict()
+        del payload["timings"]
+        for record in payload["trace"]:
+            del record["wall_s"]
+        return payload
+
+    @pytest.mark.parametrize("stage", STAGES)
+    @pytest.mark.parametrize("kind", ["transient", "permanent"])
+    def test_one_faulty_lane_of_four(self, stage, kind):
+        policy = ResiliencePolicy(max_retries=2, backoff_base_s=0.0,
+                                  breaker_failure_threshold=1000)
+        requests = make_requests(4)
+        clean, _ = faulty_service([], policy)
+        faulty, injector = faulty_service(
+            [FaultSpec(stage=stage, kind=kind, count=1)], policy)
+        expected = clean.translate_batch(requests)
+        results = faulty.translate_batch(requests)
+        assert injector.stats()["fired"][0]["fired"] == 1
+        assert all(record.detail["batch_size"] == 4
+                   for result in expected for record in result.trace)
+        # The first lane to enter the stage took the fault...
+        hit = results[0]
+        assert hit.status == ("ok" if kind == "transient" else "degraded")
+        assert hit.attempts == (2 if kind == "transient" else 1)
+        failed = [r for r in hit.trace if r.outcome == "error"]
+        assert [(r.stage, r.error, r.detail["batch_lane"])
+                for r in failed] == [(stage, "InjectedFault", 0)]
+        # ...and the other three are unchanged.
+        assert [self.envelope(r) for r in results[1:]] \
+            == [self.envelope(r) for r in expected[1:]]
+        assert faulty.metrics.counter("coalesce_fallbacks") == 1
+        assert faulty.metrics.counter("coalesced_requests") == 3
 
 
 class TestDegradedResultsAreNotCached:

@@ -49,6 +49,11 @@ class StubTranslator:
         self.calls += 1
         return list(self.output)
 
+    def translate_many(self, requests):
+        return [self.translate(r["source"], r["header_tokens"],
+                               r["extra_symbols"], r["beam_width"])
+                for r in requests]
+
 
 class GatedTranslator(StubTranslator):
     """A stub whose ``translate`` holds until ``release`` is set.
@@ -59,7 +64,6 @@ class GatedTranslator(StubTranslator):
 
     def __init__(self, output=("select", "g1")):
         super().__init__(output)
-        self.timing_hook = None
         self.entered = threading.Event()
         self.release = threading.Event()
         self._count_lock = threading.Lock()
@@ -788,9 +792,11 @@ class TestSwap:
         model = fitted_model(new)
         stub_service.swap(model)
         assert stub_service.nlidb is model
-        assert new.timing_hook == stub_service._record_translator_stage
+        assert all(pipeline.stages == model.pipeline().stages
+                   for pipeline in stub_service._pipelines.values())
         result = stub_service.translate(QUESTION, make_table())
         assert result.sql == "SELECT director"
+        assert new.calls == 1  # the new model's translator decoded it
         assert stub_service.metrics.counter("swaps") == 1
 
     def test_old_cache_entry_is_never_served_after_swap(self, stub_service,
