@@ -29,14 +29,16 @@ test-pipeline:
 
 # Model differentials under five hash seeds.  Tier-1 runs once under an
 # unpinned PYTHONHASHSEED; this reruns the decoder's lockstep-vs-oracle,
-# cohort-vs-solo and early-retirement tests and the column classifier's
-# batched forward and batched influence against their per-pair oracles
+# cohort-vs-solo and early-retirement tests, the column classifier's
+# batched forward and batched influence against their per-pair oracles,
+# and the float32 kernels' parity and padded-lane bit-equality tests
 # under hash seeds 0-4, each run with fresh Hypothesis examples.
 DECODE_TESTS = tests/pipeline/test_batched_inference.py \
 	tests/pipeline/test_coalesced_kernels.py \
 	tests/pipeline/test_decode_retirement.py \
 	tests/core/test_influence_batched.py \
-	tests/core/test_classifier_forward.py
+	tests/core/test_classifier_forward.py \
+	tests/nn/test_arena.py
 
 test-decode-seeds:
 	for seed in 0 1 2 3 4; do \

@@ -298,12 +298,6 @@ def _cmd_serve_stats(args) -> int:
           f"coalesced_batches={sched['coalesced_batches']} "
           f"dispatched={sched['dispatched']} "
           f"max_batch={sched['max_batch']}", file=sys.stderr)
-    # How much float32 arena memory the inference kernels hold.
-    inference = report.get("inference")
-    if inference:
-        arena_bytes = sum(a.get("bytes", 0)
-                          for a in inference.get("arenas", {}).values())
-        print(f"[inference] arena_bytes={arena_bytes}", file=sys.stderr)
     return 0
 
 

@@ -32,7 +32,6 @@ from repro.nn import (
     AdditiveAttention,
     BiLSTM,
     CharConvEncoder,
-    InferenceArena,
     LSTM,
     LSTMCell,
     Module,
@@ -45,6 +44,7 @@ from repro.nn import (
     sigmoid_,
     stack,
 )
+from repro.nn.rnn import _blend_, _masks_np
 from repro.text import CHAR_VOCAB_SIZE, WordEmbeddings, char_ids
 
 __all__ = ["ClassifierConfig", "ColumnMentionClassifier", "EncodedColumns"]
@@ -90,7 +90,7 @@ class EncodedColumns:
     states: list[np.ndarray]     # T × (B, 2·hidden) column-RNN outputs
     units: np.ndarray            # (B, T, emb_dim); zero rows past length
 
-    # Lazy float32 snapshot (stacked states, units) used by the arena
+    # Lazy float32 snapshot (stacked states, units) used by the float32
     # inference path.  Class-level None; built on first use and carried
     # through subset() so warm requests never re-cast.  Lives on the
     # cached SchemaEncoding, so it is invalidated with the schema cache
@@ -189,8 +189,6 @@ class ColumnMentionClassifier(Module):
             [(2 * cfg.hidden + 2) * cfg.max_column_words, cfg.mlp_hidden, 1],
             rng, hidden_activation="tanh")
         self._trained = False
-        # Reused float32 buffers of the batched inference path.
-        self.arena = InferenceArena()
         self._wordvec32: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -444,7 +442,7 @@ class ColumnMentionClassifier(Module):
         return self.score_columns_multi([(question, encoded)])[0]
 
     # ------------------------------------------------------------------
-    # Float32 arena kernels (allocation-free when warm)
+    # Float32 inference kernels (no Tensor constructions)
     # ------------------------------------------------------------------
 
     def _embed_word_np(self, word: str, out: np.ndarray) -> None:
@@ -457,89 +455,64 @@ class ColumnMentionClassifier(Module):
             vec = self.embeddings.vector(word).astype(np.float32)
             self._wordvec32[word] = vec
         out[:cfg.word_dim] = vec
-        self.char_encoder.forward_np(
-            char_ids(word), out[cfg.word_dim:], self.arena, "q.char")
+        out[cfg.word_dim:] = self.char_encoder.forward_np(char_ids(word))
 
-    def _question_side_np(self, question: list[str], tag: str,
+    def _question_side_np(self, question: list[str],
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float32 question side of :meth:`score_columns_multi`.
 
         Returns ``(memory (n, hidden), memory_proj (n, attn), q_unit
-        (n, emb))`` — all arena-owned under ``tag``-scoped keys, so
-        multi-request callers pass distinct tags per request.
+        (n, emb))``.
         """
         cfg = self.config
-        arena = self.arena
         n = len(question)
-        emb = arena.take(f"{tag}.emb", (n, cfg.emb_dim))
+        emb = np.empty((n, cfg.emb_dim), dtype=np.float32)
         for i, word in enumerate(question):
             self._embed_word_np(word, emb[i])
         memory = self.question_rnn.forward_batch_np(
-            emb.reshape(n, 1, cfg.emb_dim), None, arena,
-            f"{tag}.rnn").reshape(n, cfg.hidden)
-        mp = self.attention.project_memory_np(memory, arena, f"{tag}.mp")
-        q_unit = arena.take(f"{tag}.unit", (n, cfg.emb_dim))
-        norms = arena.take(f"{tag}.norm", (n, 1))
-        np.multiply(emb, emb, out=q_unit)
-        np.sum(q_unit, axis=1, keepdims=True, out=norms)
+            emb.reshape(n, 1, cfg.emb_dim), None).reshape(n, cfg.hidden)
+        mp = self.attention.project_memory_np(memory)
+        q_unit = np.multiply(emb, emb)
+        norms = np.sum(q_unit, axis=1, keepdims=True)
         norms += 1e-8
         np.sqrt(norms, out=norms)
         np.divide(emb, norms, out=q_unit)
         return memory, mp, q_unit
 
     def _attentive_pass_np(self, states32: np.ndarray,
-                           lengths: np.ndarray,
-                           attend, tag: str,
+                           lengths: np.ndarray, attend,
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Run both attentive-LSTM directions over ``(T, B, 2H)`` states.
 
-        ``attend(query, tag)`` computes the attention contexts, each
+        ``attend(query)`` computes the attention contexts, each
         request's rows over its own question memory; returns the
-        ``(T, B, H)`` forward and backward output slabs.
+        ``(T, B, H)`` forward and backward outputs.
         """
-        cfg = self.config
-        arena = self.arena
         total, batch, _ = states32.shape
-        hs = cfg.hidden
-        needs_mask = int(lengths.min()) < total
-        masks = None
-        if needs_mask:
-            masks = arena.take(f"{tag}.mask", (total, batch, 1))
-            masks[...] = (lengths[None, :, None]
-                          > np.arange(total)[:, None, None])
+        hs = self.config.hidden
+        masks = _masks_np(lengths, total, batch)
         outs = []
         for direction, cell in ((0, self.fwd_cell), (1, self.bwd_cell)):
-            dtag = f"{tag}.d{direction}"
-            out = arena.take(f"{dtag}.out", (total, batch, hs))
-            h = arena.take(f"{dtag}.h", (batch, hs))
-            c = arena.take(f"{dtag}.c", (batch, hs))
-            hn = arena.take(f"{dtag}.hn", (batch, hs))
-            cn = arena.take(f"{dtag}.cn", (batch, hs))
-            query = arena.take(f"{dtag}.q", (batch, 3 * hs))
-            xh = arena.take(f"{dtag}.xh", (batch, 4 * hs))
-            h[...] = 0.0
-            c[...] = 0.0
+            out = np.empty((total, batch, hs), dtype=np.float32)
+            h = np.zeros((batch, hs), dtype=np.float32)
+            c = np.zeros((batch, hs), dtype=np.float32)
+            query = np.empty((batch, 3 * hs), dtype=np.float32)
+            xh = np.empty((batch, 4 * hs), dtype=np.float32)
             order = range(total - 1, -1, -1) if direction else range(total)
             for t in order:
                 s_t = states32[t]
                 query[:, :2 * hs] = s_t
                 query[:, 2 * hs:] = h
-                contexts = attend(query, dtag)
+                contexts = attend(query)
                 xh[:, :2 * hs] = s_t
                 xh[:, 2 * hs:3 * hs] = contexts
                 xh[:, 3 * hs:] = h
-                cell.step_np(xh, c, hn, cn, arena, f"{dtag}.cell")
+                hn, cn = cell.step_np(xh, c)
                 if masks is not None:
-                    m = masks[t]
-                    np.subtract(hn, h, out=hn)
-                    hn *= m
-                    h += hn
-                    np.subtract(cn, c, out=cn)
-                    cn *= m
-                    c += cn
+                    _blend_(h, hn, masks[t])
+                    _blend_(c, cn, masks[t])
                 else:
-                    h, hn = hn, h
-                    c, cn = cn, c
+                    h, c = hn, cn
                 out[t] = h
             outs.append(out)
         return outs[0], outs[1]
@@ -563,18 +536,12 @@ class ColumnMentionClassifier(Module):
             if invalid.any():
                 seg[invalid] = 0.0
 
-    def _sims_np(self, units32: np.ndarray, q_unit: np.ndarray, tag: str,
+    @staticmethod
+    def _sims_np(units32: np.ndarray, q_unit: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Max/mean cosine similarities: ``(B, T)`` each."""
-        arena = self.arena
-        batch, total, _ = units32.shape
-        sims = arena.take(f"{tag}.sims", (batch, total, q_unit.shape[0]))
-        np.matmul(units32, q_unit.T, out=sims)
-        sim_max = arena.take(f"{tag}.smax", (batch, total))
-        sim_mean = arena.take(f"{tag}.smean", (batch, total))
-        np.amax(sims, axis=2, out=sim_max)
-        np.mean(sims, axis=2, out=sim_mean)
-        return sim_max, sim_mean
+        sims = np.matmul(units32, q_unit.T)
+        return np.amax(sims, axis=2), np.mean(sims, axis=2)
 
     def score_columns_multi(
             self, items: list[tuple[list[str], EncodedColumns]],
@@ -601,7 +568,6 @@ class ColumnMentionClassifier(Module):
         if not items:
             return []
         cfg = self.config
-        arena = self.arena
         hs = cfg.hidden
         sizes = [len(encoded) for _question, encoded in items]
         batch = int(sum(sizes))
@@ -610,8 +576,7 @@ class ColumnMentionClassifier(Module):
         slices = [slice(int(off), int(off) + size)
                   for off, size in zip(offsets, sizes)]
         total = max(len(encoded.states) for _q, encoded in items)
-        union = arena.take("m.states", (total, batch, 2 * hs))
-        union[...] = 0.0
+        union = np.zeros((total, batch, 2 * hs), dtype=np.float32)
         units = []
         for rows, (question, encoded) in zip(slices, items):
             if not question:
@@ -622,26 +587,25 @@ class ColumnMentionClassifier(Module):
         lengths = np.concatenate(
             [encoded.lengths for _q, encoded in items])
 
-        sides = [self._question_side_np(question, f"m.q{ri}")
-                 for ri, (question, _encoded) in enumerate(items)]
+        sides = [self._question_side_np(question)
+                 for question, _encoded in items]
 
-        def attend(query, dtag):
-            contexts = arena.take(f"{dtag}.gctx", (batch, hs))
-            for g, (rows, (memory, mp, _q_unit)) in enumerate(
-                    zip(slices, sides)):
-                ctx_g, _ = self.attention.forward_batch_np(
-                    memory, mp, query[rows], arena, f"{dtag}.att{g}")
+        def attend(query):
+            contexts = np.empty((batch, hs), dtype=np.float32)
+            for rows, (memory, mp, _q_unit) in zip(slices, sides):
+                ctx_g, _ = self.attention.forward_batch_np(memory, mp,
+                                                           query[rows])
                 contexts[rows] = ctx_g
             return contexts
 
-        fwd, bwd = self._attentive_pass_np(union, lengths, attend, "m.col")
+        fwd, bwd = self._attentive_pass_np(union, lengths, attend)
         width = 2 * hs + 2
-        features = arena.take("m.feats", (batch, width * cfg.max_column_words))
-        features[...] = 0.0
+        features = np.zeros((batch, width * cfg.max_column_words),
+                            dtype=np.float32)
         for g, (rows, (_question, encoded)) in enumerate(zip(slices, items)):
-            sim_max, sim_mean = self._sims_np(units[g], sides[g][2], f"m.s{g}")
+            sim_max, sim_mean = self._sims_np(units[g], sides[g][2])
             self._features_np(fwd, bwd, sim_max, sim_mean, encoded.lengths,
                               rows, features)
-        logits = self.head.forward_np(features, arena, "m.head")
+        logits = self.head.forward_np(features)
         probs = sigmoid_(logits).reshape(batch)
         return [probs[rows].astype(np.float64) for rows in slices]

@@ -140,9 +140,10 @@ class NLIDB:
         self.translator = translator or AnnotatedSeq2Seq(self.embeddings,
                                                          self.config.seq2seq)
         self._pipeline: Pipeline | None = None  # built lazily, stateless
-        # Inference mutates state shared by every caller of this model
-        # (the arena buffers, weight snapshots, ``last_decode``); every
-        # service serving it runs its batches under this one lock.
+        # Inference refreshes the float32 weight snapshots shared by
+        # every caller of this model, and ``swap`` must not replace a
+        # model mid-batch; every service serving it runs its batches
+        # under this one lock.
         self.inference_lock = threading.Lock()
         self._fitted = False
 
@@ -310,19 +311,12 @@ class NLIDB:
         return translation
 
     def inference_info(self) -> dict:
-        """Occupancy of the float32 inference arenas.
+        """Always ``{"arenas": {}}``: the inference kernels own no buffers.
 
-        Surfaced by ``TranslationService.stats()`` / the ``serve-stats``
-        CLI.
+        Only the serving benchmark reads it (its ``nn.arena_grows``
+        metric, now always 0); a later benchmark change removes both.
         """
-        arenas = {}
-        translator_arena = getattr(self.translator, "arena", None)
-        if translator_arena is not None:
-            arenas["seq2seq"] = translator_arena.stats()
-        classifier = self.annotator.column_classifier
-        if getattr(classifier, "arena", None) is not None:
-            arenas["classifier"] = classifier.arena.stats()
-        return {"arenas": arenas}
+        return {"arenas": {}}
 
     def to_sql(self, question: str | list[str], table: Table) -> str:
         """Convenience: question text in, SQL text out.
@@ -392,8 +386,7 @@ class _TranslateStage(_NLIDBStage):
                 "extra_symbols": nlidb._symbols(annotation),
                 "beam_width": ctx.beam_width,
                 "token_vectors": schema.token_vectors32})
-        predictions = nlidb.translator.translate_many(requests)
-        decode = getattr(nlidb.translator, "last_decode", None) or {}
+        predictions, decode = nlidb.translator.translate_many(requests)
         for lane, (ctx, request, predicted) in enumerate(
                 zip(ctxs, requests, predictions)):
             ctx.artifacts["source"] = request["source"]
@@ -404,8 +397,8 @@ class _TranslateStage(_NLIDBStage):
 
 
 def _decode_facts(decode: dict, lane: int) -> dict:
-    """One lane's view of the translator's ``last_decode``: the path,
-    the lane's own step count, and the shared call's encode and
+    """One lane's view of a ``translate_many`` call's decode facts: the
+    path, the lane's own step count, and the shared call's encode and
     beam-search wall times."""
     if not decode:
         return {}

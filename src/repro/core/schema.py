@@ -83,7 +83,7 @@ class SchemaEncoding:
 
     @property
     def token_vectors32(self) -> dict[str, np.ndarray]:
-        """Float32 twins of :attr:`token_vectors` for the arena decoder.
+        """Float32 twins of :attr:`token_vectors` for the float32 decoder.
 
         Cast lazily, once per table — the float32 candidate-matrix fill
         then copies rows without a per-request float64→float32 pass.

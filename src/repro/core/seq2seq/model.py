@@ -31,7 +31,6 @@ from repro.nn import (
     Adam,
     BiGRU,
     GRUCell,
-    InferenceArena,
     Linear,
     Module,
     Tensor,
@@ -95,8 +94,8 @@ class _Cohort:
     """Every lane of one :meth:`~AnnotatedSeq2Seq.translate_many` call,
     encoded and ready to decode.
 
-    Lane ``l``'s arrays are contiguous float32 views into the
-    translator's arena: ``memory[l]`` is ``(T_l, enc_dim)``,
+    Lane ``l``'s arrays are contiguous float32 views into the cohort's
+    stacked arrays: ``memory[l]`` is ``(T_l, enc_dim)``,
     ``cand_rows[l]`` is the ``(C_l, dim)`` slice of ``cand`` starting at
     ``cand_offset[l]``, and ``copy_map[l]`` is stored transposed to
     ``(T_l, C_l)`` (the layout the in-place copy-mass matmul wants).
@@ -142,14 +141,6 @@ class AnnotatedSeq2Seq(Module):
         self.att_v = Linear(cfg.attention_dim, 1, rng, bias=False)
         # Output: project [d_i, β_i] into embedding space (tied weights).
         self.out_proj = Linear(2 * enc_dim, dim, rng)
-        #: Reused inference buffers for the float32 arena fast path —
-        #: grown on the first request of each shape class, then steady.
-        self.arena = InferenceArena()
-        #: Facts about the most recent :meth:`translate_many` decode
-        #: (path, steps, beam width, candidate count, and the encode and
-        #: beam-search wall times) — the translate pipeline stage copies
-        #: these into each lane's trace record.
-        self.last_decode: dict = {}
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -306,7 +297,7 @@ class AnnotatedSeq2Seq(Module):
         return losses
 
     # ------------------------------------------------------------------
-    # Inference: float32 arena beam search
+    # Inference: float32 beam search
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -338,39 +329,28 @@ class AnnotatedSeq2Seq(Module):
         return np.where(floor >= 0.0, floor / max_len, floor)
 
     def _attend_np(self, memory: np.ndarray, memory_proj: np.ndarray,
-                   d: np.ndarray, tag: str,
-                   query_proj: np.ndarray | None = None,
+                   d: np.ndarray, query_proj: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Batched float32 :meth:`_attend`: ``(scores, contexts)``.
 
-        Raw scores survive in their own slab (the copy rule needs them);
-        the softmax runs in a separate weights slab, in place.
+        Raw scores survive (the copy rule needs them); the softmax runs
+        in place on a copy of them, the weights.
         """
-        arena = self.arena
         t = memory.shape[0]
         b = d.shape[0]
         attn = self.config.attention_dim
         if query_proj is None:
-            query_proj = arena.take(f"{tag}.qp", (b, attn))
-            self.att_query.forward_np(d, query_proj)
-        hidden = arena.take(f"{tag}.h", (b, t, attn))
-        np.add(memory_proj[None, :, :], query_proj[:, None, :], out=hidden)
-        tanh_(hidden)
+            query_proj = self.att_query.forward_np(d)
+        hidden = tanh_(np.add(memory_proj[None, :, :],
+                              query_proj[:, None, :]))
         v, _ = self.att_v.weights32()
-        scores = arena.take(f"{tag}.s", (b, t))
-        np.matmul(hidden.reshape(b * t, attn), v,
-                  out=scores.reshape(b * t, 1))
-        weights = arena.take(f"{tag}.w", (b, t))
-        np.copyto(weights, scores)
-        softmax_rows_(weights, arena.take(f"{tag}.r", (b, 1)))
-        contexts = arena.take(f"{tag}.c", (b, memory.shape[1]))
-        np.matmul(weights, memory, out=contexts)
-        return scores, contexts
+        scores = np.matmul(hidden.reshape(b * t, attn), v).reshape(b, t)
+        weights = softmax_rows_(scores.copy())
+        return scores, np.matmul(weights, memory)
 
     def _step_distribution_np(self, attention_scores: np.ndarray,
                               cand_rows: np.ndarray, copy_map: np.ndarray,
-                              projected: np.ndarray,
-                              tag: str) -> np.ndarray:
+                              projected: np.ndarray) -> np.ndarray:
         """Batched float32 :meth:`_step_distribution`: ``(B, C)``.
 
         Row ``b`` applies the same shared-shift copy rule (max over that
@@ -378,25 +358,16 @@ class AnnotatedSeq2Seq(Module):
         and the normalization run in place; ``copy_map`` is stored
         transposed ``(T, C)`` so the copy mass is one matmul.
         """
-        arena = self.arena
-        b = projected.shape[0]
-        c = cand_rows.shape[0]
-        gen = arena.take(f"{tag}.g", (b, c))
-        np.matmul(projected, cand_rows.T, out=gen)
-        shift = arena.take(f"{tag}.sh", (b, 1))
-        np.amax(gen, axis=1, keepdims=True, out=shift)
+        gen = np.matmul(projected, cand_rows.T)
+        shift = np.amax(gen, axis=1, keepdims=True)
         if self.config.use_copy:
-            att_max = arena.take(f"{tag}.am", (b, 1))
-            np.amax(attention_scores, axis=1, keepdims=True, out=att_max)
+            att_max = np.amax(attention_scores, axis=1, keepdims=True)
             np.maximum(shift, att_max, out=shift)
             gen -= shift
             np.exp(gen, out=gen)
-            att_exp = arena.take(f"{tag}.ae", attention_scores.shape)
-            np.subtract(attention_scores, shift, out=att_exp)
+            att_exp = np.subtract(attention_scores, shift)
             np.exp(att_exp, out=att_exp)
-            copy_mass = arena.take(f"{tag}.cm", (b, c))
-            np.matmul(att_exp, copy_map, out=copy_mass)
-            gen += copy_mass
+            gen += np.matmul(att_exp, copy_map)
         else:
             gen -= shift
             np.exp(gen, out=gen)
@@ -408,7 +379,7 @@ class AnnotatedSeq2Seq(Module):
         """Encode every request in ONE masked ``BiGRU.forward_batch_np``.
 
         The questions are padded to the longest into a ``(T_max, lanes,
-        dim)`` slab; the masked hold keeps each lane's states exactly
+        dim)`` array; the masked hold keeps each lane's states exactly
         those of its unpadded run.  The states are then laid out
         lane-major, so lane ``l``'s memory is the contiguous block
         ``[l, :T_l]``, and the attention memory projection and initial
@@ -418,7 +389,6 @@ class AnnotatedSeq2Seq(Module):
         sources = [req["source"] for req in requests]
         if not all(sources):
             raise ModelError("cannot encode an empty sequence")
-        arena = self.arena
         cfg = self.config
         dim = self.embedder.dim
         hidden = cfg.hidden
@@ -428,24 +398,20 @@ class AnnotatedSeq2Seq(Module):
         lengths = np.array([len(source) for source in sources],
                            dtype=np.intp)
         total = int(lengths.max())
-        emb = arena.take("enc.emb", (total, n_lanes, dim))
-        emb[...] = 0.0
+        emb = np.zeros((total, n_lanes, dim), dtype=np.float32)
         for li, source in enumerate(sources):
             for t, token in enumerate(source):
                 emb[t, li] = self.embedder.embed_np(token)
-        states = self.encoder.forward_batch_np(emb, lengths, arena, "enc")
-        memory = arena.take("enc.mem", (n_lanes, total, enc_dim))
-        np.copyto(memory, states.transpose(1, 0, 2))
-        memory_proj = arena.take("enc.mp", (n_lanes, total, attn))
-        self.att_memory.forward_np(memory.reshape(n_lanes * total, enc_dim),
-                                   memory_proj.reshape(n_lanes * total, attn))
-        init_in = arena.take("enc.ii", (n_lanes, enc_dim))
+        states = self.encoder.forward_batch_np(emb, lengths)
+        memory = np.ascontiguousarray(states.transpose(1, 0, 2))
+        memory_proj = self.att_memory.forward_np(
+            memory.reshape(n_lanes * total, enc_dim)
+        ).reshape(n_lanes, total, attn)
+        init_in = np.empty((n_lanes, enc_dim), dtype=np.float32)
         init_in[:, :hidden] = memory[np.arange(n_lanes), lengths - 1,
                                      :hidden]
         init_in[:, hidden:] = memory[:, 0, hidden:]
-        d0 = arena.take("enc.d0", (n_lanes, enc_dim))
-        self.init_proj.forward_np(init_in, d0)
-        tanh_(d0)
+        d0 = tanh_(self.init_proj.forward_np(init_in))
 
         candidates = [build_candidates(
             req["source"], req["header_tokens"],
@@ -453,8 +419,8 @@ class AnnotatedSeq2Seq(Module):
             extended=cfg.extended_grammar) for req in requests]
         n_cand = np.array([len(c) for c in candidates], dtype=np.intp)
         cand_offset = np.cumsum(n_cand) - n_cand
-        cand = arena.take("enc.cand", (int(n_cand.sum()), dim))
-        ctx0 = arena.take("enc.ctx0", (n_lanes, enc_dim))
+        cand = np.empty((int(n_cand.sum()), dim), dtype=np.float32)
+        ctx0 = np.empty((n_lanes, enc_dim), dtype=np.float32)
         mem_views, mp_views, cand_views, copy_maps = [], [], [], []
         for li, (req, cands) in enumerate(zip(requests, candidates)):
             n = int(lengths[li])
@@ -466,15 +432,14 @@ class AnnotatedSeq2Seq(Module):
                 vector = vectors.get(token) if vectors else None
                 rows[i] = (self.embedder.embed_np(token) if vector is None
                            else vector)
-            copy_map = arena.take(f"lane{li}.copy", (n, len(cands)))
-            copy_map[...] = 0.0
+            copy_map = np.zeros((n, len(cands)), dtype=np.float32)
             index = {token: i for i, token in enumerate(cands)}
             for j, token in enumerate(req["source"]):
                 i = index.get(token)
                 if i is not None:
                     copy_map[j, i] = 1.0
             _, context0 = self._attend_np(lane_memory, lane_proj,
-                                          d0[li:li + 1], f"lane{li}.a0")
+                                          d0[li:li + 1])
             ctx0[li] = context0[0]
             mem_views.append(lane_memory)
             mp_views.append(lane_proj)
@@ -511,15 +476,13 @@ class AnnotatedSeq2Seq(Module):
         :meth:`_retire_bound` of its live beams: no hypothesis still
         live can then beat it, and the final pick (earliest of equal
         scores) would be the same after all ``max_decode_len`` steps.
-        Float32 kernel intermediates live in reused slabs — a warm
-        decode constructs no Tensor and grows no slab.  The SQL is
+        Every kernel runs in float32 numpy — a warm decode constructs
+        no Tensor.  The SQL is
         byte-identical to the full-length float64 per-beam oracle
         (pinned by the differential tests).
         """
-        arena = self.arena
         dim = self.embedder.dim
         enc_dim = 2 * self.config.hidden
-        attn = self.config.attention_dim
         max_len = self.config.max_decode_len
         n_lanes = len(cohort.candidates)
         lanes = np.arange(n_lanes)
@@ -533,10 +496,8 @@ class AnnotatedSeq2Seq(Module):
         nll = np.zeros(n_lanes)
         history = np.zeros((n_lanes, max_len), dtype=np.intp)
         prev = None
-        d_rows = arena.take("dec.d", (n_lanes, enc_dim))
-        np.copyto(d_rows, cohort.d0)
-        ctx_rows = arena.take("dec.ctx", (n_lanes, enc_dim))
-        np.copyto(ctx_rows, cohort.ctx0)
+        d_rows = cohort.d0
+        ctx_rows = cohort.ctx0
         best = np.full(n_lanes, np.inf)
         best_tokens = np.zeros((n_lanes, max_len), dtype=np.intp)
         best_len = np.zeros(n_lanes, dtype=np.intp)
@@ -548,19 +509,17 @@ class AnnotatedSeq2Seq(Module):
             counts = np.bincount(row_lane, minlength=n_lanes)
             steps += counts > 0
             # Decoder-cell input [prev_emb, context, d] for every row.
-            xh = arena.take("dec.xh", (total, dim + 2 * enc_dim))
+            xh = np.empty((total, dim + 2 * enc_dim), dtype=np.float32)
             if prev is None:
                 xh[:, :dim] = 0.0
             else:
                 xh[:, :dim] = cohort.cand[prev]
             xh[:, dim:dim + enc_dim] = ctx_rows
             xh[:, dim + enc_dim:] = d_rows
-            d_next = arena.take("dec.dn", (total, enc_dim))
-            self.decoder_cell.step_np(xh, d_rows, d_next, arena, "dec.cell")
-            query_proj = arena.take("dec.qp", (total, attn))
-            self.att_query.forward_np(d_next, query_proj)
+            d_next = self.decoder_cell.step_np(xh, d_rows)
+            query_proj = self.att_query.forward_np(d_next)
 
-            proj_in = arena.take("dec.pi", (total, 2 * enc_dim))
+            proj_in = np.empty((total, 2 * enc_dim), dtype=np.float32)
             proj_in[:, :enc_dim] = d_next
             spans = []
             stop = 0
@@ -569,17 +528,15 @@ class AnnotatedSeq2Seq(Module):
                 stop = rows.stop
                 att_scores, contexts = self._attend_np(
                     cohort.memory[li], cohort.memory_proj[li], d_next[rows],
-                    f"dec.a{li}", query_proj=query_proj[rows])
+                    query_proj=query_proj[rows])
                 proj_in[rows, enc_dim:] = contexts
                 spans.append((li, rows, att_scores))
-            projected = arena.take("dec.pr", (total, dim))
-            self.out_proj.forward_np(proj_in, projected)
-            probs = arena.take("dec.probs", (total, c_max))
-            probs.fill(-np.inf)
+            projected = self.out_proj.forward_np(proj_in)
+            probs = np.full((total, c_max), -np.inf, dtype=np.float32)
             for li, rows, att_scores in spans:
                 probs[rows, :n_cand[li]] = self._step_distribution_np(
                     att_scores, cohort.cand_rows[li], cohort.copy_map[li],
-                    projected[rows], f"dec.p{li}")
+                    projected[rows])
 
             # Expand: every row's top candidates, with float64 NLLs.
             cand_idx = self._top_k(probs, top)                # (rows, top)
@@ -627,10 +584,8 @@ class AnnotatedSeq2Seq(Module):
             history = history[src]
             history[:, step - 1] = token
             prev = cohort.cand_offset[row_lane] + token
-            d_rows = arena.take("dec.d", (src.shape[0], enc_dim))
-            np.take(d_next, src, axis=0, out=d_rows)
-            ctx_rows = arena.take("dec.ctx", (src.shape[0], enc_dim))
-            np.take(proj_in[:, enc_dim:], src, axis=0, out=ctx_rows)
+            d_rows = d_next[src]
+            ctx_rows = proj_in[src, enc_dim:]
 
         outputs = []
         for li, cands in enumerate(cohort.candidates):
@@ -655,12 +610,14 @@ class AnnotatedSeq2Seq(Module):
         supplies precomputed frozen float32 embeddings for candidate
         tokens (the schema cache provides header + structural vectors).
         """
-        return self.translate_many([{
+        outputs, _decode = self.translate_many([{
             "source": source, "header_tokens": header_tokens,
             "extra_symbols": extra_symbols, "beam_width": beam_width,
-            "token_vectors": token_vectors}])[0]
+            "token_vectors": token_vectors}])
+        return outputs[0]
 
-    def translate_many(self, requests: list[dict]) -> list[list[str]]:
+    def translate_many(self, requests: list[dict],
+                       ) -> tuple[list[list[str]], dict]:
         """Decode several sources in ONE cross-request lockstep batch.
 
         Each request is a dict with ``source`` and ``header_tokens``
@@ -675,9 +632,14 @@ class AnnotatedSeq2Seq(Module):
         best finished hypothesis provably wins.  Lane ``i`` therefore
         returns the same SQL tokens as a stand-alone :meth:`translate`
         call (pinned by the differential tests).
+
+        Returns ``(outputs, decode)``: one token list per request, and
+        the facts of this decode (path, steps, beam width, candidate
+        count, and the encode and beam-search wall times), which the
+        translate pipeline stage copies into each lane's trace record.
         """
         if not requests:
-            return []
+            return [], {}
         with no_grad():
             start = perf_counter()
             cohort = self._encode_cohort(requests)
@@ -688,15 +650,15 @@ class AnnotatedSeq2Seq(Module):
         widths = cohort.width.tolist()
         n_cand = cohort.n_cand.tolist()
         if len(requests) == 1:
-            self.last_decode = {
+            decode = {
                 "path": "lockstep", "steps": steps[0],
                 "beam_width": widths[0], "candidates": n_cand[0],
                 **timings,
             }
         else:
-            self.last_decode = {
+            decode = {
                 "path": "lockstep_many", "lanes": len(requests),
                 "steps": steps, "beam_width": widths,
                 "candidates": n_cand, **timings,
             }
-        return outputs
+        return outputs, decode

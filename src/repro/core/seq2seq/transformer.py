@@ -272,11 +272,12 @@ class TransformerTranslator(Module):
         finished.sort(key=lambda b: b[0])
         return finished[0][1]
 
-    def translate_many(self, requests: list[dict]) -> list[list[str]]:
+    def translate_many(self, requests: list[dict],
+                       ) -> tuple[list[list[str]], dict]:
         """The translator protocol's cohort call: :meth:`translate` per
         request (``token_vectors`` are ignored; this model embeds its
-        own candidates)."""
+        own candidates) and no decode facts."""
         return [self.translate(req["source"], req["header_tokens"],
                                req.get("extra_symbols", ()),
                                beam_width=req.get("beam_width"))
-                for req in requests]
+                for req in requests], {}

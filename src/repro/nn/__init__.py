@@ -8,7 +8,6 @@ convolutions, additive attention, embeddings, MLPs), losses, and
 optimizers with gradient clipping.
 """
 
-from repro.nn.arena import InferenceArena, sigmoid_, softmax_rows_, tanh_
 from repro.nn.attention import AdditiveAttention
 from repro.nn.conv import CharConvEncoder, Conv1d
 from repro.nn.functional import (
@@ -17,7 +16,10 @@ from repro.nn.functional import (
     dropout,
     log_softmax,
     masked_softmax,
+    sigmoid_,
     softmax,
+    softmax_rows_,
+    tanh_,
 )
 from repro.nn.layers import MLP, Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module, Parameter, bump_generation, current_generation
@@ -44,7 +46,7 @@ __all__ = [
     "Tensor", "concat", "stack", "no_grad", "is_grad_enabled",
     "allocation_events",
     "Module", "Parameter", "bump_generation", "current_generation",
-    "InferenceArena", "sigmoid_", "tanh_", "softmax_rows_",
+    "sigmoid_", "tanh_", "softmax_rows_",
     "Linear", "Embedding", "MLP", "Dropout", "LayerNorm",
     "LSTMCell", "GRUCell", "LSTM", "BiLSTM", "BiGRU", "pack_steps",
     "Conv1d", "CharConvEncoder",

@@ -14,8 +14,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn import init
-from repro.nn.arena import InferenceArena, softmax_rows_, tanh_
-from repro.nn.functional import softmax
+from repro.nn.functional import softmax, softmax_rows_, tanh_
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter, current_generation
 from repro.nn.tensor import Tensor
@@ -74,46 +73,27 @@ class AdditiveAttention(Module):
         return (weights.reshape(b, 1, t) @ memory).reshape(b, memory.shape[2])
 
     # ------------------------------------------------------------------
-    # Arena kernel twins (float32, allocation-free)
+    # Float32 kernel twins
     # ------------------------------------------------------------------
 
-    def project_memory_np(self, memory: np.ndarray, arena: InferenceArena,
-                          tag: str) -> np.ndarray:
-        """``W_1 memory`` once per request: ``(T, md) → (T, attn)`` slab."""
-        mp = arena.take(tag, (memory.shape[0], self.v.shape[0]))
-        return self.memory_proj.forward_np(memory, mp)
-
-    def scores_batch_np(self, memory_proj: np.ndarray, queries: np.ndarray,
-                        arena: InferenceArena, tag: str) -> np.ndarray:
-        """Float32 attention scores of B queries over one projected memory.
-
-        ``memory_proj`` is the ``(T, attn)`` output of
-        :meth:`project_memory_np`; ``queries`` is ``(B, query_dim)``.
-        Returns an arena-owned ``(B, T)`` score buffer.
-        """
-        t, attn = memory_proj.shape
-        b = queries.shape[0]
-        qp = arena.take(f"{tag}.qp", (b, attn))
-        self.query_proj.forward_np(queries, qp)
-        hidden = arena.take(f"{tag}.hidden", (b, t, attn))
-        np.add(memory_proj[None, :, :], qp[:, None, :], out=hidden)
-        tanh_(hidden)
-        scores = arena.take(f"{tag}.scores", (b, t))
-        np.matmul(hidden.reshape(b * t, attn), self.v32(),
-                  out=scores.reshape(b * t))
-        return scores
+    def project_memory_np(self, memory: np.ndarray) -> np.ndarray:
+        """``W_1 memory`` once per request: ``(T, md) → (T, attn)``."""
+        return self.memory_proj.forward_np(memory)
 
     def forward_batch_np(self, memory: np.ndarray, memory_proj: np.ndarray,
-                         queries: np.ndarray, arena: InferenceArena,
-                         tag: str) -> tuple[np.ndarray, np.ndarray]:
+                         queries: np.ndarray,
+                         ) -> tuple[np.ndarray, np.ndarray]:
         """B queries over one memory: ``(contexts, weights)``, the float32
         twin of :meth:`forward_padded` over that memory tiled B times.
 
-        The returned score buffer is softmaxed in place, so it doubles
-        as the weights; contexts land in their own slab.
+        ``memory_proj`` is the ``(T, attn)`` output of
+        :meth:`project_memory_np`; ``queries`` is ``(B, query_dim)``.
+        The scores are softmaxed in place, so they double as the weights.
         """
-        scores = self.scores_batch_np(memory_proj, queries, arena, tag)
-        softmax_rows_(scores, arena.take(f"{tag}.row", (scores.shape[0], 1)))
-        contexts = arena.take(f"{tag}.ctx", (queries.shape[0], memory.shape[1]))
-        np.matmul(scores, memory, out=contexts)
-        return contexts, scores
+        t, attn = memory_proj.shape
+        b = queries.shape[0]
+        qp = self.query_proj.forward_np(queries)
+        hidden = tanh_(np.add(memory_proj[None, :, :], qp[:, None, :]))
+        scores = np.matmul(hidden.reshape(b * t, attn),
+                           self.v32()).reshape(b, t)
+        return np.matmul(softmax_rows_(scores), memory), scores

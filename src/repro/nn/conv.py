@@ -15,7 +15,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
-from repro.nn.arena import InferenceArena
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, concat, stack
@@ -89,13 +88,11 @@ class CharConvEncoder(Module):
         """Encode several words; returns ``(num_words, out_dim)``."""
         return stack([self(ids) for ids in words_char_ids], axis=0)
 
-    def forward_np(self, char_ids: list[int], out: np.ndarray,
-                   arena: InferenceArena, tag: str) -> np.ndarray:
-        """Arena twin of :meth:`forward`; writes into ``out`` (out_dim,).
+    def forward_np(self, char_ids: list[int]) -> np.ndarray:
+        """Float32 twin of :meth:`forward`; returns ``(out_dim,)``.
 
-        Sliding windows are materialized with a single strided copy into
-        a reused slab (BLAS needs contiguous rows), so the whole encoder
-        performs zero heap allocations when warm.
+        Sliding windows are materialized with one strided copy per width
+        (BLAS needs contiguous rows).
         """
         if not char_ids:
             raise ShapeError("CharConvEncoder received an empty character sequence")
@@ -104,19 +101,15 @@ class CharConvEncoder(Module):
         char_dim = table.shape[1]
         length = len(ids)
         padded = max(length, max(self.widths))
-        chars = arena.take(f"{tag}.chars", (padded, char_dim))
-        if padded > length:
-            chars[length:] = 0.0
+        chars = np.zeros((padded, char_dim), dtype=np.float32)
         np.take(table, ids, axis=0, out=chars[:length])
         per = self.convs[0].out_channels
+        out = np.empty(self.out_dim, dtype=np.float32)
         for wi, conv in enumerate(self.convs):
             k = conv.width
             n = max(length - k + 1, 1)
             windows = as_strided(chars, shape=(n, k * char_dim),
                                  strides=(char_dim * 4, 4))
-            win = arena.take(f"{tag}.win{wi}", (n, k * char_dim))
-            np.copyto(win, windows)
-            proj = arena.take(f"{tag}.proj{wi}", (n, per))
-            conv.projection.forward_np(win, proj)
+            proj = conv.projection.forward_np(windows.copy())
             np.mean(proj, axis=0, out=out[wi * per:(wi + 1) * per])
         return out

@@ -4,6 +4,8 @@ These are numerically-stabilized compositions of tensor primitives:
 softmax / log-softmax, the loss functions used by the paper's models
 (cross entropy for the seq2seq decoder, binary cross entropy for the
 mention classifiers), and masking helpers for variable-length batches.
+The trailing-underscore helpers are the in-place float32 nonlinearities
+of the inference kernels.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ __all__ = [
     "binary_cross_entropy_with_logits",
     "masked_softmax",
     "dropout",
+    "sigmoid_",
+    "tanh_",
+    "softmax_rows_",
 ]
 
 
@@ -85,3 +90,31 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
     return x * Tensor(mask)
+
+
+def sigmoid_(x: np.ndarray) -> np.ndarray:
+    """In-place logistic sigmoid: ``x ← 1 / (1 + exp(-x))``."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    return x
+
+
+def tanh_(x: np.ndarray) -> np.ndarray:
+    """In-place hyperbolic tangent."""
+    np.tanh(x, out=x)
+    return x
+
+
+def softmax_rows_(x: np.ndarray) -> np.ndarray:
+    """In-place row-wise softmax over the last axis of 2-D ``x``.
+
+    One ``(rows, 1)`` scratch holds the row max and then the row sum.
+    """
+    scratch = np.amax(x, axis=1, keepdims=True)
+    x -= scratch
+    np.exp(x, out=x)
+    np.sum(x, axis=1, keepdims=True, out=scratch)
+    x /= scratch
+    return x

@@ -11,8 +11,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.nn import init
-from repro.nn.arena import InferenceArena, tanh_
-from repro.nn.functional import dropout as dropout_fn
+from repro.nn.functional import dropout as dropout_fn, sigmoid_, tanh_
 from repro.nn.module import Module, Parameter, bump_generation, current_generation
 from repro.nn.tensor import Tensor
 
@@ -50,8 +49,8 @@ class Linear(Module):
             self._w32_gen = gen
         return self._w32, self._b32
 
-    def forward_np(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Float32 kernel twin: ``out ← x W32 + b32`` with no allocation.
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        """Float32 kernel twin of :meth:`forward`: ``x W32 + b32``.
 
         A one-output layer is a per-row dot product, not a matmul: BLAS
         hands an ``N = 1`` gemm to gemv, which rounds a row differently
@@ -60,9 +59,9 @@ class Linear(Module):
         """
         w, b = self.weights32()
         if w.shape[1] == 1:
-            np.einsum("...j,j->...", x, w[:, 0], out=out[..., 0])
+            out = np.einsum("...j,j->...", x, w[:, 0])[..., None]
         else:
-            np.matmul(x, w, out=out)
+            out = np.matmul(x, w)
         if b is not None:
             out += b
         return out
@@ -173,27 +172,20 @@ class MLP(Module):
             raise ShapeError(f"unknown activation {self.output_activation!r}")
         return x
 
-    def forward_np(self, x: np.ndarray, arena: InferenceArena,
-                   tag: str) -> np.ndarray:
-        """Allocation-free float32 twin of :meth:`forward`.
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        """Float32 twin of :meth:`forward` on a ``(batch, in)`` array.
 
-        ``x`` is a ``(batch, in)`` float32 array; the result is an
-        arena-owned ``(batch, out)`` buffer.  Only ``tanh`` hidden and
-        ``sigmoid``/``tanh`` output activations are supported — the two
-        configurations the frozen classifier heads use.
+        Only ``tanh`` hidden and ``sigmoid``/``tanh`` output activations
+        are supported — the two configurations the frozen classifier
+        heads use.
         """
-        from repro.nn.arena import sigmoid_
-
-        batch = x.shape[0]
         for i, layer in enumerate(self.layers):
-            out = arena.take(f"{tag}.l{i}", (batch, layer.out_features))
-            layer.forward_np(x, out)
+            x = layer.forward_np(x)
             if i < len(self.layers) - 1:
                 if self.hidden_activation == "tanh":
-                    tanh_(out)
+                    tanh_(x)
                 else:
-                    np.maximum(out, 0.0, out=out)
-            x = out
+                    np.maximum(x, 0.0, out=x)
         if self.output_activation == "sigmoid":
             sigmoid_(x)
         elif self.output_activation == "tanh":

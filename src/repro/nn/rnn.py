@@ -18,7 +18,7 @@ from the end with the same ``t < len_b`` mask and stores each state at
 its original index, so lane ``b``'s outputs match running that sequence
 alone (exactly — masked lanes never contaminate live ones).  A single
 sequence is the one-lane case with no ``lengths``.  The ``*_np``
-methods are the float32 arena twins used at inference.
+methods are the float32 kernel twins used at inference.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.arena import InferenceArena, sigmoid_, tanh_
+from repro.nn.functional import sigmoid_, tanh_
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor, concat
@@ -71,9 +71,8 @@ def _step_masks(lengths: np.ndarray | None, total: int,
 
 
 def _masks_np(lengths: np.ndarray | None, total: int, batch: int,
-              arena: InferenceArena, tag: str,
               dtype=np.float32) -> np.ndarray | None:
-    """``(T, B, 1)`` hold masks in an arena slab, or ``None``."""
+    """``(T, B, 1)`` hold masks, or ``None`` when nothing to mask."""
     if lengths is None:
         return None
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -82,9 +81,8 @@ def _masks_np(lengths: np.ndarray | None, total: int, batch: int,
             f"lengths shape {lengths.shape} does not match batch {batch}")
     if lengths.min() == total:
         return None
-    masks = arena.take(tag, (total, batch, 1), dtype)
-    masks[...] = lengths[None, :, None] > np.arange(total)[:, None, None]
-    return masks
+    return (lengths[None, :, None]
+            > np.arange(total)[:, None, None]).astype(dtype)
 
 
 def _blend_(h: np.ndarray, h_new: np.ndarray, m: np.ndarray) -> None:
@@ -120,19 +118,15 @@ class LSTMCell(Module):
         h_next = o * c_next.tanh()
         return h_next, c_next
 
-    def step_np(self, xh: np.ndarray, c: np.ndarray, h_out: np.ndarray,
-                c_out: np.ndarray, arena: InferenceArena, tag: str) -> None:
-        """Allocation-free float32 twin of :meth:`forward`.
+    def step_np(self, xh: np.ndarray,
+                c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Float32 twin of :meth:`forward`: ``(h_next, c_next)``.
 
-        ``xh`` is the preassembled ``(B, input+hidden)`` buffer; the
-        fused gate matmul lands in an arena slab and every nonlinearity
-        runs in place.  ``c_out`` may alias ``c``; ``h_out`` must be a
-        distinct buffer from ``xh``.
+        ``xh`` is the preassembled ``(B, input+hidden)`` array; every
+        nonlinearity runs in place on the fused gate matmul's output.
         """
         hs = self.hidden_size
-        batch = xh.shape[0]
-        z = arena.take(f"{tag}.z", (batch, 4 * hs))
-        self.gates.forward_np(xh, z)
+        z = self.gates.forward_np(xh)
         i = z[:, 0 * hs:1 * hs]
         f = z[:, 1 * hs:2 * hs]
         g = z[:, 2 * hs:3 * hs]
@@ -141,11 +135,12 @@ class LSTMCell(Module):
         sigmoid_(f)
         tanh_(g)
         sigmoid_(o)
-        np.multiply(f, c, out=c_out)
+        c_next = np.multiply(f, c)
         i *= g
-        c_out += i
-        np.tanh(c_out, out=h_out)
-        h_out *= o
+        c_next += i
+        h_next = np.tanh(c_next)
+        h_next *= o
+        return h_next, c_next
 
 
 class GRUCell(Module):
@@ -172,32 +167,26 @@ class GRUCell(Module):
         h_tilde = self.candidate(concat([x, r * h], axis=-1)).tanh()
         return (1.0 - z) * h + z * h_tilde
 
-    def step_np(self, xh: np.ndarray, h: np.ndarray, h_out: np.ndarray,
-                arena: InferenceArena, tag: str) -> None:
-        """Allocation-free float32 twin of :meth:`forward`.
+    def step_np(self, xh: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Float32 twin of :meth:`forward`: the next hidden state.
 
-        ``xh`` is the preassembled ``(B, input+hidden)`` buffer with the
+        ``xh`` is the preassembled ``(B, input+hidden)`` array with the
         input in columns ``[:input]`` and ``h`` copied into columns
         ``[input:]``.  The hidden columns are overwritten with ``r·h``
-        for the candidate matmul, so ``xh`` is destroyed.  ``h_out`` may
-        alias ``h``.
+        for the candidate matmul, so ``xh`` is destroyed.
         """
         hs = self.hidden_size
-        batch = xh.shape[0]
-        zr = arena.take(f"{tag}.zr", (batch, 2 * hs))
-        self.zr.forward_np(xh, zr)
+        zr = self.zr.forward_np(xh)
         z = zr[:, :hs]
         r = zr[:, hs:]
         sigmoid_(z)
         sigmoid_(r)
         np.multiply(r, h, out=xh[:, self.input_size:])
-        ht = arena.take(f"{tag}.ht", (batch, hs))
-        self.candidate.forward_np(xh, ht)
-        tanh_(ht)
-        # h_out ← h + z·(ht − h), all in place
+        ht = tanh_(self.candidate.forward_np(xh))
+        # h + z·(ht − h), in place in ht
         np.subtract(ht, h, out=ht)
         ht *= z
-        np.add(h, ht, out=h_out)
+        return np.add(h, ht, out=ht)
 
 
 def _check_steps(steps: list[Tensor]) -> None:
@@ -251,42 +240,33 @@ class LSTM(Module):
 
     def forward_batch_np(self, inputs: np.ndarray,
                          lengths: np.ndarray | None,
-                         arena: InferenceArena, tag: str,
                          reverse: bool = False) -> np.ndarray:
-        """Arena twin of :meth:`forward` on a ``(T, B, feat)`` array.
+        """Float32 twin of :meth:`forward` on a ``(T, B, feat)`` array;
+        returns ``(T, B, hidden)``.
 
-        The per-layer pre-transform runs as ONE ``(T·B, feat)`` matmul;
-        cell steps write into reused slabs.  Returns the arena-owned
-        ``(T, B, hidden)`` output slab (valid until the same tags are
-        taken again).
+        The per-layer pre-transform runs as ONE ``(T·B, feat)`` matmul.
         """
         total, batch, _ = inputs.shape
-        masks = _masks_np(lengths, total, batch, arena, f"{tag}.mask")
+        masks = _masks_np(lengths, total, batch)
         order = range(total - 1, -1, -1) if reverse else range(total)
         cur = inputs
-        for li, (pre, cell) in enumerate(zip(self.pre, self.cells)):
+        for pre, cell in zip(self.pre, self.cells):
             hs = cell.hidden_size
-            x = arena.take(f"{tag}.pre{li}", (total, batch, hs))
-            pre.forward_np(cur.reshape(total * batch, -1),
-                           x.reshape(total * batch, hs))
-            out = arena.take(f"{tag}.out{li}", (total, batch, hs))
-            h = arena.take(f"{tag}.h{li}", (batch, hs))
-            c = arena.take(f"{tag}.c{li}", (batch, hs))
-            hn = arena.take(f"{tag}.hn{li}", (batch, hs))
-            cn = arena.take(f"{tag}.cn{li}", (batch, hs))
-            xh = arena.take(f"{tag}.xh{li}", (batch, 2 * hs))
-            h[...] = 0.0
-            c[...] = 0.0
+            x = pre.forward_np(cur.reshape(total * batch, -1)
+                               ).reshape(total, batch, hs)
+            out = np.empty((total, batch, hs), dtype=np.float32)
+            h = np.zeros((batch, hs), dtype=np.float32)
+            c = np.zeros((batch, hs), dtype=np.float32)
+            xh = np.empty((batch, 2 * hs), dtype=np.float32)
             for t in order:
                 xh[:, :hs] = x[t]
                 xh[:, hs:] = h
-                cell.step_np(xh, c, hn, cn, arena, f"{tag}.cell{li}")
+                hn, cn = cell.step_np(xh, c)
                 if masks is not None:
                     _blend_(h, hn, masks[t])
                     _blend_(c, cn, masks[t])
                 else:
-                    h, hn = hn, h
-                    c, cn = cn, c
+                    h, c = hn, cn
                 out[t] = h
             cur = out
         return cur
@@ -311,19 +291,12 @@ class BiLSTM(Module):
         return [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
 
     def forward_batch_np(self, inputs: np.ndarray,
-                         lengths: np.ndarray | None,
-                         arena: InferenceArena, tag: str) -> np.ndarray:
-        """Arena twin of :meth:`forward`; returns ``(T, B, 2H)``."""
-        total, batch, _ = inputs.shape
-        hs = self.hidden_size
-        fwd = self.forward_rnn.forward_batch_np(
-            inputs, lengths, arena, f"{tag}.f")
-        bwd = self.backward_rnn.forward_batch_np(
-            inputs, lengths, arena, f"{tag}.b", reverse=True)
-        out = arena.take(f"{tag}.cat", (total, batch, 2 * hs))
-        out[..., :hs] = fwd
-        out[..., hs:] = bwd
-        return out
+                         lengths: np.ndarray | None) -> np.ndarray:
+        """Float32 twin of :meth:`forward`; returns ``(T, B, 2H)``."""
+        fwd = self.forward_rnn.forward_batch_np(inputs, lengths)
+        bwd = self.backward_rnn.forward_batch_np(inputs, lengths,
+                                                 reverse=True)
+        return np.concatenate([fwd, bwd], axis=-1)
 
 
 class BiGRU(Module):
@@ -373,12 +346,11 @@ class BiGRU(Module):
         return outputs
 
     def forward_batch_np(self, inputs: np.ndarray,
-                         lengths: np.ndarray | None,
-                         arena: InferenceArena, tag: str) -> np.ndarray:
-        """Arena twin of :meth:`forward`; returns ``(T, B, 2H)``.
+                         lengths: np.ndarray | None) -> np.ndarray:
+        """Float32 twin of :meth:`forward`; returns ``(T, B, 2H)``.
 
         Matches the Tensor layout: layer ``l+1`` consumes the previous
-        layer's concatenated ``[forward; backward]`` slab through its
+        layer's concatenated ``[forward; backward]`` states through its
         affine pre-transform, run as one ``(T·B, feat)`` matmul.  The
         translator encodes a whole cohort of ragged questions here, so
         the hold is a masked copy rather than the arithmetic blend: a
@@ -386,32 +358,28 @@ class BiGRU(Module):
         construction, not by a rounding identity of the cell's update.
         """
         total, batch, _ = inputs.shape
-        masks = _masks_np(lengths, total, batch, arena, f"{tag}.mask",
-                          np.bool_)
+        masks = _masks_np(lengths, total, batch, np.bool_)
         cur = inputs
-        for li, (pre, fwd_cell, bwd_cell) in enumerate(
-                zip(self.pre, self.fwd_cells, self.bwd_cells)):
+        for pre, fwd_cell, bwd_cell in zip(self.pre, self.fwd_cells,
+                                           self.bwd_cells):
             hs = fwd_cell.hidden_size
-            x = arena.take(f"{tag}.pre{li}", (total, batch, hs))
-            pre.forward_np(cur.reshape(total * batch, -1),
-                           x.reshape(total * batch, hs))
-            out = arena.take(f"{tag}.cat{li}", (total, batch, 2 * hs))
-            h = arena.take(f"{tag}.h{li}", (batch, hs))
-            hn = arena.take(f"{tag}.hn{li}", (batch, hs))
-            xh = arena.take(f"{tag}.xh{li}", (batch, 2 * hs))
+            x = pre.forward_np(cur.reshape(total * batch, -1)
+                               ).reshape(total, batch, hs)
+            out = np.empty((total, batch, 2 * hs), dtype=np.float32)
+            xh = np.empty((batch, 2 * hs), dtype=np.float32)
             for direction, cell, order in (
                     (0, fwd_cell, range(total)),
                     (1, bwd_cell, range(total - 1, -1, -1))):
-                h[...] = 0.0
+                h = np.zeros((batch, hs), dtype=np.float32)
                 lo, hi = direction * hs, (direction + 1) * hs
                 for t in order:
                     xh[:, :hs] = x[t]
                     xh[:, hs:] = h
-                    cell.step_np(xh, h, hn, arena, f"{tag}.cell{li}.{direction}")
+                    hn = cell.step_np(xh, h)
                     if masks is not None:
                         np.copyto(h, hn, where=masks[t])
                     else:
-                        h, hn = hn, h
+                        h = hn
                     out[t, :, lo:hi] = h
             cur = out
         return cur

@@ -46,9 +46,10 @@ _GRAD_MODE = _GradMode()
 # Count of Tensor constructions since process start.  This is the
 # substrate's "allocation event" metric: every Tensor wraps (and usually
 # copies into) a fresh float64 ndarray, so the delta across a request is
-# a direct measure of per-request allocation traffic.  The arena kernels
-# bypass Tensor entirely, which is what the ``nn.tensor_allocs_per_req``
-# metric of the serving benchmark (``benchmarks/perf``) counts.
+# a direct measure of per-request allocation traffic.  The float32
+# inference kernels bypass Tensor entirely, which is what the
+# ``nn.tensor_allocs_per_req`` metric of the serving benchmark
+# (``benchmarks/perf``) counts.
 _ALLOC_EVENTS = 0
 
 

@@ -68,12 +68,14 @@ needing the bare :class:`~repro.core.nlidb.Translation` read
 ``result.translation``.)
 
 Thread safety: the substrate's grad-mode flag is thread-local, so
-``no_grad`` on a worker thread cannot corrupt training elsewhere; what
-still needs serializing is the model's *mutable inference state* (the
-reused arena buffers and per-generation weight snapshots).  Model
-inference is therefore serialized — within a service by the
-scheduler's single worker thread, and across services by the model's
-own ``inference_lock``, which every batch holds while it runs.
+``no_grad`` on a worker thread cannot corrupt training elsewhere, and
+the inference kernels keep no per-call state on the model.  What still
+needs serializing is the refresh of the per-generation float32 weight
+snapshots, and :meth:`TranslationService.swap`, which must not replace
+a model mid-batch.  Model inference is therefore serialized — within a
+service by the scheduler's single worker thread, and across services by
+the model's own ``inference_lock``, which every batch holds while it
+runs.
 Cache hits resolve at submission time without touching the queue and
 therefore proceed concurrently.  Every returned :class:`Translation`
 may be shared between callers — treat it as immutable.  Note that
@@ -340,11 +342,6 @@ class TranslationService:
         schema_stats = getattr(annotator, "schema_cache_stats", None)
         if schema_stats is not None:
             snapshot["schema_cache"] = schema_stats()
-        # Inference arena occupancy — skipped for test stubs without
-        # the hook.
-        inference_info = getattr(self.nlidb, "inference_info", None)
-        if callable(inference_info):
-            snapshot["inference"] = inference_info()
         return snapshot
 
     def clear_cache(self) -> None:
@@ -623,8 +620,8 @@ class TranslationService:
         lane completed or failed.  Returns each lane's translation or
         the error that failed it.
         """
-        # Caller holds the model's inference lock (the arena buffers and
-        # weight snapshots are shared, so inference must not interleave).
+        # Caller holds the model's inference lock (the weight snapshots
+        # are shared, so inference must not interleave).
         prefix = "" if mode == "full" else "degraded."
         ctxs = [self.nlidb.context(list(p.request.question), p.request.table,
                                    mode=mode, beam_width=p.request.beam_width,

@@ -1,12 +1,12 @@
-"""Arena semantics, allocation-free kernel twins, and grad-mode scoping.
+"""Float32 inference kernels, weight snapshots, and grad-mode scoping.
 
-Every hot inference op grew a float32 "kernel twin" that writes into
-:class:`InferenceArena` slabs instead of building Tensors.  These tests
-pin three contracts: the arena's reuse semantics (same key -> same
-memory, warm path never grows), numerical parity between each twin and
-its float64 Tensor original (float32 round-off tolerance), and the
-thread-locality of the ``no_grad`` switch that lets twins run
-concurrently with training threads.
+Every hot inference op has a float32 "kernel twin" that computes on
+plain numpy arrays instead of building Tensors.  These tests pin three
+contracts: numerical parity between each twin and its float64 Tensor
+original (float32 round-off tolerance), the per-generation caching of
+the float32 weight snapshots, and the thread-locality of the
+``no_grad`` switch that lets twins run concurrently with training
+threads.
 """
 
 import threading
@@ -18,7 +18,6 @@ from repro.nn import (
     BiGRU,
     BiLSTM,
     GRUCell,
-    InferenceArena,
     LSTM,
     LSTMCell,
     Linear,
@@ -36,54 +35,6 @@ from repro.nn.attention import AdditiveAttention
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)
-
-
-class TestInferenceArena:
-    def test_same_key_returns_same_memory(self):
-        arena = InferenceArena()
-        a = arena.take("x", (3, 4))
-        b = arena.take("x", (3, 4))
-        assert a.base is b.base
-        assert arena.grows == 1
-        assert arena.takes == 2
-
-    def test_smaller_request_reuses_slab(self):
-        arena = InferenceArena()
-        arena.take("x", (8, 8))
-        small = arena.take("x", (2, 2))
-        assert small.shape == (2, 2)
-        assert arena.grows == 1
-
-    def test_larger_request_grows_once(self):
-        arena = InferenceArena()
-        arena.take("x", (2, 2))
-        arena.take("x", (8, 8))
-        arena.take("x", (4, 4))
-        assert arena.grows == 2
-
-    def test_reset_keeps_slabs(self):
-        arena = InferenceArena()
-        first = arena.take("x", (5,))
-        arena.reset()
-        assert arena.grows == 0 and arena.takes == 0
-        again = arena.take("x", (5,))
-        assert again.base is first.base
-        assert arena.grows == 0  # reuse, not a fresh allocation
-
-    def test_dtype_change_reallocates(self):
-        arena = InferenceArena()
-        arena.take("x", (4,), dtype=np.float32)
-        arena.take("x", (4,), dtype=np.float64)
-        assert arena.grows == 2
-
-    def test_stats(self):
-        arena = InferenceArena()
-        arena.take("a", (4,))
-        arena.take("b", (2, 2), dtype=np.float64)
-        stats = arena.stats()
-        assert stats["buffers"] == 2
-        assert stats["bytes"] == 4 * 4 + 4 * 8
-        assert stats["grows"] == 2 and stats["takes"] == 2
 
 
 class TestInPlaceHelpers:
@@ -105,8 +56,7 @@ class TestInPlaceHelpers:
         x64 = x.astype(np.float64)
         expected = np.exp(x64 - x64.max(axis=1, keepdims=True))
         expected /= expected.sum(axis=1, keepdims=True)
-        scratch = np.empty((4, 1), dtype=np.float32)
-        assert softmax_rows_(x, scratch) is x
+        assert softmax_rows_(x) is x
         np.testing.assert_allclose(x, expected, atol=1e-6)
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-6)
 
@@ -114,29 +64,24 @@ class TestInPlaceHelpers:
 class TestRNNKernelTwins:
     def test_lstm_cell_step_matches_forward(self, rng):
         cell = LSTMCell(6, 4, rng)
-        arena = InferenceArena()
         x = rng.standard_normal((3, 6))
         h = rng.standard_normal((3, 4))
         c = rng.standard_normal((3, 4))
         ref_h, ref_c = cell(Tensor(x), Tensor(h), Tensor(c))
 
         xh = np.concatenate([x, h], axis=1).astype(np.float32)
-        h_out = np.empty((3, 4), dtype=np.float32)
-        c_out = np.empty((3, 4), dtype=np.float32)
-        cell.step_np(xh, c.astype(np.float32), h_out, c_out, arena, "t")
+        h_out, c_out = cell.step_np(xh, c.astype(np.float32))
         np.testing.assert_allclose(h_out, ref_h.numpy(), atol=1e-6)
         np.testing.assert_allclose(c_out, ref_c.numpy(), atol=1e-6)
 
     def test_gru_cell_step_matches_forward(self, rng):
         cell = GRUCell(5, 4, rng)
-        arena = InferenceArena()
         x = rng.standard_normal((2, 5))
         h = rng.standard_normal((2, 4))
         ref = cell(Tensor(x), Tensor(h))
 
         xh = np.concatenate([x, h], axis=1).astype(np.float32)
-        h_out = np.empty((2, 4), dtype=np.float32)
-        cell.step_np(xh, h.astype(np.float32), h_out, arena, "t")
+        h_out = cell.step_np(xh, h.astype(np.float32))
         np.testing.assert_allclose(h_out, ref.numpy(), atol=1e-6)
 
     def test_lstm_forward_batch_np_matches(self, rng):
@@ -147,30 +92,20 @@ class TestRNNKernelTwins:
         steps = [Tensor(inputs[i]) for i in range(t)]
         ref = lstm(steps, lengths)
 
-        arena = InferenceArena()
-        out = lstm.forward_batch_np(inputs.astype(np.float32), lengths,
-                                    arena, "t")
+        out = lstm.forward_batch_np(inputs.astype(np.float32), lengths)
         for i in range(t):
             np.testing.assert_allclose(out[i], ref[i].numpy(), atol=1e-5)
 
-    def test_bilstm_forward_batch_np_matches_and_reuses(self, rng):
+    def test_bilstm_forward_batch_np_matches(self, rng):
         net = BiLSTM(3, 4, rng)
         t, b = 4, 2
         inputs = rng.standard_normal((t, b, 3))
         lengths = np.array([4, 2])
         ref = net([Tensor(inputs[i]) for i in range(t)], lengths)
 
-        arena = InferenceArena()
-        out = net.forward_batch_np(inputs.astype(np.float32), lengths,
-                                   arena, "t")
+        out = net.forward_batch_np(inputs.astype(np.float32), lengths)
         for i in range(t):
             np.testing.assert_allclose(out[i], ref[i].numpy(), atol=1e-5)
-
-        # Second pass over the same shapes must not grow the arena.
-        arena.reset()
-        net.forward_batch_np(inputs.astype(np.float32), lengths, arena, "t")
-        assert arena.grows == 0
-
 
     def test_bigru_padded_lane_bit_equal_to_unpadded(self, rng):
         # The translator encodes a cohort of ragged questions in one
@@ -189,7 +124,7 @@ class TestRNNKernelTwins:
             inputs[:len(x), 0] = x
             inputs[:len(partner), 1] = partner
             lengths = np.array([len(x), len(partner)])
-            out = net.forward_batch_np(inputs, lengths, InferenceArena(), "e")
+            out = net.forward_batch_np(inputs, lengths)
             return out[:len(x), 0].copy()
 
         assert np.array_equal(encode(x), encode(longer))
@@ -200,8 +135,7 @@ class TestLinearTwins:
         layer = Linear(6, 3, rng)
         x = rng.standard_normal((4, 6))
         ref = layer(Tensor(x)).numpy()
-        out = np.empty((4, 3), dtype=np.float32)
-        layer.forward_np(x.astype(np.float32), out)
+        out = layer.forward_np(x.astype(np.float32))
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_one_output_rows_independent_of_batch(self, rng):
@@ -210,12 +144,10 @@ class TestLinearTwins:
         # call over its own request's rows.
         layer = Linear(32, 1, rng)
         x = rng.standard_normal((40, 32)).astype(np.float32)
-        full = np.empty((40, 1), dtype=np.float32)
-        layer.forward_np(x, full)
+        full = layer.forward_np(x)
         np.testing.assert_allclose(full, layer(Tensor(x)).numpy(), atol=1e-5)
         for lo in range(35):
-            part = np.empty((5, 1), dtype=np.float32)
-            layer.forward_np(x[lo:lo + 5].copy(), part)
+            part = layer.forward_np(x[lo:lo + 5].copy())
             assert np.array_equal(part, full[lo:lo + 5])
 
 
@@ -230,11 +162,10 @@ class TestAttentionTwin:
         ref_ctx = att.forward_padded(tiled, att.memory_proj(tiled),
                                      Tensor(queries), Tensor(np.zeros((3, 7))))
 
-        arena = InferenceArena()
         m32 = memory.astype(np.float32)
-        mp = att.project_memory_np(m32, arena, "mp")
-        ctx, weights = att.forward_batch_np(
-            m32, mp, queries.astype(np.float32), arena, "a")
+        mp = att.project_memory_np(m32)
+        ctx, weights = att.forward_batch_np(m32, mp,
+                                            queries.astype(np.float32))
         np.testing.assert_allclose(ctx, ref_ctx.numpy(), atol=1e-5)
         np.testing.assert_allclose(weights.sum(axis=1), np.ones(3), atol=1e-6)
         np.testing.assert_allclose(weights @ m32, ctx, atol=1e-6)

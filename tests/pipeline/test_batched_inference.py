@@ -106,9 +106,12 @@ class TestLockstepBeamSearch:
             assert fast == slow
 
     def test_last_decode_reports_the_fast_path(self, nlidb, corpus):
-        example = corpus[0]
-        nlidb.translate(example.question_tokens, example.table)
-        decode = nlidb.translator.last_decode
+        annotation = nlidb.annotate(corpus[0].question_tokens,
+                                    corpus[0].table)
+        [_], decode = nlidb.translator.translate_many([{
+            "source": annotation.annotated_tokens(),
+            "header_tokens": nlidb.header_tokens(corpus[0].table),
+            "extra_symbols": nlidb._symbols(annotation)}])
         assert decode["path"] == "lockstep"
         assert decode["steps"] >= 1
         assert decode["candidates"] > 0
@@ -192,13 +195,11 @@ class TestNoGraphUnderNoGrad:
 
 
 class TestAllocationBudget:
-    """The arena decoder's allocation contract, as a regression test.
+    """The float32 kernels' allocation contract, as a regression test.
 
     The no-graph spy above proves the fast paths build no *autodiff*
-    state; these pin the stronger property the arena kernels bought:
-    a warm decode performs zero ``Tensor`` constructions at all and
-    never grows an arena slab — every intermediate lands in a slab
-    preallocated by the warmup request.
+    state; these pin the stronger property: a warm decode or column
+    scoring performs zero ``Tensor`` constructions at all.
     """
 
     @staticmethod
@@ -212,26 +213,15 @@ class TestAllocationBudget:
 
     def test_warm_decode_constructs_zero_tensors(self, nlidb, corpus):
         source, headers, symbols = self._request(nlidb, corpus[0])
-        nlidb.translator.translate(source, headers, symbols)  # warm slabs
+        nlidb.translator.translate(source, headers, symbols)  # warm caches
         before = allocation_events()
         nlidb.translator.translate(source, headers, symbols)
         assert allocation_events() - before == 0
 
-    def test_warm_decode_never_grows_arena(self, nlidb, corpus):
-        arena = nlidb.translator.arena
-        requests = [self._request(nlidb, e) for e in corpus[:4]]
-        for request in requests:
-            nlidb.translator.translate(*request)  # size slabs
-        arena.reset()
-        for request in requests:
-            nlidb.translator.translate(*request)
-        assert arena.grows == 0
-        assert arena.takes > 0  # the decoder really ran through slabs
-
     def test_tensor_mode_still_allocates(self, nlidb, corpus):
         # Differential control: the float64 Tensor forward of the same
-        # model builds Tensors — proving the zero above is the arena's
-        # doing, not a measurement artifact.
+        # model builds Tensors — proving the zero above is the float32
+        # kernels' doing, not a measurement artifact.
         source, headers, symbols = self._request(nlidb, corpus[0])
         predicted = nlidb.translator.translate(source, headers, symbols)
         pair = TrainingPair(source, predicted, headers, symbols)
@@ -246,8 +236,6 @@ class TestAllocationBudget:
         columns = [tokenize(c) for c in example.table.column_names]
         encoded = classifier.encode_columns(columns)
         classifier.score_columns(example.question_tokens, encoded=encoded)
-        classifier.arena.reset()
         before = allocation_events()
         classifier.score_columns(example.question_tokens, encoded=encoded)
         assert allocation_events() - before == 0
-        assert classifier.arena.grows == 0

@@ -64,9 +64,9 @@ class TestLockstepManyDecoder:
             self, nlidb, cohort_examples):
         requests = [self._decode_request(nlidb, example)
                     for example in cohort_examples]
-        batched = nlidb.translator.translate_many(requests)
-        assert nlidb.translator.last_decode["path"] == "lockstep_many"
-        assert nlidb.translator.last_decode["lanes"] == len(requests)
+        batched, decode = nlidb.translator.translate_many(requests)
+        assert decode["path"] == "lockstep_many"
+        assert decode["lanes"] == len(requests)
         for request, predicted in zip(requests, batched):
             solo = nlidb.translator.translate(
                 request["source"], request["header_tokens"],
@@ -76,12 +76,41 @@ class TestLockstepManyDecoder:
     def test_single_request_falls_back_to_translate(self, nlidb,
                                                     cohort_examples):
         request = self._decode_request(nlidb, cohort_examples[0])
-        [predicted] = nlidb.translator.translate_many([request])
-        assert nlidb.translator.last_decode["path"] == "lockstep"
+        [predicted], decode = nlidb.translator.translate_many([request])
+        assert decode["path"] == "lockstep"
         solo = nlidb.translator.translate(
             request["source"], request["header_tokens"],
             request["extra_symbols"])
         assert predicted == solo
+
+
+class TestNoPerCallModelState:
+    def test_inference_leaves_model_attributes_untouched(self, nlidb, corpus):
+        # Two services may share one model, so a call must keep its
+        # results and facts to itself: after one warm-up call, neither
+        # the translator's nor the classifier's attributes are added,
+        # removed or rebound by a 16-lane decode or a multi-request
+        # column scoring.
+        translator = nlidb.translator
+        classifier = nlidb.annotator.column_classifier
+        decode_requests = [TestLockstepManyDecoder()._decode_request(
+            nlidb, example) for example in corpus[:16]]
+        items = []
+        for example in corpus[:16]:
+            schema, _status = nlidb.annotator.schema_encoding(example.table)
+            items.append((example.question_tokens, schema.encoded_subset(
+                [c.name for c in example.table.columns])))
+        translator.translate_many(decode_requests[:1])
+        classifier.score_columns_multi(items[:1])
+        before = {model: dict(vars(model))
+                  for model in (translator, classifier)}
+        translator.translate_many(decode_requests)
+        classifier.score_columns_multi(items)
+        for model, attrs in before.items():
+            after = vars(model)
+            assert after.keys() == attrs.keys()
+            rebound = [key for key in attrs if after[key] is not attrs[key]]
+            assert not rebound, (type(model).__name__, rebound)
 
 
 def run_cohort(nlidb, requests):

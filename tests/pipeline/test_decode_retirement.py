@@ -41,7 +41,7 @@ class TestRetirementIsExact:
     @pytest.mark.parametrize("width", [1, 2, 5])
     def test_matches_full_length_oracle(self, nlidb, requests, width):
         cohort = [dict(request, beam_width=width) for request in requests]
-        decoded = nlidb.translator.translate_many(cohort)
+        decoded, _ = nlidb.translator.translate_many(cohort)
         expected = [oracle(nlidb, request) for request in cohort]
         mismatches = [(request["source"], got, want) for request, got, want
                       in zip(cohort, decoded, expected) if got != want]
@@ -52,7 +52,7 @@ class TestRetirementIsExact:
         # Six steps: some lanes finish, the rest end on the budget.
         monkeypatch.setattr(nlidb.translator.config, "max_decode_len", 6)
         cohort = requests[:24]
-        decoded = nlidb.translator.translate_many(cohort)
+        decoded, _ = nlidb.translator.translate_many(cohort)
         assert decoded == [oracle(nlidb, request) for request in cohort]
 
     def test_unfinished_lanes_fall_back_to_their_best_live_beam(
@@ -62,7 +62,7 @@ class TestRetirementIsExact:
         # and return their best length-normalised live beam (2 tokens).
         monkeypatch.setattr(nlidb.translator.config, "max_decode_len", 2)
         cohort = [dict(request, beam_width=1) for request in requests[:24]]
-        decoded = nlidb.translator.translate_many(cohort)
+        decoded, _ = nlidb.translator.translate_many(cohort)
         assert decoded == [oracle(nlidb, request) for request in cohort]
         assert any(len(got) == 2 for got in decoded)
 
@@ -70,8 +70,8 @@ class TestRetirementIsExact:
         widths = [1, 2, 3, 5, 4, 5, 1, 2]
         cohort = [dict(request, beam_width=width)
                   for request, width in zip(requests[:16], widths * 2)]
-        decoded = nlidb.translator.translate_many(cohort)
-        assert nlidb.translator.last_decode["beam_width"] == widths * 2
+        decoded, decode = nlidb.translator.translate_many(cohort)
+        assert decode["beam_width"] == widths * 2
         for request, got in zip(cohort, decoded):
             solo = nlidb.translator.translate(
                 request["source"], request["header_tokens"],
@@ -81,7 +81,7 @@ class TestRetirementIsExact:
 
 class TestRetirementCutsSteps:
     def test_median_lane_stops_before_the_budget(self, nlidb, requests):
-        nlidb.translator.translate_many(requests)
-        steps = nlidb.translator.last_decode["steps"]
+        _, decode = nlidb.translator.translate_many(requests)
+        steps = decode["steps"]
         assert len(steps) == len(requests)
         assert np.median(steps) < nlidb.translator.config.max_decode_len

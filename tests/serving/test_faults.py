@@ -53,7 +53,7 @@ class StubTranslator:
     def translate_many(self, requests):
         return [self.translate(r["source"], r["header_tokens"],
                                r["extra_symbols"], r["beam_width"])
-                for r in requests]
+                for r in requests], {}
 
 
 def make_table(i=0):

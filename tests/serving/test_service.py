@@ -52,7 +52,7 @@ class StubTranslator:
     def translate_many(self, requests):
         return [self.translate(r["source"], r["header_tokens"],
                                r["extra_symbols"], r["beam_width"])
-                for r in requests]
+                for r in requests], {}
 
 
 class GatedTranslator(StubTranslator):
