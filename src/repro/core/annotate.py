@@ -13,6 +13,9 @@ mentions of columns and values are wrapped with placeholder symbols
 
 The module also builds the annotated SQL ``sᵃ`` used as the seq2seq
 training target, and performs the deterministic recovery ``sᵃ → s``.
+Both speak one grammar, the token-level mirror of
+:func:`repro.sqlengine.parse_sql`: a WikiSQL-sketch conjunction is just
+the WHERE tree without ``or``/``not``/parentheses.
 """
 
 from __future__ import annotations
@@ -35,11 +38,8 @@ __all__ = [
 
 _AGG_TOKENS = {"max", "min", "count", "sum", "avg"}
 _OP_TOKENS = {"=", ">", "<"}
-# Tokens that only the extended grammar emits; their presence routes
-# recovery through the extended parser, their absence keeps the legacy
-# scan byte-identical.
+# Clause heads after WHERE; each ends the span before it.
 _CLAUSE_TOKENS = {"group", "having", "order", "limit"}
-_EXTENDED_MARKERS = {"or", "not", "(", ")"} | _CLAUSE_TOKENS
 # Rendering precedence for the WHERE tree (must mirror ast._render_where
 # so recover(build(q)) round-trips): OR < AND < NOT < leaf.
 _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3
@@ -191,19 +191,10 @@ def build_annotated_sql(annotation: AnnotatedQuestion, query: Query,
         tokens.append(query.aggregate.value.lower())
     tokens.extend(_column_tokens(annotation, query.select_column,
                                  header_encoding))
-    if query.where is not None:
+    where = query.where_expr()
+    if where is not None:
         tokens.append("where")
-        tokens.extend(_where_expr_tokens(annotation, query.where,
-                                         header_encoding))
-    elif query.conditions:
-        tokens.append("where")
-        for i, cond in enumerate(query.conditions):
-            if i:
-                tokens.append("and")
-            tokens.extend(_column_tokens(annotation, cond.column,
-                                         header_encoding))
-            tokens.append(cond.operator.value)
-            tokens.extend(_value_tokens(annotation, cond))
+        tokens.extend(_where_expr_tokens(annotation, where, header_encoding))
     if query.group_by is not None:
         tokens.extend(["group", "by"])
         tokens.extend(_column_tokens(annotation, query.group_by,
@@ -231,9 +222,7 @@ def _where_expr_tokens(annotation: AnnotatedQuestion, expr,
     """Annotated tokens of a WHERE tree, parenthesized like ``to_sql``."""
     if isinstance(expr, Condition):
         out = _column_tokens(annotation, expr.column, header_encoding)
-        out = out + [expr.operator.value]
-        out += _value_tokens(annotation, expr, any_match=True)
-        return out
+        return out + [expr.operator.value] + _value_tokens(annotation, expr)
     if isinstance(expr, Not):
         out = ["not"] + _where_expr_tokens(annotation, expr.operand,
                                            header_encoding, _PREC_NOT)
@@ -262,25 +251,18 @@ def _column_tokens(annotation: AnnotatedQuestion, column: str,
     return tokenize(column)
 
 
-def _value_tokens(annotation: AnnotatedQuestion, cond: Condition,
-                  any_match: bool = False) -> list[str]:
+def _value_tokens(annotation: AnnotatedQuestion,
+                  cond: Condition) -> list[str]:
+    """``v_i`` when the column's (first) value annotation has this surface.
+
+    Value indices pair with the column index, so a second value of the
+    same column (range, disjunction) would share the symbol and stays
+    literal for recovery to be unambiguous.
+    """
     value_surface = tokenize(str(cond.value))
     ann = annotation.value_annotation(cond.column)
     if ann is not None and tokenize(ann.surface) == value_surface:
         return [f"v{ann.index}"]
-    if any_match:
-        # Extended trees can reference two values of one column (range,
-        # disjunction); match any annotation, not just the first — but
-        # only when the symbol resolves back to this surface (value
-        # indices pair with the column index, so a second value of the
-        # same column shares its symbol and must stay literal for
-        # recovery to be unambiguous).
-        for other in annotation.values:
-            if (other.column.lower() == cond.column.lower()
-                    and tokenize(other.surface) == value_surface
-                    and tokenize(annotation.value_for_symbol(
-                        f"v{other.index}")) == value_surface):
-                return [f"v{other.index}"]
     return value_surface
 
 
@@ -292,49 +274,15 @@ def _value_tokens(annotation: AnnotatedQuestion, cond: Condition,
 def recover_sql(tokens: list[str], annotation: AnnotatedQuestion) -> Query:
     """Convert a predicted ``sᵃ`` token sequence back to a real query.
 
-    Sequences without extended-grammar markers take the legacy WikiSQL
-    scan unchanged; markers (``or``/``not``/parens/clause keywords)
-    route through the extended parser.  Raises
-    :class:`AnnotationError` if the sequence follows neither grammar.
+    One recursive-descent pass over the grammar ``parse_sql`` reads:
+    ``select [agg] col [where or_expr] [group by col] [having agg col op
+    val] [order by col [asc|desc]] [limit n]``, with ``or``/``and``/
+    ``not``/parentheses in the WHERE tree.  Raises
+    :class:`AnnotationError` if the sequence does not follow it.
     """
     if not tokens or tokens[0] != "select":
         raise AnnotationError(f"annotated SQL must start with 'select': {tokens}")
-    if any(t in _EXTENDED_MARKERS for t in tokens):
-        return _recover_extended(tokens, annotation)
     pos = 1
-    aggregate = Aggregate.NONE
-    if pos < len(tokens) and tokens[pos] in _AGG_TOKENS:
-        aggregate = Aggregate.from_token(tokens[pos])
-        pos += 1
-
-    select_tokens, pos = _take_until(tokens, pos, {"where"})
-    select_column = _resolve_column(select_tokens, annotation)
-
-    conditions: list[Condition] = []
-    if pos < len(tokens):
-        pos += 1  # consume 'where'
-        if pos >= len(tokens):
-            raise AnnotationError("WHERE clause has no conditions")
-        while pos < len(tokens):
-            col_tokens, pos = _take_until(tokens, pos, _OP_TOKENS)
-            if pos >= len(tokens):
-                raise AnnotationError("condition missing operator")
-            operator = Operator.from_token(tokens[pos])
-            pos += 1
-            val_tokens, pos = _take_until(tokens, pos, {"and"})
-            if pos < len(tokens):
-                pos += 1  # consume 'and'
-            conditions.append(Condition(
-                _resolve_column(col_tokens, annotation), operator,
-                _resolve_value(val_tokens, annotation)))
-    return Query(select_column=select_column, aggregate=aggregate,
-                 conditions=conditions)
-
-
-def _recover_extended(tokens: list[str],
-                      annotation: AnnotatedQuestion) -> Query:
-    """Extended-grammar recovery, mirroring ``parser.parse_sql``."""
-    pos = 1  # 'select' already checked
     aggregate = Aggregate.NONE
     if pos < len(tokens) and tokens[pos] in _AGG_TOKENS:
         aggregate = Aggregate.from_token(tokens[pos])

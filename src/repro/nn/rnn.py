@@ -18,7 +18,8 @@ from the end with the same ``t < len_b`` mask and stores each state at
 its original index, so lane ``b``'s outputs match running that sequence
 alone (exactly — masked lanes never contaminate live ones).  A single
 sequence is the one-lane case with no ``lengths``.  The ``*_np``
-methods are the float32 kernel twins used at inference.
+methods are the float32 kernel twins used at inference; ``BiLSTM`` has
+none, since the column encoder runs its Tensor ``forward``.
 """
 
 from __future__ import annotations
@@ -239,8 +240,7 @@ class LSTM(Module):
         return outputs
 
     def forward_batch_np(self, inputs: np.ndarray,
-                         lengths: np.ndarray | None,
-                         reverse: bool = False) -> np.ndarray:
+                         lengths: np.ndarray | None) -> np.ndarray:
         """Float32 twin of :meth:`forward` on a ``(T, B, feat)`` array;
         returns ``(T, B, hidden)``.
 
@@ -248,7 +248,6 @@ class LSTM(Module):
         """
         total, batch, _ = inputs.shape
         masks = _masks_np(lengths, total, batch)
-        order = range(total - 1, -1, -1) if reverse else range(total)
         cur = inputs
         for pre, cell in zip(self.pre, self.cells):
             hs = cell.hidden_size
@@ -258,7 +257,7 @@ class LSTM(Module):
             h = np.zeros((batch, hs), dtype=np.float32)
             c = np.zeros((batch, hs), dtype=np.float32)
             xh = np.empty((batch, 2 * hs), dtype=np.float32)
-            for t in order:
+            for t in range(total):
                 xh[:, :hs] = x[t]
                 xh[:, hs:] = h
                 hn, cn = cell.step_np(xh, c)
@@ -289,14 +288,6 @@ class BiLSTM(Module):
         fwd = self.forward_rnn(steps, lengths)
         bwd = self.backward_rnn(steps, lengths, reverse=True)
         return [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
-
-    def forward_batch_np(self, inputs: np.ndarray,
-                         lengths: np.ndarray | None) -> np.ndarray:
-        """Float32 twin of :meth:`forward`; returns ``(T, B, 2H)``."""
-        fwd = self.forward_rnn.forward_batch_np(inputs, lengths)
-        bwd = self.backward_rnn.forward_batch_np(inputs, lengths,
-                                                 reverse=True)
-        return np.concatenate([fwd, bwd], axis=-1)
 
 
 class BiGRU(Module):

@@ -1,13 +1,13 @@
 """Query AST for the WikiSQL sketch and its extended grammar.
 
 A :class:`Query` is ``SELECT [agg] select_column`` followed by optional
-clauses.  The legacy WikiSQL sketch stores its flat conjunction in
-``conditions``; the extended grammar adds a boolean WHERE *tree*
-(:class:`And` / :class:`Or` / :class:`Not` over :class:`Condition`
-leaves), ``GROUP BY`` + :class:`Having`, :class:`OrderBy`, and
-``LIMIT``.  Construction normalizes a tree that is a bare conjunction of
-conditions back into the legacy ``conditions`` list, so queries compare
-equal regardless of which surface built them.
+clauses: a boolean WHERE *tree* (:class:`And` / :class:`Or` /
+:class:`Not` over :class:`Condition` leaves), ``GROUP BY`` +
+:class:`Having`, :class:`OrderBy`, and ``LIMIT``.  Construction stores a
+tree that is a bare conjunction of conditions (the WikiSQL sketch) in
+the ``conditions`` list and anything richer in ``where``, so queries
+compare equal regardless of which surface built them; every view reads
+the clause through :meth:`Query.where_expr`.
 
 The AST provides the three comparison views the paper's metrics need:
 
@@ -269,7 +269,7 @@ class Query:
         return And(tuple(self.conditions))
 
     def where_leaves(self) -> list[Condition]:
-        """All leaf conditions, left to right (legacy: ``conditions``)."""
+        """All leaf conditions, left to right (sketch: ``conditions``)."""
         expr = self.where_expr()
         return [] if expr is None else _where_leaves(expr)
 
@@ -291,11 +291,9 @@ class Query:
         else:
             select = f"SELECT {self.aggregate.value}({self.select_column})"
         parts = [select]
-        if self.where is not None:
-            parts.append(f"WHERE {_render_where(self.where)}")
-        elif self.conditions:
-            where = " AND ".join(c.to_sql() for c in self.conditions)
-            parts.append(f"WHERE {where}")
+        where = self.where_expr()
+        if where is not None:
+            parts.append(f"WHERE {_render_where(where)}")
         if self.group_by is not None:
             parts.append(f"GROUP BY {self.group_by}")
         if self.having is not None:
@@ -315,16 +313,10 @@ class Query:
         if self.aggregate is not Aggregate.NONE:
             out.append(self.aggregate.value.lower())
         out.append(self.select_column.strip().lower())
-        if self.where is not None:
+        where = self.where_expr()
+        if where is not None:
             out.append("where")
-            out.extend(_where_tokens(self.where))
-        elif self.conditions:
-            out.append("where")
-            for i, cond in enumerate(self.conditions):
-                if i:
-                    out.append("and")
-                col, op, val = cond.canonical()
-                out.extend([col, op, val])
+            out.extend(_where_tokens(where))
         if self.group_by is not None:
             out.extend(["group", "by", self.group_by.strip().lower()])
         if self.having is not None:
@@ -341,9 +333,9 @@ class Query:
         """Order-insensitive canonical form used for query-match accuracy.
 
         Condition order is normalized only within commutative groups
-        (the legacy flat conjunction, and each AND/OR node of the
-        extended tree); the legacy tuple shape is unchanged, extended
-        clauses append tagged entries.
+        (the sketch's ``conditions`` conjunction, and each AND/OR node of
+        a richer tree); a sketch query keeps the three-item tuple,
+        extended clauses append tagged entries.
         """
         base = (
             self.aggregate.value,

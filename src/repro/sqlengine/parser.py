@@ -14,10 +14,13 @@ Grammar (case-insensitive keywords)::
     value    := '"' text '"' | number | bareword+
 
 Column names may contain spaces (e.g. ``Film Name``); inside a condition
-the column is everything before the operator.  A flat conjunction (no
-OR/NOT/parentheses) takes the legacy path and produces the legacy
-``Query.conditions`` list byte-for-byte, so old-sketch parses are
-unchanged.
+the column is everything before the operator and the value everything
+after it up to the next AND/OR/parenthesis, each kept as its raw text
+span (inner spacing preserved).  A bare AND/OR never sits inside a
+column, so a dangling or doubled connective is an error.  Every WHERE
+clause, flat conjunction or tree, is parsed by this one grammar;
+:class:`Query` stores a bare conjunction of conditions in its
+``conditions`` list.
 
 All splitting is done over a quote-aware token stream: quoted strings
 are single tokens, so ``genre = "rock and roll"`` never splits at the
@@ -43,7 +46,6 @@ _HAVING_PAREN_RE = re.compile(
 _HAVING_BARE_RE = re.compile(
     r"^\s*(max|min|count|sum|avg)\s+(.+?)\s*(=|>|<)\s*(.+?)\s*$",
     re.IGNORECASE)
-_COND_RE = re.compile(r"^\s*(.+?)\s*(=|>|<)\s*(.+?)\s*$")
 
 # Quoted strings are single tokens (tried first, so an opening quote
 # always pairs with its closer); parens and comparison operators are
@@ -59,7 +61,6 @@ _TOKEN_RE = re.compile(
 # Clause keywords in their only legal order.
 _CLAUSE_ORDER = {"from": 0, "where": 1, "group": 2, "having": 3,
                  "order": 4, "limit": 5}
-_TREE_TOKENS = {"or", "not", "(", ")"}
 _OPERATOR_TOKENS = {"=", ">", "<"}
 
 
@@ -145,8 +146,10 @@ def _split_clauses(body: str) -> tuple[str, dict[str, str]]:
 class _WhereTreeParser:
     """Recursive-descent parser for the boolean WHERE grammar."""
 
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.matches = list(_TOKEN_RE.finditer(text))
+        self.tokens = [m.group(0) for m in self.matches]
         self.pos = 0
 
     def _peek(self) -> str | None:
@@ -189,35 +192,47 @@ class _WhereTreeParser:
             return expr
         return self._condition()
 
+    def _edge(self, index: int) -> int:
+        """Text offset where token ``index`` starts (text end past the
+        last token)."""
+        if index < len(self.matches):
+            return self.matches[index].start()
+        return len(self.text)
+
     def _condition(self) -> Condition:
-        column_words: list[str] = []
+        # Column and value are the raw text between their delimiting
+        # tokens, so inner spacing and any character the tokenizer skips
+        # (the unpaired quote of a rendered value that contains ``"``)
+        # survive.
+        start = self.matches[self.pos - 1].end() if self.pos else 0
         while True:
             token = self._peek()
-            if token is None or token in ")(":
+            if (token is None or token in ")("
+                    or token.lower() in ("and", "or")):
+                near = self.text[start:self._edge(self.pos)].strip()
                 raise SQLParseError(
-                    f"condition is missing an operator near "
-                    f"{' '.join(column_words)!r}")
+                    f"condition is missing an operator near {near!r}"
+                    if near else "condition is missing a column")
             if token in _OPERATOR_TOKENS:
                 break
-            column_words.append(token)
             self.pos += 1
-        if not column_words:
+        column = self.text[start:self._edge(self.pos)].strip()
+        if not column:
             raise SQLParseError("condition is missing a column")
         operator = Operator.from_token(self.tokens[self.pos])
         self.pos += 1
-        value_words: list[str] = []
+        start = self.matches[self.pos - 1].end()
         while True:
             token = self._peek()
             if (token is None or token in "()"
                     or token.lower() in ("and", "or")):
                 break
-            value_words.append(token)
             self.pos += 1
-        if not value_words:
+        value = self.text[start:self._edge(self.pos)].strip()
+        if not value:
             raise SQLParseError(
-                f"condition on {' '.join(column_words)!r} is missing a value")
-        return Condition(" ".join(column_words), operator,
-                         _parse_value(" ".join(value_words)))
+                f"condition on {column!r} is missing a value")
+        return Condition(column, operator, _parse_value(value))
 
 
 def parse_sql(text: str) -> Query:
@@ -241,25 +256,11 @@ def parse_sql(text: str) -> Query:
     clauses.pop("from", None)
     aggregate, column = _parse_select(select_text)
 
-    conditions: list[Condition] = []
     where_expr = None
     if "where" in clauses:
-        where_body = clauses["where"]
-        if not where_body:
+        if not clauses["where"]:
             raise SQLParseError(f"WHERE clause is empty: {text!r}")
-        tokens = [m.group(0) for m in _TOKEN_RE.finditer(where_body)]
-        if any(t.lower() in _TREE_TOKENS for t in tokens):
-            where_expr = _WhereTreeParser(tokens).parse()
-        else:
-            # Legacy flat conjunction: split on raw text spans so the
-            # original spacing inside columns/values is preserved.
-            for chunk in _split_conditions(where_body):
-                cond_match = _COND_RE.match(chunk)
-                if not cond_match:
-                    raise SQLParseError(f"cannot parse condition {chunk!r}")
-                col, op, val = cond_match.groups()
-                conditions.append(Condition(
-                    col.strip(), Operator.from_token(op), _parse_value(val)))
+        where_expr = _WhereTreeParser(clauses["where"]).parse()
 
     group_by = None
     if "group" in clauses:
@@ -284,8 +285,7 @@ def parse_sql(text: str) -> Query:
         limit = int(limit_text)
 
     return Query(select_column=column, aggregate=aggregate,
-                 conditions=conditions, where=where_expr,
-                 group_by=group_by, having=having,
+                 where=where_expr, group_by=group_by, having=having,
                  order_by=order_by, limit=limit)
 
 
@@ -309,23 +309,3 @@ def _parse_order(text: str) -> OrderBy:
     if not text:
         raise SQLParseError("ORDER BY clause has no column")
     return OrderBy(text, direction)
-
-
-def _split_conditions(where_body: str) -> list[str]:
-    """Split on AND, but never inside a quoted value.
-
-    Splitting walks the quote-aware token stream, so an AND inside a
-    quoted value (``"rock and roll"``) or after a bareword apostrophe
-    (``o'connor``) never breaks a condition apart.
-    """
-    chunks: list[str] = []
-    start = 0
-    for match in _TOKEN_RE.finditer(where_body):
-        if match.group(0).lower() == "and":
-            chunks.append(where_body[start:match.start()])
-            start = match.end()
-    chunks.append(where_body[start:])
-    chunks = [c.strip() for c in chunks if c.strip()]
-    if not chunks:
-        raise SQLParseError("WHERE clause has no conditions")
-    return chunks

@@ -1,14 +1,21 @@
 """Extended-grammar annotation round-trips and vocabulary stability.
 
-Two contracts:
+Three contracts:
 
 * annotated-SQL targets built from extended gold queries recover back
   to the same query (per-family round-trip through
   :func:`build_annotated_sql` / :func:`recover_sql`);
+* on sequences without ``or``/``not``/parentheses/clause tokens,
+  :func:`recover_sql` agrees with the flat-conjunction scan it replaced
+  (``tests.oracles.recover_sql_flat``) except on the two shapes the
+  tree grammar refuses on purpose: a trailing ``and`` and an ``and``
+  inside a column span;
 * the legacy candidate vocabulary is byte-identical with the extended
   grammar disabled, and the extended tokens slot in directly after the
   base structural block when enabled.
 """
+
+import random
 
 import pytest
 
@@ -23,8 +30,10 @@ from repro.core.seq2seq.vocab import (
     EXTENDED_STRUCTURAL_TOKENS,
     structural_tokens,
 )
-from repro.data import generate_role_typed
-from repro.sqlengine import execute, results_equal
+from repro.data import generate_role_typed, generate_wikisql_style
+from repro.errors import AnnotationError
+from repro.sqlengine import Column, Table, execute, results_equal
+from tests import oracles
 
 
 def gold_annotation(example) -> AnnotatedQuestion:
@@ -93,6 +102,110 @@ class TestExtendedRecovery:
                 input_tokens, header_tokens, extra, extended=True))
             missing = [t for t in target if t not in candidates]
             assert not missing, (missing, example.question_tokens)
+
+
+_TREE_ONLY = {"or", "not", "(", ")", "group", "having", "order", "limit"}
+
+
+@pytest.fixture(scope="module")
+def flat_targets(examples):
+    """(annotation, target) for every marker-free gold target of the
+    WikiSQL-style and role-typed corpora."""
+    ds = generate_wikisql_style(seed=31, train_size=120, dev_size=30,
+                                test_size=0)
+    out = []
+    for example in ds.train + ds.dev + examples:
+        annotation = gold_annotation(example)
+        target = build_annotated_sql(annotation, example.query)
+        if not _TREE_ONLY.intersection(target):
+            out.append((annotation, target))
+    return out
+
+
+def _outcome(recover, tokens, annotation):
+    try:
+        return recover(tokens, annotation)
+    except AnnotationError:
+        return None
+
+
+def _mutations(target, annotation, rng, count):
+    """Seeded edits: insert, drop or duplicate an ``and``, ``=``,
+    ``where`` or symbol token."""
+    symbols = ([f"c{a.index}" for a in annotation.columns]
+               + [f"v{a.index}" for a in annotation.values] + ["g1"])
+    for _ in range(count):
+        tokens = list(target)
+        kind = rng.choice(["and", "=", "where", "symbol"])
+        token = rng.choice(symbols) if kind == "symbol" else kind
+        at = [i for i, t in enumerate(tokens)
+              if (t in symbols if kind == "symbol" else t == kind)]
+        edit = rng.choice(["insert", "drop", "duplicate"]) if at \
+            else "insert"
+        if edit == "insert":
+            tokens.insert(rng.randrange(1, len(tokens) + 1), token)
+        else:
+            i = rng.choice(at)
+            tokens[i:i + 1] = [] if edit == "drop" else [tokens[i]] * 2
+        yield tokens
+
+
+def _refused_on_purpose(tokens, flat_query) -> bool:
+    """The two shapes the flat scan accepts and the tree grammar refuses."""
+    return tokens[-1] == "and" or any(
+        "and" in leaf.column.split() for leaf in flat_query.conditions)
+
+
+class TestFlatRecoveryDifferential:
+    def test_gold_targets_recover_identically(self, flat_targets):
+        assert len(flat_targets) > 100
+        for annotation, target in flat_targets:
+            expected = oracles.recover_sql_flat(target, annotation)
+            assert recover_sql(target, annotation) == expected, target
+
+    def test_mutated_targets_agree_or_are_refused_on_purpose(
+            self, flat_targets):
+        rng = random.Random(0)
+        seen = {"equal": 0, "both_raise": 0, "refused": 0}
+        for annotation, target in flat_targets:
+            for tokens in _mutations(target, annotation, rng, 8):
+                flat = _outcome(oracles.recover_sql_flat, tokens, annotation)
+                tree = _outcome(recover_sql, tokens, annotation)
+                if flat is None:
+                    assert tree is None, tokens
+                    seen["both_raise"] += 1
+                elif tree is None:
+                    assert _refused_on_purpose(tokens, flat), tokens
+                    seen["refused"] += 1
+                else:
+                    assert tree == flat, tokens
+                    seen["equal"] += 1
+        assert min(seen.values()) > 50, seen
+
+    ANNOTATION = AnnotatedQuestion(
+        question_tokens=["who", "lives", "in", "cork", "?"],
+        table=Table("t", [Column("name"), Column("city")],
+                    [("anna", "cork")]),
+        columns=[ColumnAnnotation("city", 1, None)],
+        values=[ValueAnnotation("city", 1, (3, 4), "cork")])
+
+    def test_trailing_and_is_refused(self):
+        annotation = self.ANNOTATION
+        tokens = ["select", "c1", "where", "c1", "=", "v1", "and"]
+        assert oracles.recover_sql_flat(tokens[:-1], annotation) == \
+            oracles.recover_sql_flat(tokens, annotation)
+        with pytest.raises(AnnotationError):
+            recover_sql(tokens, annotation)
+
+    def test_and_inside_column_span_is_refused(self):
+        annotation = self.ANNOTATION
+        for tokens in (["select", "c1", "where", "and", "c1", "=", "v1"],
+                       ["select", "c1", "where", "c1", "=", "v1", "and",
+                        "and", "g1", "=", "v1"]):
+            flat = oracles.recover_sql_flat(tokens, annotation)
+            assert "and" in flat.conditions[-1].column.split()
+            with pytest.raises(AnnotationError):
+                recover_sql(tokens, annotation)
 
 
 class TestCandidateVocabularyStability:

@@ -16,7 +16,6 @@ import pytest
 
 from repro.nn import (
     BiGRU,
-    BiLSTM,
     GRUCell,
     LSTM,
     LSTMCell,
@@ -93,17 +92,6 @@ class TestRNNKernelTwins:
         ref = lstm(steps, lengths)
 
         out = lstm.forward_batch_np(inputs.astype(np.float32), lengths)
-        for i in range(t):
-            np.testing.assert_allclose(out[i], ref[i].numpy(), atol=1e-5)
-
-    def test_bilstm_forward_batch_np_matches(self, rng):
-        net = BiLSTM(3, 4, rng)
-        t, b = 4, 2
-        inputs = rng.standard_normal((t, b, 3))
-        lengths = np.array([4, 2])
-        ref = net([Tensor(inputs[i]) for i in range(t)], lengths)
-
-        out = net.forward_batch_np(inputs.astype(np.float32), lengths)
         for i in range(t):
             np.testing.assert_allclose(out[i], ref[i].numpy(), atol=1e-5)
 

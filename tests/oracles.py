@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 
+from repro.core.annotate import _resolve_column, _resolve_value
 from repro.core.mention import InfluenceProfile, MentionCandidate
 from repro.core.seq2seq.vocab import EOS, build_candidates
 from repro.nn import (
@@ -19,7 +20,8 @@ from repro.nn import (
     no_grad,
     softmax,
 )
-from repro.sqlengine import Table
+from repro.errors import AnnotationError
+from repro.sqlengine import Aggregate, Condition, Operator, Query, Table
 from repro.text import (
     char_ids,
     is_stop_word,
@@ -336,3 +338,51 @@ def influence_per_pair(classifier, question: list[str], column: list[str],
     char_norms = np.array([norm_fn(leaf.grad) for leaf in char_leaves])
     combined = alpha * word_norms + beta * char_norms
     return InfluenceProfile(list(question), word_norms, char_norms, combined)
+
+
+def recover_sql_flat(tokens: list[str], annotation) -> Query:
+    """The flat-conjunction scan ``recover_sql`` ran on sequences with no
+    ``or``/``not``/parenthesis/clause token.
+
+    ``select [agg] col [where col op val (and col op val)*]``: a column is
+    every token up to the next operator and a value every token up to
+    the next ``and``.  So it accepts a trailing ``and`` and reads an
+    ``and`` before an operator as part of the column; the tree grammar
+    refuses both.  Symbols resolve as in production.
+    """
+    def take_until(pos: int, stops: set[str]) -> tuple[list[str], int]:
+        out = []
+        while pos < len(tokens) and tokens[pos] not in stops:
+            out.append(tokens[pos])
+            pos += 1
+        return out, pos
+
+    if not tokens or tokens[0] != "select":
+        raise AnnotationError(
+            f"annotated SQL must start with 'select': {tokens}")
+    pos = 1
+    aggregate = Aggregate.NONE
+    if pos < len(tokens) and tokens[pos] in ("max", "min", "count", "sum",
+                                             "avg"):
+        aggregate = Aggregate.from_token(tokens[pos])
+        pos += 1
+    select_tokens, pos = take_until(pos, {"where"})
+    select_column = _resolve_column(select_tokens, annotation)
+
+    conditions: list[Condition] = []
+    if pos < len(tokens):
+        pos += 1  # consume 'where'
+        if pos >= len(tokens):
+            raise AnnotationError("WHERE clause has no conditions")
+        while pos < len(tokens):
+            col_tokens, pos = take_until(pos, {"=", ">", "<"})
+            if pos >= len(tokens):
+                raise AnnotationError("condition missing operator")
+            operator = Operator.from_token(tokens[pos])
+            val_tokens, pos = take_until(pos + 1, {"and"})
+            pos += 1  # consume 'and' (or step past the end)
+            conditions.append(Condition(
+                _resolve_column(col_tokens, annotation), operator,
+                _resolve_value(val_tokens, annotation)))
+    return Query(select_column=select_column, aggregate=aggregate,
+                 conditions=conditions)

@@ -28,7 +28,8 @@ from repro.sqlengine import (
     results_equal,
 )
 
-COLUMNS = st.sampled_from(["name", "city", "pop", "film name"])
+# "film  name" (two spaces) checks that columns keep their raw spacing.
+COLUMNS = st.sampled_from(["name", "city", "pop", "film name", "film  name"])
 # Deliberately hostile value surfaces: embedded AND/OR keywords,
 # apostrophes, digit-only strings.
 WORDS = st.sampled_from([

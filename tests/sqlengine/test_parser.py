@@ -103,6 +103,16 @@ class TestErrors:
         with pytest.raises(SQLParseError):
             parse_sql("SELECT a WHERE b c")
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT a WHERE b = 1 AND",
+        "SELECT a WHERE AND b = 1",
+        "SELECT a WHERE b = 1 AND AND c = 2",
+        "SELECT a WHERE b = 1 OR",
+    ])
+    def test_dangling_or_doubled_connective_raises(self, sql):
+        with pytest.raises(SQLParseError):
+            parse_sql(sql)
+
     def test_unknown_aggregate_not_treated_as_agg(self):
         # FOO(x) is not an aggregate; it parses as a plain column name.
         q = parse_sql("SELECT FOO(x)")
