@@ -11,6 +11,12 @@ with the highest influence:
 where ``p`` is a norm (ℓ2 by default, as in the experiments, which use
 ``α = 1, β = 0``).  No span supervision is needed — the method reuses
 only what the classifier already learned.
+
+The gradients are not taken through the autodiff graph: the classifier
+runs its network once in float64 numpy over all pairs and reverses it
+by hand to the question's embeddings
+(:meth:`ColumnMentionClassifier.embedding_gradients`), which matches
+the Tensor graph to rounding at a fraction of its per-node cost.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn import binary_cross_entropy_with_logits
 from repro.text.stopwords import is_stop_word
 
 from repro.core.mention.column_classifier import (
@@ -65,39 +70,30 @@ def compute_influence(classifier: ColumnMentionClassifier,
                       ) -> list[InfluenceProfile]:
     """The influence level ``I(w)`` of every question word, per pair.
 
-    One batched forward with gradient capture over all ``(question,
-    column)`` pairs (:meth:`ColumnMentionClassifier.forward` with
-    ``capture=True``), then one backward of the *sum* of the per-pair
-    losses.  Pairs share
+    One call of :meth:`ColumnMentionClassifier.embedding_gradients` over
+    all ``(question, column)`` pairs: a float64 numpy forward and a
+    hand-written reverse pass of the *sum* of the per-pair losses, run
+    only as far as the question's word and char embeddings.  No Tensor
+    graph is built and no parameter gradient is computed.  Pairs share
     no activations, so each pair's ``dL/dE(w)`` is exactly what a pass
-    over that pair alone would give.  The backward is restricted to the
-    embedding leaves: the shared classifier's parameters get no
-    ``.grad`` and no weight gradients are computed.  ``encoded``
-    optionally supplies the cached column encodings, one row per pair.
+    over that pair alone would give.  ``encoded`` optionally supplies
+    the cached column encodings, one row per pair.
+
+    The loss is that of the *adversarial* label (0 = "not mentioned"):
+    its per-logit gradient is σ(x), so the per-word pattern matches
+    ``dL/dE(w)`` while the scale stays informative even when the
+    classifier is confidently positive (the loss toward the true label
+    saturates to zero gradient there).
     """
     if norm not in _NORMS:
         raise ModelError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
     if not pairs:
         return []
     norm_fn = _NORMS[norm]
-
-    logits, word_leaves, char_leaves = classifier.forward(
-        pairs, encoded=encoded, capture=True)
-    # Backpropagate the loss of the *adversarial* label (0 = "not
-    # mentioned"): its per-logit gradient is σ(x), so the per-word
-    # pattern matches dL/dE(w) while the scale stays informative even
-    # when the classifier is confidently positive (the loss toward the
-    # true label saturates to zero gradient there).  The library loss
-    # is a mean; scaling by P makes it the sum, so no pair's gradient
-    # is divided by the batch size.
-    count = len(pairs)
-    loss = binary_cross_entropy_with_logits(logits, np.zeros(count)) \
-        * float(count)
-    loss.backward(inputs=word_leaves + char_leaves)
-
-    # Every leaf feeds a live question step, so every grad is set.
-    word_norms = norm_fn(np.stack([leaf.grad for leaf in word_leaves], 1))
-    char_norms = norm_fn(np.stack([leaf.grad for leaf in char_leaves], 1))
+    _logits, word_grads, char_grads = classifier.embedding_gradients(
+        pairs, encoded=encoded)
+    word_norms = norm_fn(word_grads)
+    char_norms = norm_fn(char_grads)
     profiles = []
     for p, (question, _column) in enumerate(pairs):
         n = len(question)

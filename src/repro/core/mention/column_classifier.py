@@ -207,57 +207,26 @@ class ColumnMentionClassifier(Module):
                          1, self.config.char_out)], axis=-1)
         return vectors
 
-    def _capture_leaves(self, questions: list[list[str]], n_max: int,
-                        ) -> tuple[list[Tensor], list[Tensor]]:
-        """One word and one char leaf per question position, ``(P, dim)``
-        each; the char CNN runs under ``no_grad`` once per distinct word."""
-        cfg = self.config
-        words = np.zeros((n_max, len(questions), cfg.word_dim))
-        chars = np.zeros((n_max, len(questions), cfg.char_out))
-        seen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        with no_grad():
-            for p, question in enumerate(questions):
-                for i, word in enumerate(question):
-                    vectors = seen.get(word)
-                    if vectors is None:
-                        vectors = seen[word] = (
-                            self.embeddings.vector(word),
-                            self.char_encoder(char_ids(word)).numpy())
-                    words[i, p], chars[i, p] = vectors
-        return ([Tensor(w, requires_grad=True) for w in words],
-                [Tensor(c, requires_grad=True) for c in chars])
+    def forward(self, pairs: list[tuple[list[str], list[str]]]) -> Tensor:
+        """Logits ``(P,)`` of P ``(question, column)`` pairs in one
+        masked graph — the training forward.
 
-    def forward(self, pairs: list[tuple[list[str], list[str]]], *,
-                encoded: EncodedColumns | None = None,
-                capture: bool = False,
-                ) -> tuple[Tensor, list[Tensor], list[Tensor]]:
-        """Logits of P ``(question, column)`` pairs in one masked graph.
-
-        Returns ``(logits (P,), word_leaves, char_leaves)``.  Every op is
-        row-wise across pairs: padded question and column steps are
-        length-masked, attention and the max feature give padding zero
-        weight, and feature rows past a column's length are zero.  So
-        pair ``p``'s logit depends only on its own rows, and
+        Every op is row-wise across pairs: padded question and column
+        steps are length-masked, attention and the max feature give
+        padding zero weight, and feature rows past a column's length are
+        zero.  So pair ``p``'s logit depends only on its own rows, and
         backpropagating the *sum* of the per-pair losses gives each pair
-        exactly its own gradients.
-
-        Only the inputs depend on the mode.  By default (training) the
-        char CNN, the column BiLSTM and the column unit vectors run in
-        the graph, and the leaf lists are empty.  With ``capture=True``
-        (Section IV-C) there is one word and one char leaf per question
-        position, each ``(P, dim)``: row ``p`` holds ``E_word``/``E_char``
-        of pair ``p``'s word there (zero past its length), so a backward
-        leaves ``dL/dE(w)`` on them.  The column side is then constant:
-        ``encoded`` (one row per pair, e.g. cached ``SchemaEncoding``
-        rows) when given, else :meth:`encode_columns`.
+        exactly its own gradients.  The char CNN, the column BiLSTM and
+        the column unit vectors run in the graph.  Serving does not
+        come here: scoring runs the float32 kernels
+        (:meth:`score_columns_multi`) and adversarial localization the
+        float64 numpy pass (:meth:`embedding_gradients`);
+        :meth:`predict_proba` is its one-pair ``no_grad`` use.
         """
         if not pairs:
             raise ModelError("forward() needs at least one pair")
         if any(not question or not column for question, column in pairs):
             raise ModelError("question and column must be non-empty")
-        if encoded is not None and not capture:
-            raise ModelError("encoded= is the constant column side of "
-                             "capture=True")
         cfg = self.config
         count = len(pairs)
         questions = [question for question, _column in pairs]
@@ -265,29 +234,14 @@ class ColumnMentionClassifier(Module):
         q_lengths = np.array([len(q) for q in questions], dtype=np.intp)
         n_max = int(q_lengths.max())
 
-        if capture:
-            word_leaves, char_leaves = self._capture_leaves(questions, n_max)
-            steps = [concat([w, c], axis=-1)
-                     for w, c in zip(word_leaves, char_leaves)]
-            if encoded is None:
-                encoded = self.encode_columns(columns)
-            elif len(encoded) != count:
-                raise ModelError(f"{len(encoded)} encoded columns for "
-                                 f"{count} pairs")
-            c_lengths = encoded.lengths
-            states = [Tensor(s_t) for s_t in encoded.states]
-            units = [Tensor(encoded.units[:, None, t])
-                     for t in range(len(states))]
-        else:
-            word_leaves, char_leaves = [], []
-            vectors = self._word_vectors(
-                word for sequence in questions + columns for word in sequence)
-            steps, _ = pack_steps([[vectors[w] for w in q] for q in questions])
-            c_steps, c_lengths = pack_steps(
-                [[vectors[w] for w in column] for column in columns])
-            states = self.column_rnn(c_steps, c_lengths)
-            units = [(x / ((x * x).sum(axis=1, keepdims=True) + 1e-8) ** 0.5
-                      ).reshape(count, 1, cfg.emb_dim) for x in c_steps]
+        vectors = self._word_vectors(
+            word for sequence in questions + columns for word in sequence)
+        steps, _ = pack_steps([[vectors[w] for w in q] for q in questions])
+        c_steps, c_lengths = pack_steps(
+            [[vectors[w] for w in column] for column in columns])
+        states = self.column_rnn(c_steps, c_lengths)
+        units = [(x / ((x * x).sum(axis=1, keepdims=True) + 1e-8) ** 0.5
+                  ).reshape(count, 1, cfg.emb_dim) for x in c_steps]
 
         # Question side: masked lockstep LSTM, padded memory.
         memory = stack(self.question_rnn(steps, q_lengths), axis=1)  # (P, n, H)
@@ -344,8 +298,7 @@ class ColumnMentionClassifier(Module):
                           sims.sum(axis=1, keepdims=True) / lengths_col],
                          axis=-1)
             features.append(row if masks[t] is None else row * masks[t])
-        logits = self.head(concat(features, axis=-1)).reshape(count)
-        return logits, word_leaves, char_leaves
+        return self.head(concat(features, axis=-1)).reshape(count)
 
     # ------------------------------------------------------------------
     # Training / inference
@@ -370,9 +323,8 @@ class ColumnMentionClassifier(Module):
             for idx in order:
                 question, column, label = pairs[idx]
                 optimizer.zero_grad()
-                logits, _, _ = self([(question, column)])
-                loss = binary_cross_entropy_with_logits(logits,
-                                                        [float(label)])
+                loss = binary_cross_entropy_with_logits(
+                    self([(question, column)]), [float(label)])
                 loss.backward()
                 clip_grad_norm(self.parameters(), clip)
                 optimizer.step()
@@ -387,8 +339,8 @@ class ColumnMentionClassifier(Module):
     def predict_proba(self, question: list[str], column: list[str]) -> float:
         """Probability that ``column`` is mentioned in ``question``."""
         with no_grad():
-            logits, _, _ = self([(question, column)])
-        return float(1.0 / (1.0 + np.exp(-logits.numpy()[0])))
+            logit = self([(question, column)]).item()
+        return float(1.0 / (1.0 + np.exp(-logit)))
 
     # ------------------------------------------------------------------
     # Batched inference (the vectorized fast path)
@@ -609,3 +561,242 @@ class ColumnMentionClassifier(Module):
         logits = self.head.forward_np(features)
         probs = sigmoid_(logits).reshape(batch)
         return [probs[rows].astype(np.float64) for rows in slices]
+
+    # ------------------------------------------------------------------
+    # Adversarial input gradients (Section IV-C), float64 without a graph
+    # ------------------------------------------------------------------
+
+    def embedding_gradients(
+            self, pairs: list[tuple[list[str], list[str]]], *,
+            encoded: EncodedColumns | None = None,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Logits of P pairs and the gradients of their summed BCE loss
+        toward label 0 with respect to each question word's embeddings.
+
+        Returns ``(logits (P,), dL/dE_word (P, n, word_dim), dL/dE_char
+        (P, n, char_out))``, with rows past a question's length zero.
+        The forward is :meth:`forward`'s network run in float64 numpy
+        on the parameters themselves, and it keeps what the reverse
+        pass needs.  The column side is constant: ``encoded`` (one row
+        per pair, e.g. cached ``SchemaEncoding`` rows) when given, else
+        :meth:`encode_columns`.  The reverse pass is written by hand and
+        stops at the question's embeddings: MLP head, similarity
+        features, both attentive-LSTM directions with their attention
+        over the question memory, and the question LSTM.  Pairs share no
+        activations, so each pair gets the gradients of its own loss.
+        Only parameter values are read, so concurrent calls on one
+        shared classifier are safe.
+        """
+        if not pairs:
+            raise ModelError("embedding_gradients() needs at least one pair")
+        if any(not question or not column for question, column in pairs):
+            raise ModelError("question and column must be non-empty")
+        cfg = self.config
+        hs = cfg.hidden
+        count = len(pairs)
+        if encoded is None:
+            encoded = self.encode_columns([column for _q, column in pairs])
+        elif len(encoded) != count:
+            raise ModelError(f"{len(encoded)} encoded columns for "
+                             f"{count} pairs")
+        q_lengths = np.array([len(q) for q, _column in pairs], dtype=np.intp)
+        n_max = int(q_lengths.max())
+        steps = np.zeros((n_max, count, cfg.emb_dim))      # (n, P, emb)
+        seen: dict[str, np.ndarray] = {}
+        for p, (question, _column) in enumerate(pairs):
+            for i, word in enumerate(question):
+                vec = seen.get(word)
+                if vec is None:
+                    vec = seen[word] = np.concatenate(
+                        [self.embeddings.vector(word),
+                         self.char_encoder.forward_np(char_ids(word),
+                                                      np.float64)])
+                steps[i, p] = vec
+        q_live = _masks_np(q_lengths, n_max, count, np.bool_)
+
+        # Question side: LSTM, attention memory, unit vectors.
+        q_states, q_tape = self._question_lstm64(steps, q_live)
+        memory = q_states.transpose(1, 0, 2)               # (P, n, H)
+        attention = self.attention
+        memory_proj = attention.memory_proj.forward_np(memory)
+        pad_bias = np.where(
+            np.arange(n_max)[None, :] < q_lengths[:, None], 0.0, -1e9)
+        q_matrix = steps.transpose(1, 0, 2)                # (P, n, emb)
+        q_norms = np.sqrt((q_matrix * q_matrix).sum(axis=2, keepdims=True)
+                          + 1e-8)
+        q_unit = q_matrix / q_norms
+
+        # Attentive BiLSTM over the constant column states.
+        states = encoded.states
+        total = len(states)
+        c_live = _masks_np(encoded.lengths, total, count, np.bool_)
+        v = attention.v.data
+
+        def run_direction(cell, order):
+            h = np.zeros((count, hs))
+            c = np.zeros((count, hs))
+            outputs = np.empty((total, count, hs))
+            tape = []
+            for t in order:
+                s_t = states[t]
+                qp = attention.query_proj.forward_np(
+                    np.concatenate([s_t, h], axis=1))
+                hidden = np.tanh(memory_proj + qp[:, None, :])
+                scores = hidden @ v + pad_bias
+                weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+                weights /= weights.sum(axis=1, keepdims=True)
+                context = np.matmul(weights[:, None, :], memory)[:, 0]
+                xh = np.concatenate([s_t, context, h], axis=1)
+                h_new, c_new = cell.step_np(xh, c)
+                tape.append((t, xh, c, weights, hidden))
+                if c_live is None:
+                    h, c = h_new, c_new
+                else:
+                    h = np.where(c_live[t], h_new, h)
+                    c = np.where(c_live[t], c_new, c)
+                outputs[t] = h
+            return outputs, tape
+
+        fwd, fwd_tape = run_direction(self.fwd_cell, range(total))
+        bwd, bwd_tape = run_direction(self.bwd_cell,
+                                      range(total - 1, -1, -1))
+
+        # Similarity features as row-wise product sums, so repeated
+        # question words tie exactly in the max, as in the graph.
+        sims = (q_unit[:, None] * encoded.units[:, :total, None]).sum(axis=3)
+        masked = sims + pad_bias[:, None, :]               # (P, T, n)
+        sim_max = masked.max(axis=2)
+        width = 2 * hs + 2
+        features = np.zeros((count, cfg.max_column_words, width))
+        filled = features[:, :total]
+        filled[..., :hs] = fwd.transpose(1, 0, 2)
+        filled[..., hs:2 * hs] = bwd.transpose(1, 0, 2)
+        filled[..., 2 * hs] = sim_max
+        filled[..., 2 * hs + 1] = sims.sum(axis=2) / q_lengths[:, None]
+        if c_live is not None:
+            filled[~c_live.transpose(1, 0, 2)[..., 0]] = 0.0
+
+        # Tanh MLP head.
+        x = features.reshape(count, -1)
+        activations = []
+        for layer in self.head.layers[:-1]:
+            x = np.tanh(layer.forward_np(x))
+            activations.append(x)
+        logits = self.head.layers[-1].forward_np(x)[:, 0]
+
+        # Reverse pass.  BCE toward 0 has gradient σ(x) except at a
+        # logit of exactly 0, where the |x| in its stable form gives 0.
+        e = np.exp(-np.abs(logits))
+        grad = ((logits > 0) - np.sign(logits) * (e / (1.0 + e)))[:, None]
+        for layer, act in zip(self.head.layers[::-1],
+                              [None] + activations[::-1]):
+            if act is not None:
+                grad = grad * (1.0 - act * act)
+            grad = grad @ layer.weight.data.T
+        d_features = grad.reshape(features.shape)[:, :total]
+        if c_live is not None:
+            d_features = d_features * c_live.transpose(1, 0, 2)
+        ties = masked == sim_max[:, :, None]
+        d_sims = (d_features[..., 2 * hs, None] * ties
+                  / ties.sum(axis=2, keepdims=True)
+                  + (d_features[..., 2 * hs + 1]
+                     / q_lengths[:, None])[..., None])
+        d_unit = np.matmul(d_sims.transpose(0, 2, 1),
+                           encoded.units[:, :total])       # (P, n, emb)
+        d_norms = -(d_unit * q_matrix).sum(axis=2, keepdims=True) \
+            / (q_norms * q_norms)
+        d_steps = (d_unit / q_norms + q_matrix * (d_norms / q_norms)
+                   ).transpose(1, 0, 2)
+
+        d_memory = np.zeros_like(memory)
+        d_proj = np.zeros_like(memory_proj)
+        w_query_h = attention.query_proj.weight.data[2 * hs:]
+        for cell, tape, d_out in (
+                (self.fwd_cell, fwd_tape, d_features[..., :hs]),
+                (self.bwd_cell, bwd_tape, d_features[..., hs:2 * hs])):
+            dh = np.zeros((count, hs))
+            dc = np.zeros((count, hs))
+            for t, xh, c, weights, hidden in reversed(tape):
+                dh = dh + d_out[:, t]
+                live_t = None if c_live is None else c_live[t]
+                (dh_new, dh), (dc_new, dc) = (_split_hold(dh, live_t),
+                                              _split_hold(dc, live_t))
+                dxh, dc_prev = cell.step_vjp(xh, c, dh_new, dc_new)
+                dc = dc + dc_prev
+                dh = dh + dxh[:, 3 * hs:]
+                d_context = dxh[:, 2 * hs:3 * hs]
+                d_memory += weights[:, :, None] * d_context[:, None, :]
+                d_weights = np.matmul(memory, d_context[:, :, None])[..., 0]
+                d_scores = weights * (d_weights - (weights * d_weights).sum(
+                    axis=1, keepdims=True))
+                d_hidden = d_scores[:, :, None] * v * (1.0 - hidden * hidden)
+                d_proj += d_hidden
+                dh = dh + d_hidden.sum(axis=1) @ w_query_h.T
+        d_memory += d_proj @ attention.memory_proj.weight.data.T
+        d_steps += self._question_lstm_vjp(
+            q_tape, d_memory.transpose(1, 0, 2), q_live)
+        if q_live is not None:
+            d_steps *= q_live
+        grads = d_steps.transpose(1, 0, 2)
+        return (logits, grads[..., :cfg.word_dim],
+                grads[..., cfg.word_dim:])
+
+    def _question_lstm64(self, steps: np.ndarray, live: np.ndarray | None,
+                         ) -> tuple[np.ndarray, list]:
+        """The question LSTM in float64 over ``(n, P, emb)`` steps:
+        ``(top-layer states (n, P, H), tape)``, the tape being each
+        layer's per-step cell inputs and memory states."""
+        out = steps
+        tape = []
+        for pre, cell in zip(self.question_rnn.pre, self.question_rnn.cells):
+            x = pre.forward_np(out)
+            count, hs = x.shape[1], cell.hidden_size
+            h = np.zeros((count, hs))
+            c = np.zeros((count, hs))
+            out = np.empty_like(x)
+            layer_tape = []
+            for t in range(len(x)):
+                xh = np.concatenate([x[t], h], axis=1)
+                h_new, c_new = cell.step_np(xh, c)
+                layer_tape.append((xh, c))
+                if live is None:
+                    h, c = h_new, c_new
+                else:
+                    h = np.where(live[t], h_new, h)
+                    c = np.where(live[t], c_new, c)
+                out[t] = h
+            tape.append(layer_tape)
+        return out, tape
+
+    def _question_lstm_vjp(self, tape: list, d_out: np.ndarray,
+                           live: np.ndarray | None) -> np.ndarray:
+        """Backward of :meth:`_question_lstm64`: ``dL/d(steps)`` from
+        ``dL/d(top-layer states)``, both ``(n, P, ·)``."""
+        rnn = self.question_rnn
+        for pre, cell, layer_tape in reversed(
+                list(zip(rnn.pre, rnn.cells, tape))):
+            hs = cell.hidden_size
+            d_x = np.empty_like(d_out)
+            dh = np.zeros_like(d_out[0])
+            dc = np.zeros_like(d_out[0])
+            for t in range(len(layer_tape) - 1, -1, -1):
+                xh, c = layer_tape[t]
+                dh = dh + d_out[t]
+                live_t = None if live is None else live[t]
+                (dh_new, dh), (dc_new, dc) = (_split_hold(dh, live_t),
+                                              _split_hold(dc, live_t))
+                dxh, dc_prev = cell.step_vjp(xh, c, dh_new, dc_new)
+                dc = dc + dc_prev
+                dh = dh + dxh[:, hs:]
+                d_x[t] = dxh[:, :hs]
+            d_out = d_x @ pre.weight.data.T
+        return d_out
+
+
+def _split_hold(grad: np.ndarray, live: np.ndarray | None,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of the hold ``h ← h_new if live else h``: the gradient
+    ``(dL/dh_new, dL/dh)``."""
+    if live is None:
+        return grad, np.zeros_like(grad)
+    return np.where(live, grad, 0.0), np.where(live, 0.0, grad)

@@ -88,28 +88,33 @@ class CharConvEncoder(Module):
         """Encode several words; returns ``(num_words, out_dim)``."""
         return stack([self(ids) for ids in words_char_ids], axis=0)
 
-    def forward_np(self, char_ids: list[int]) -> np.ndarray:
-        """Float32 twin of :meth:`forward`; returns ``(out_dim,)``.
+    def forward_np(self, char_ids: list[int],
+                   dtype=np.float32) -> np.ndarray:
+        """Twin of :meth:`forward`; returns ``(out_dim,)`` in ``dtype``.
 
-        Sliding windows are materialized with one strided copy per width
-        (BLAS needs contiguous rows).
+        Float32 runs on the float32 weight snapshots (the inference
+        kernels), float64 on the parameters themselves.  Sliding windows
+        are materialized with one strided copy per width (BLAS needs
+        contiguous rows).
         """
         if not char_ids:
             raise ShapeError("CharConvEncoder received an empty character sequence")
-        table = self.char_embedding.table32()
+        table = (self.char_embedding.weight.data if dtype == np.float64
+                 else self.char_embedding.table32())
         ids = np.asarray(char_ids, dtype=np.intp)
         char_dim = table.shape[1]
         length = len(ids)
         padded = max(length, max(self.widths))
-        chars = np.zeros((padded, char_dim), dtype=np.float32)
+        chars = np.zeros((padded, char_dim), dtype=table.dtype)
         np.take(table, ids, axis=0, out=chars[:length])
         per = self.convs[0].out_channels
-        out = np.empty(self.out_dim, dtype=np.float32)
+        out = np.empty(self.out_dim, dtype=table.dtype)
+        size = table.itemsize
         for wi, conv in enumerate(self.convs):
             k = conv.width
             n = max(length - k + 1, 1)
             windows = as_strided(chars, shape=(n, k * char_dim),
-                                 strides=(char_dim * 4, 4))
+                                 strides=(char_dim * size, size))
             proj = conv.projection.forward_np(windows.copy())
             np.mean(proj, axis=0, out=out[wi * per:(wi + 1) * per])
         return out

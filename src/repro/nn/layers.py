@@ -50,14 +50,21 @@ class Linear(Module):
         return self._w32, self._b32
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Float32 kernel twin of :meth:`forward`: ``x W32 + b32``.
+        """Kernel twin of :meth:`forward` on a plain array: ``x W + b``.
 
-        A one-output layer is a per-row dot product, not a matmul: BLAS
-        hands an ``N = 1`` gemm to gemv, which rounds a row differently
-        depending on its position in the batch, so a row's output would
-        change with the rows stacked around it.
+        Float32 input runs on the :meth:`weights32` snapshot (the
+        inference kernels); float64 input runs on the float64 parameters
+        themselves, so a float64 pass agrees with the Tensor graph to
+        rounding.  A one-output layer is a per-row dot product, not a
+        matmul: BLAS hands an ``N = 1`` gemm to gemv, which rounds a row
+        differently depending on its position in the batch, so a row's
+        output would change with the rows stacked around it.
         """
-        w, b = self.weights32()
+        if x.dtype == np.float64:
+            w = self.weight.data
+            b = None if self.bias is None else self.bias.data
+        else:
+            w, b = self.weights32()
         if w.shape[1] == 1:
             out = np.einsum("...j,j->...", x, w[:, 0])[..., None]
         else:
@@ -173,7 +180,8 @@ class MLP(Module):
         return x
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Float32 twin of :meth:`forward` on a ``(batch, in)`` array.
+        """Twin of :meth:`forward` on a ``(batch, in)`` array, in the
+        input's dtype (float32 or float64, see :meth:`Linear.forward_np`).
 
         Only ``tanh`` hidden and ``sigmoid``/``tanh`` output activations
         are supported — the two configurations the frozen classifier

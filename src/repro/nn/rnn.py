@@ -20,6 +20,11 @@ alone (exactly — masked lanes never contaminate live ones).  A single
 sequence is the one-lane case with no ``lengths``.  The ``*_np``
 methods are the float32 kernel twins used at inference; ``BiLSTM`` has
 none, since the column encoder runs its Tensor ``forward``.
+
+``LSTMCell.step_np`` also runs in float64 on float64 input, and
+:meth:`LSTMCell.step_vjp` is its hand-written backward.  The column
+classifier's adversarial pass (Section IV-C) uses the two of them to
+take ``dL/dE(w)`` without building a Tensor graph.
 """
 
 from __future__ import annotations
@@ -142,6 +147,30 @@ class LSTMCell(Module):
         h_next = np.tanh(c_next)
         h_next *= o
         return h_next, c_next
+
+    def step_vjp(self, xh: np.ndarray, c: np.ndarray, dh: np.ndarray,
+                 dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vector-Jacobian product of :meth:`step_np` at ``(xh, c)``.
+
+        Given ``dL/dh_next`` and ``dL/dc_next``, returns ``(dL/dxh,
+        dL/dc)``.  The gates are recomputed from ``xh`` (one matmul)
+        rather than kept by the forward.  Float64 only: it is the
+        backward of :meth:`forward` through the float64 parameters.
+        """
+        hs = self.hidden_size
+        z = self.gates.forward_np(xh)
+        i = sigmoid_(z[:, 0 * hs:1 * hs])
+        f = sigmoid_(z[:, 1 * hs:2 * hs])
+        g = tanh_(z[:, 2 * hs:3 * hs])
+        o = sigmoid_(z[:, 3 * hs:4 * hs])
+        tanh_c = np.tanh(f * c + i * g)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(z)
+        dz[:, 0 * hs:1 * hs] = dc * g * i * (1.0 - i)
+        dz[:, 1 * hs:2 * hs] = dc * c * f * (1.0 - f)
+        dz[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
+        dz[:, 3 * hs:4 * hs] = dh * tanh_c * o * (1.0 - o)
+        return dz @ self.gates.weight.data.T, dc * f
 
 
 class GRUCell(Module):

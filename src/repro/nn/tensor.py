@@ -11,9 +11,10 @@ The design goals are:
   checks (see ``tests/nn/test_tensor.py``);
 * enough coverage for the paper's models (LSTM/GRU/attention/conv1d/
   embeddings) without trying to be a general framework;
-* gradients *with respect to embeddings* must be easily retrievable,
-  because the paper's adversarial text method (Section IV-C) is defined
-  as the norm of ``dL/dE(w)``.
+* gradients reach every leaf that requires them, inputs as well as
+  parameters, so ``dL/dE(w)`` of the paper's adversarial text method
+  (Section IV-C) can be read off embedding leaves; that is the float64
+  reference its numpy pass is checked against.
 """
 
 from __future__ import annotations
@@ -94,18 +95,6 @@ def _as_array(value) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value.astype(np.float64, copy=False)
     return np.asarray(value, dtype=np.float64)
-
-
-class _BackwardPass:
-    """One backward pass's pending gradients and, for a pass restricted
-    to some inputs, the ids of the nodes on a path to them."""
-
-    __slots__ = ("grads", "relevant")
-
-    def __init__(self, grads: dict[int, np.ndarray],
-                 relevant: set[int] | None):
-        self.grads = grads
-        self.relevant = relevant
 
 
 class Tensor:
@@ -208,17 +197,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, grad: np.ndarray | None = None,
-                 inputs: Sequence["Tensor"] | None = None) -> None:
+    def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones (only valid for scalar outputs, the
-        usual loss case).  ``inputs``, when given, restricts the pass to
-        those leaves: only nodes on a path to one of them are visited,
-        only they accumulate ``.grad``, and the ops skip the gradients
-        nobody reads (a Linear layer's weight gemm, for one).  Parameters
-        outside ``inputs`` are left untouched, so concurrent restricted
-        passes through one shared model never write to it.
+        usual loss case).
         """
         if not self.requires_grad:
             raise GradientError("backward() called on a tensor that does not require grad")
@@ -248,16 +231,7 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
 
-        relevant = None
-        if inputs is not None:
-            # ``topo`` lists parents before children, so one pass marks
-            # every node that some input flows into.
-            relevant = {id(t) for t in inputs}
-            for node in topo:
-                if any(id(p) in relevant for p in node._parents):
-                    relevant.add(id(node))
         grads: dict[int, np.ndarray] = {id(self): grad}
-        state = _BackwardPass(grads, relevant)
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
@@ -266,7 +240,7 @@ class Tensor:
                 node._accumulate(node_grad)
                 continue
             # Interior node: flow into parents via the recorded closure.
-            node._pending_grads = state  # type: ignore[attr-defined]
+            node._pending_grads = grads  # type: ignore[attr-defined]
             node._backward(node_grad)
             del node._pending_grads  # type: ignore[attr-defined]
             if not node._parents:
@@ -274,10 +248,7 @@ class Tensor:
 
     def _needs(self, parent: "Tensor") -> bool:
         """Whether the running backward pass wants ``parent``'s gradient."""
-        if not parent.requires_grad:
-            return False
-        relevant = self._pending_grads.relevant  # type: ignore[attr-defined]
-        return relevant is None or id(parent) in relevant
+        return parent.requires_grad
 
     def _flow(self, parent: "Tensor", grad: np.ndarray) -> None:
         """Route ``grad`` to ``parent`` during a backward pass."""
@@ -286,7 +257,7 @@ class Tensor:
         if parent._backward is None and not parent._parents:
             parent._accumulate(grad)
             return
-        pending = self._pending_grads.grads  # type: ignore[attr-defined]
+        pending = self._pending_grads  # type: ignore[attr-defined]
         key = id(parent)
         if key in pending:
             pending[key] = pending[key] + grad

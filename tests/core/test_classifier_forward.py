@@ -1,15 +1,17 @@
-"""The column classifier's one batched forward against its per-pair oracle.
+"""The column classifier's batched passes against its per-pair oracle.
 
 ``ColumnMentionClassifier.forward`` runs P (question, column) pairs as
-one padded, length-masked graph, for training (char CNN, column BiLSTM
-and column unit vectors in the graph) and for adversarial capture
-(embedding leaves, constant column side).  Pairs share no activations,
-so each row's logit must equal ``tests/oracles.py::
+one padded, length-masked graph for training (char CNN, column BiLSTM
+and column unit vectors in the graph), and
+``ColumnMentionClassifier.embedding_gradients`` runs them as one
+float64 numpy forward and hand-written reverse pass to the question's
+embeddings, for adversarial localization (constant column side).  Pairs
+share no activations, so each row's logit must equal ``tests/oracles.py::
 classifier_forward_per_pair`` — the same network run one pair, one
 sequence and one attention query at a time on the cells — and the
 gradient of the summed loss must equal the sum of the per-pair
-gradients: for every parameter in training mode, and for each pair's
-own embedding leaves in capture mode.
+gradients: for every parameter in training, and for each pair's own
+embedding leaves in the numpy pass.
 """
 
 import numpy as np
@@ -50,8 +52,7 @@ def assert_training_matches_oracle(classifier, batch):
     labels = np.array([float(label) for _q, _c, label in batch])
 
     classifier.zero_grad()
-    logits, word_leaves, char_leaves = classifier.forward(pairs)
-    assert word_leaves == [] and char_leaves == []
+    logits = classifier.forward(pairs)
     (binary_cross_entropy_with_logits(logits, labels)
      * float(len(pairs))).backward()
     batched = parameter_grads(classifier)
@@ -81,22 +82,23 @@ def test_training_gradients_match_per_pair_oracle(batch):
 @given(batch=batches)
 @settings(max_examples=25, deadline=None)
 def test_capture_leaf_gradients_match_per_pair_oracle(batch):
+    # The numpy pass differentiates the loss toward label 0 (Section
+    # IV-C), so the oracle's leaves take that loss too.
     pairs = [(question, column) for question, column, _label in batch]
-    labels = np.array([float(label) for _q, _c, label in batch])
-    logits, word_leaves, char_leaves = CLF.forward(pairs, capture=True)
-    (binary_cross_entropy_with_logits(logits, labels)
-     * float(len(pairs))).backward(inputs=word_leaves + char_leaves)
+    logits, word_grads, char_grads = CLF.embedding_gradients(pairs)
 
-    for p, ((question, column), label) in enumerate(zip(pairs, labels)):
+    for p, (question, column) in enumerate(pairs):
         logit, words_ref, chars_ref = oracles.classifier_forward_per_pair(
             CLF, question, column, capture=True)
-        np.testing.assert_allclose(logits.numpy()[p], logit.numpy()[0], **TOL)
-        binary_cross_entropy_with_logits(logit, [label]).backward()
+        np.testing.assert_allclose(logits[p], logit.numpy()[0], **TOL)
+        binary_cross_entropy_with_logits(logit, [0.0]).backward()
         for i in range(len(question)):
-            np.testing.assert_allclose(word_leaves[i].grad[p],
+            np.testing.assert_allclose(word_grads[p, i],
                                        words_ref[i].grad.reshape(-1), **TOL)
-            np.testing.assert_allclose(char_leaves[i].grad[p],
+            np.testing.assert_allclose(char_grads[p, i],
                                        chars_ref[i].grad.reshape(-1), **TOL)
+        assert not word_grads[p, len(question):].any()
+        assert not char_grads[p, len(question):].any()
     CLF.zero_grad()
 
 
@@ -109,7 +111,8 @@ def test_trained_classifier_on_corpus_pairs(nlidb, corpus):
         assert_training_matches_oracle(classifier, batch)
 
 
-def test_encoded_requires_capture():
-    encoded = CLF.encode_columns([["film"]])
+def test_encoded_rows_must_match_pairs():
+    encoded = CLF.encode_columns([["film"], ["director"]])
     with pytest.raises(ModelError):
-        CLF.forward([(["which", "film"], ["film"])], encoded=encoded)
+        CLF.embedding_gradients([(["which", "film"], ["film"])],
+                                encoded=encoded)

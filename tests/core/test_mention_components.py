@@ -349,11 +349,20 @@ class TestClassifierMechanics:
 
     def test_long_columns_truncated(self):
         clf = ColumnMentionClassifier(EMB)
-        logits, _, _ = clf([(tokenize("a question"),
-                             ["a", "b", "c", "d", "e", "f"])])
+        logits = clf([(tokenize("a question"),
+                        ["a", "b", "c", "d", "e", "f"])])
         assert logits.shape == (1,)
 
     def test_capture_leaves_have_grads_after_backward(self):
+        # Every question word gets a word and a char gradient from the
+        # numpy pass, and it leaves the parameters' .grad alone.
         clf = ColumnMentionClassifier(EMB)
-        profile = influence_of(clf, tokenize("some words here"), ["col"])
+        question = tokenize("some words here")
+        _logits, word, char = clf.embedding_gradients([(question, ["col"])])
+        assert word.shape == (1, len(question), clf.config.word_dim)
+        assert char.shape == (1, len(question), clf.config.char_out)
+        assert (np.abs(word).sum(axis=2) > 0).all()
+        assert (np.abs(char).sum(axis=2) > 0).all()
+        assert all(param.grad is None for param in clf.parameters())
+        profile = influence_of(clf, question, ["col"])
         assert profile.combined.sum() > 0

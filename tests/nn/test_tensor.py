@@ -244,26 +244,6 @@ class TestGraphMechanics:
         y.backward(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
-    def test_backward_restricted_to_inputs(self):
-        rng = np.random.default_rng(0)
-        x_data, w_data, v_data = (rng.normal(size=(3, 4)),
-                                  rng.normal(size=(4, 2)),
-                                  rng.normal(size=(3, 2)))
-
-        def graph():
-            x = Tensor(x_data, requires_grad=True)
-            w = Tensor(w_data, requires_grad=True)
-            v = Tensor(v_data, requires_grad=True)
-            return x, w, v, ((x @ w).tanh() * v + w.sum()).sum()
-
-        x, w, v, loss = graph()
-        loss.backward()
-        rx, rw, rv, restricted = graph()
-        restricted.backward(inputs=[rx])
-        np.testing.assert_array_equal(rx.grad, x.grad)
-        # Nothing off the input's paths is touched.
-        assert rw.grad is None and rv.grad is None
-
     def test_item_on_vector_raises(self):
         with pytest.raises(ShapeError):
             Tensor(np.ones(3)).item()

@@ -12,6 +12,7 @@ autodiff state under ``no_grad``.
 import numpy as np
 import pytest
 
+from repro.core.mention import compute_influence
 from repro.core.seq2seq.model import TrainingPair
 from repro.nn import Tensor, allocation_events, no_grad
 from repro.text import tokenize
@@ -178,14 +179,31 @@ class TestNoGraphUnderNoGrad:
 
     def test_lockstep_translate_builds_no_graph(self, nlidb, corpus,
                                                 graph_spy):
-        # Annotation legitimately builds graphs (compute_influence takes
-        # input gradients), so scope the assertion to the decoder.
+        # Scope the assertion to the decoder; annotation has its own
+        # test above.
         example = corpus[0]
         annotation = nlidb.annotate(example.question_tokens, example.table)
         graph_spy.clear()
         nlidb.translator.translate(annotation.annotated_tokens(),
                                    nlidb.header_tokens(example.table),
                                    nlidb._symbols(annotation))
+        assert not graph_spy
+
+    def test_annotation_builds_no_graph(self, nlidb, corpus, graph_spy,
+                                        monkeypatch):
+        # Influence gradients come from the classifier's numpy pass.
+        from repro.core import annotator as annotator_module
+        located = []
+        original = annotator_module.compute_influence
+
+        def counting(classifier, pairs, **kwargs):
+            located.extend(pairs)
+            return original(classifier, pairs, **kwargs)
+
+        monkeypatch.setattr(annotator_module, "compute_influence", counting)
+        for example in corpus[:8]:
+            nlidb.annotate(example.question_tokens, example.table)
+        assert located
         assert not graph_spy
 
     def test_spy_itself_detects_graphs(self, graph_spy):
@@ -204,8 +222,9 @@ class TestAllocationBudget:
 
     @staticmethod
     def _request(nlidb, example):
-        # Annotation legitimately builds graphs (influence gradients),
-        # so assemble the translator request outside the measured span.
+        # Annotation constructs Tensors (value-classifier scoring, schema
+        # encodings on a cache miss), so assemble the translator request
+        # outside the measured span.
         annotation = nlidb.annotate(example.question_tokens, example.table)
         return (annotation.annotated_tokens(),
                 nlidb.header_tokens(example.table),
@@ -239,3 +258,19 @@ class TestAllocationBudget:
         before = allocation_events()
         classifier.score_columns(example.question_tokens, encoded=encoded)
         assert allocation_events() - before == 0
+
+    def test_warm_influence_constructs_zero_tensors(self, nlidb, corpus):
+        # With the column side taken from cached schema rows, the
+        # adversarial pass is numpy end to end.
+        annotator = nlidb.annotator
+        example = corpus[0]
+        schema, _status = annotator.schema_encoding(example.table)
+        names = list(example.table.column_names)
+        pairs = [(example.question_tokens, tokenize(name)) for name in names]
+        encoded = schema.encoded_subset(names)
+        classifier = annotator.column_classifier
+        compute_influence(classifier, pairs, encoded=encoded)
+        before = allocation_events()
+        profiles = compute_influence(classifier, pairs, encoded=encoded)
+        assert allocation_events() - before == 0
+        assert len(profiles) == len(names)
