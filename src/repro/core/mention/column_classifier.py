@@ -207,6 +207,19 @@ class ColumnMentionClassifier(Module):
                          1, self.config.char_out)], axis=-1)
         return vectors
 
+    def _embed_rows64(self, words) -> dict[str, np.ndarray]:
+        """``emb(w)`` in float64 numpy on the parameters, one row per
+        distinct word: the column encoder's and the adversarial pass's
+        input, equal to :meth:`_word_vectors` bit for bit."""
+        rows: dict[str, np.ndarray] = {}
+        for word in words:
+            if word not in rows:
+                rows[word] = np.concatenate(
+                    [self.embeddings.vector(word),
+                     self.char_encoder.forward_np(char_ids(word),
+                                                  np.float64)])
+        return rows
+
     def forward(self, pairs: list[tuple[list[str], list[str]]]) -> Tensor:
         """Logits ``(P,)`` of P ``(question, column)`` pairs in one
         masked graph — the training forward.
@@ -218,7 +231,8 @@ class ColumnMentionClassifier(Module):
         backpropagating the *sum* of the per-pair losses gives each pair
         exactly its own gradients.  The char CNN, the column BiLSTM and
         the column unit vectors run in the graph.  Serving does not
-        come here: scoring runs the float32 kernels
+        come here: the schema side runs the float64 column encoder
+        (:meth:`encode_columns`), scoring the float32 kernels
         (:meth:`score_columns_multi`) and adversarial localization the
         float64 numpy pass (:meth:`embedding_gradients`);
         :meth:`predict_proba` is its one-pair ``no_grad`` use.
@@ -349,9 +363,11 @@ class ColumnMentionClassifier(Module):
     def encode_columns(self, columns: list[list[str]]) -> EncodedColumns:
         """Precompute the question-independent side of every column.
 
-        One lockstep column-RNN pass over all B columns; the result is
-        a numpy artifact reusable across every question asked against
-        the same schema (see :class:`EncodedColumns`).
+        One lockstep column-BiLSTM pass over all B columns, in float64
+        numpy on the parameters (:meth:`BiLSTM.forward_batch_np`, equal
+        to the Tensor forward bit for bit); the result is a numpy
+        artifact reusable across every question asked against the same
+        schema (see :class:`EncodedColumns`).
         """
         if not columns:
             raise ModelError("encode_columns() needs at least one column")
@@ -359,18 +375,17 @@ class ColumnMentionClassifier(Module):
         tokens = [list(column[:cfg.max_column_words]) for column in columns]
         if any(not column for column in tokens):
             raise ModelError("question and column must be non-empty")
-        with no_grad():
-            vectors = self._word_vectors(
-                word for column in tokens for word in column)
-            steps, lengths = pack_steps(
-                [[vectors[word] for word in column] for column in tokens])
-            states = [s.numpy() for s in self.column_rnn(steps, lengths)]
-            units = np.zeros((len(tokens), len(steps), cfg.emb_dim))
-            for b, column in enumerate(tokens):
-                for t, word in enumerate(column):
-                    vec = vectors[word].numpy()
-                    norm = np.sqrt((vec * vec).sum() + 1e-8)
-                    units[b, t] = vec.reshape(-1) / norm
+        rows = self._embed_rows64(word for column in tokens for word in column)
+        lengths = np.array([len(column) for column in tokens], dtype=np.intp)
+        steps = np.zeros((int(lengths.max()), len(tokens), cfg.emb_dim))
+        units = np.zeros((len(tokens), len(steps), cfg.emb_dim))
+        unit_rows = {word: vec / np.sqrt((vec * vec).sum() + 1e-8)
+                     for word, vec in rows.items()}
+        for b, column in enumerate(tokens):
+            for t, word in enumerate(column):
+                steps[t, b] = rows[word]
+                units[b, t] = unit_rows[word]
+        states = list(self.column_rnn.forward_batch_np(steps, lengths))
         return EncodedColumns(tokens=tokens, lengths=lengths,
                               states=states, units=units)
 
@@ -602,16 +617,11 @@ class ColumnMentionClassifier(Module):
         q_lengths = np.array([len(q) for q, _column in pairs], dtype=np.intp)
         n_max = int(q_lengths.max())
         steps = np.zeros((n_max, count, cfg.emb_dim))      # (n, P, emb)
-        seen: dict[str, np.ndarray] = {}
+        rows = self._embed_rows64(word for question, _column in pairs
+                                  for word in question)
         for p, (question, _column) in enumerate(pairs):
             for i, word in enumerate(question):
-                vec = seen.get(word)
-                if vec is None:
-                    vec = seen[word] = np.concatenate(
-                        [self.embeddings.vector(word),
-                         self.char_encoder.forward_np(char_ids(word),
-                                                      np.float64)])
-                steps[i, p] = vec
+                steps[i, p] = rows[word]
         q_live = _masks_np(q_lengths, n_max, count, np.bool_)
 
         # Question side: LSTM, attention memory, unit vectors.

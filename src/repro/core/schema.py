@@ -15,8 +15,11 @@ per-table LRU, keyed by the table's *content* fingerprint
 and carried on the pipeline context — so a recreated-but-equal table
 hits the warm entry while any schema or data edit recomputes.
 
-The column-RNN states are encoded on first use, so the context-free
-rung, which never runs the column classifier, never triggers it.
+Only the parsing of the cells is eager.  The column-RNN states are
+encoded on first use, so the context-free rung, which never runs the
+column classifier, never triggers it; and a column's ``s_c`` is computed
+on first read, so the cells of numeric columns, which serving never
+reads statistics for, are never embedded.
 
 The classifier-derived fields become stale when the mention classifier
 is retrained; :meth:`repro.core.annotator.Annotator.fit` therefore
@@ -26,19 +29,59 @@ is cheap enough that the simpler whole-cache invalidation wins.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.nn import no_grad
 from repro.sqlengine import Table, table_fingerprint
 from repro.text import tokenize
 
 from repro.core.mention import EncodedColumns, cell_index
 from repro.core.seq2seq.vocab import is_symbol, structural_tokens
 
-__all__ = ["SchemaEncoding", "build_schema_encoding"]
+__all__ = ["ColumnStats", "SchemaEncoding", "build_schema_encoding"]
+
+
+class ColumnStats(Mapping):
+    """Read-only per-column value statistics ``s_c`` (Section IV-D),
+    keyed by lower-cased column name.
+
+    A column's cells are embedded when its ``s_c`` is first read, and
+    the result is kept.  Averaging the distinct cells' mean word vectors
+    in row order keeps ``s_c`` bit-identical to
+    :func:`repro.text.column_statistics`.
+    """
+
+    def __init__(self, cell_tokens: list[list[str]],
+                 column_slots: dict[str, list[int]], embeddings):
+        self._cell_tokens = cell_tokens
+        self._slots = column_slots
+        self._embeddings = embeddings
+        self._stats: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        stats = self._stats.get(name)
+        if stats is None:
+            slots = self._slots[name]
+            if slots:
+                distinct = list(dict.fromkeys(slots))
+                row_of = {slot: i for i, slot in enumerate(distinct)}
+                vectors = _cell_vectors(
+                    [self._cell_tokens[slot] for slot in distinct],
+                    self._embeddings)
+                stats = vectors[[row_of[slot] for slot in slots]].mean(axis=0)
+            else:
+                stats = np.zeros(self._embeddings.dim)
+            self._stats[name] = stats
+        return stats
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
 
 
 @dataclass
@@ -50,8 +93,8 @@ class SchemaEncoding:
     column_tokens: dict[str, list[str]]
     column_index: dict[str, int]
     #: Per-column value statistics (the value classifier's ``s_c``),
-    #: keyed by lower-cased column name.
-    stats: dict[str, np.ndarray]
+    #: keyed by lower-cased column name, each computed on first read.
+    stats: ColumnStats
     #: Value ranges, margin included, of the columns whose every cell
     #: parses as a number (lower-cased name → ``(lo, hi)``).
     numeric_ranges: dict[str, tuple[float, float]]
@@ -106,9 +149,9 @@ def build_schema_encoding(annotator, table: Table,
                           key: str | None = None) -> SchemaEncoding:
     """Encode one table's column side for the given annotator.
 
-    ``key`` is the table's fingerprint, if the caller has it.
-    Everything runs under ``no_grad``; the artifact holds plain numpy
-    (no autodiff graph), so it is safe to share across requests.
+    ``key`` is the table's fingerprint, if the caller has it.  The
+    artifact holds plain numpy (no autodiff graph), so it is safe to
+    share across requests.
     """
     column_names = list(table.column_names)
     column_tokens = {name: tokenize(name) for name in column_names}
@@ -120,14 +163,13 @@ def build_schema_encoding(annotator, table: Table,
     classifier = annotator.column_classifier
     embeddings = annotator.embeddings
     stats, numeric_ranges, cells = _profile_cells(table, embeddings)
+    # Extended-grammar tokens are included unconditionally: legacy
+    # candidate lookups never see them, and an extended model can then
+    # reuse the same cached vectors.
     token_vectors: dict[str, np.ndarray] = {}
-    with no_grad():
-        # Extended-grammar tokens are included unconditionally: legacy
-        # candidate lookups never see them, and an extended model can
-        # then reuse the same cached vectors.
-        for token in structural_tokens(extended=True) + header_tokens:
-            if token not in token_vectors and not is_symbol(token):
-                token_vectors[token] = embeddings.vector(token)
+    for token in structural_tokens(extended=True) + header_tokens:
+        if token not in token_vectors and not is_symbol(token):
+            token_vectors[token] = embeddings.vector(token)
 
     return SchemaEncoding(
         fingerprint=key if key is not None else table_fingerprint(table),
@@ -144,15 +186,15 @@ def build_schema_encoding(annotator, table: Table,
 
 
 def _profile_cells(table: Table, embeddings):
-    """``s_c``, numeric ranges and cell indexes of every column, in one
-    pass that tokenizes, embeds and parses each distinct cell string once.
-    Averaging in row order keeps ``s_c`` bit-identical to
-    :func:`repro.text.column_statistics`."""
+    """Lazy ``s_c``, numeric ranges and cell indexes of every column, in
+    one pass that tokenizes and parses each distinct cell string once."""
     slot_of: dict[str, int] = {}
     cell_tokens: list[list[str]] = []
     numbers: list[float | None] = []
-    column_slots: list[list[int]] = []
-    for j in range(len(table.columns)):
+    column_slots: dict[str, list[int]] = {}
+    ranges: dict[str, tuple[float, float]] = {}
+    cells: dict[str, dict] = {}
+    for j, column in enumerate(table.columns):
         slots = []
         for row in table.rows:
             text = str(row[j])
@@ -162,23 +204,15 @@ def _profile_cells(table: Table, embeddings):
                 cell_tokens.append(tokenize(text))
                 numbers.append(_try_float(text))
             slots.append(slot)
-        column_slots.append(slots)
-
-    vectors = _cell_vectors(cell_tokens, embeddings)
-    stats: dict[str, np.ndarray] = {}
-    ranges: dict[str, tuple[float, float]] = {}
-    cells: dict[str, dict] = {}
-    for column, slots in zip(table.columns, column_slots):
         name = column.name.lower()
-        stats[name] = (vectors[slots].mean(axis=0) if slots
-                       else np.zeros(embeddings.dim))
+        column_slots[name] = slots
         values = [numbers[slot] for slot in slots]
         if values and None not in values:  # bare numbers bind by range
             lo, hi = min(values), max(values)
             margin = (hi - lo) * 0.5 + 1.0
             ranges[name] = (lo - margin, hi + margin)
         cells[column.name] = cell_index(cell_tokens[slot] for slot in slots)
-    return stats, ranges, cells
+    return ColumnStats(cell_tokens, column_slots, embeddings), ranges, cells
 
 
 def _cell_vectors(cell_tokens: list[list[str]], embeddings) -> np.ndarray:

@@ -18,8 +18,10 @@ from the end with the same ``t < len_b`` mask and stores each state at
 its original index, so lane ``b``'s outputs match running that sequence
 alone (exactly — masked lanes never contaminate live ones).  A single
 sequence is the one-lane case with no ``lengths``.  The ``*_np``
-methods are the float32 kernel twins used at inference; ``BiLSTM`` has
-none, since the column encoder runs its Tensor ``forward``.
+methods are the numpy twins used at inference: float32 kernels for the
+question LSTM and the translator's BiGRU, and a float64
+``BiLSTM.forward_batch_np`` for the column encoder, equal to the Tensor
+``forward`` bit for bit.
 
 ``LSTMCell.step_np`` also runs in float64 on float64 input, and
 :meth:`LSTMCell.step_vjp` is its hand-written backward.  The column
@@ -268,31 +270,42 @@ class LSTM(Module):
             outputs = layer_out
         return outputs
 
-    def forward_batch_np(self, inputs: np.ndarray,
-                         lengths: np.ndarray | None) -> np.ndarray:
-        """Float32 twin of :meth:`forward` on a ``(T, B, feat)`` array;
-        returns ``(T, B, hidden)``.
+    def forward_batch_np(self, inputs: np.ndarray, lengths: np.ndarray | None,
+                         reverse: bool = False) -> np.ndarray:
+        """Twin of :meth:`forward` on a ``(T, B, feat)`` array, in its
+        dtype; returns ``(T, B, hidden)``.
 
-        The per-layer pre-transform runs as ONE ``(T·B, feat)`` matmul.
+        Float32 is the inference kernel: the per-layer pre-transform runs
+        as ONE ``(T·B, feat)`` matmul.  Float64 runs on the parameters
+        and keeps the Tensor forward's per-step ``(B, feat)`` matmuls (one
+        stacked matmul), so it equals :meth:`forward` bit for bit
+        whatever BLAS kernels are loaded.  The hold is a masked copy, so
+        a finished lane carries its state over exactly, as the Tensor
+        blend does.
         """
         total, batch, _ = inputs.shape
-        masks = _masks_np(lengths, total, batch)
+        masks = _masks_np(lengths, total, batch, np.bool_)
+        order = range(total - 1, -1, -1) if reverse else range(total)
+        dtype = inputs.dtype
         cur = inputs
         for pre, cell in zip(self.pre, self.cells):
             hs = cell.hidden_size
-            x = pre.forward_np(cur.reshape(total * batch, -1)
-                               ).reshape(total, batch, hs)
-            out = np.empty((total, batch, hs), dtype=np.float32)
-            h = np.zeros((batch, hs), dtype=np.float32)
-            c = np.zeros((batch, hs), dtype=np.float32)
-            xh = np.empty((batch, 2 * hs), dtype=np.float32)
-            for t in range(total):
+            if dtype == np.float64:
+                x = pre.forward_np(cur)
+            else:
+                x = pre.forward_np(cur.reshape(total * batch, -1)
+                                   ).reshape(total, batch, hs)
+            out = np.empty((total, batch, hs), dtype=dtype)
+            h = np.zeros((batch, hs), dtype=dtype)
+            c = np.zeros((batch, hs), dtype=dtype)
+            xh = np.empty((batch, 2 * hs), dtype=dtype)
+            for t in order:
                 xh[:, :hs] = x[t]
                 xh[:, hs:] = h
                 hn, cn = cell.step_np(xh, c)
                 if masks is not None:
-                    _blend_(h, hn, masks[t])
-                    _blend_(c, cn, masks[t])
+                    np.copyto(h, hn, where=masks[t])
+                    np.copyto(c, cn, where=masks[t])
                 else:
                     h, c = hn, cn
                 out[t] = h
@@ -317,6 +330,15 @@ class BiLSTM(Module):
         fwd = self.forward_rnn(steps, lengths)
         bwd = self.backward_rnn(steps, lengths, reverse=True)
         return [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+
+    def forward_batch_np(self, inputs: np.ndarray,
+                         lengths: np.ndarray | None) -> np.ndarray:
+        """Twin of :meth:`forward` on a ``(T, B, feat)`` array (see
+        :meth:`LSTM.forward_batch_np`); returns ``(T, B, 2·hidden)``."""
+        return np.concatenate(
+            [self.forward_rnn.forward_batch_np(inputs, lengths),
+             self.backward_rnn.forward_batch_np(inputs, lengths,
+                                                reverse=True)], axis=-1)
 
 
 class BiGRU(Module):

@@ -1,11 +1,16 @@
 """Differentials for the per-table profile inside :class:`SchemaEncoding`.
 
-The profile is built in one pass over the cells — value statistics
-``s_c``, numeric ranges and the first-token cell index — and must agree
-exactly with the per-cell reference implementations it replaced:
+The profile parses the cells in one pass — numeric ranges and the
+first-token cell index — and computes a column's value statistics
+``s_c`` when they are first read.  Both must agree exactly with the
+per-cell reference implementations they replaced:
 :func:`repro.text.column_statistics` and the oracles in
-``tests/oracles.py``.
+``tests/oracles.py``.  A recording wrapper around the embeddings pins
+which cells get embedded: none at build time, one column's on its first
+read, and never a numeric column's during annotation.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -49,6 +54,24 @@ def tables(draw):
     rows = [tuple(draw(st.sampled_from(pool)) for pool in pools)
             for _ in range(n_rows)]
     return Table("t", [Column(name, DataType.TEXT) for name in names], rows)
+
+
+class RecordingEmbeddings:
+    """The word embeddings, recording every word ``vector`` is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.words: list[str] = []
+
+    def vector(self, word):
+        self.words.append(word)
+        return self.inner.vector(word)
+
+
+def cell_words(table, name):
+    return {token for cell in table.column_values(name)
+            for token in tokenize(str(cell))}
 
 
 def question(draw, table):
@@ -127,3 +150,57 @@ class TestProfileCases:
         assert encoding.columns == "encoded"
         assert encoding.columns == "encoded"
         assert calls == [[["film", "name"]]]
+
+
+class TestStatsOnFirstRead:
+    @staticmethod
+    def build(table):
+        embeddings = RecordingEmbeddings(EMB)
+        annotator = SimpleNamespace(column_classifier=None,
+                                    embeddings=embeddings)
+        return build_schema_encoding(annotator, table), embeddings
+
+    @given(tables())
+    @settings(max_examples=100, deadline=None)
+    def test_build_embeds_no_cell_word(self, table):
+        header_words = {token for name in table.column_names
+                        for token in tokenize(name)}
+        _encoding, embeddings = self.build(table)
+        cells = set().union(*(cell_words(table, name)
+                              for name in table.column_names))
+        assert not (set(embeddings.words) & cells) - header_words
+
+    @given(tables(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_reading_a_column_embeds_only_its_cells(self, table, random):
+        encoding, embeddings = self.build(table)
+        names = list(table.column_names)
+        random.shuffle(names)
+        for name in names:
+            embeddings.words.clear()
+            first = encoding.stats[name.lower()]
+            assert set(embeddings.words) == cell_words(table, name)
+            embeddings.words.clear()
+            assert encoding.stats[name.lower()] is first
+            assert embeddings.words == []
+
+    def test_annotate_never_embeds_numeric_cells(self, nlidb, monkeypatch):
+        # A fresh table, so the schema cache misses; the question holds
+        # text spans, so the value classifier reads the text column's s_c.
+        table = Table("screenings", [Column("feature"),
+                                     Column("season", DataType.REAL)],
+                      [("zerkalo", 1974), ("nostalghia", 1983),
+                       ("offret", 1986)])
+        annotator = nlidb.annotator
+        words = []
+        original = annotator.embeddings.vector
+
+        def recording(word):
+            words.append(word)
+            return original(word)
+
+        monkeypatch.setattr(annotator.embeddings, "vector", recording)
+        nlidb.annotate("which feature was shot near the old monastery",
+                       table)
+        assert set(words) & cell_words(table, "feature")
+        assert not set(words) & cell_words(table, "season")

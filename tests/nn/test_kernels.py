@@ -1,13 +1,15 @@
 """Numpy kernels, weight snapshots, and grad-mode scoping.
 
 Every hot inference op has a float32 "kernel twin" that computes on
-plain numpy arrays instead of building Tensors.  These tests pin four
+plain numpy arrays instead of building Tensors.  These tests pin five
 contracts: numerical parity between each twin and its float64 Tensor
 original (float32 round-off tolerance), the float64 runs of the twins
 and the LSTM cell's hand-written backward against the Tensor graph
-(float64 round-off tolerance), the per-generation caching of the
-float32 weight snapshots, and the thread-locality of the ``no_grad``
-switch that lets twins run concurrently with training threads.
+(float64 round-off tolerance), the column encoder's float64 BiLSTM
+twin against the Tensor forward (bit for bit), the per-generation
+caching of the float32 weight snapshots, and the thread-locality of the
+``no_grad`` switch that lets twins run concurrently with training
+threads.
 """
 
 import threading
@@ -17,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mention import ClassifierConfig, ColumnMentionClassifier
 from repro.nn import (
     BiGRU,
+    BiLSTM,
     CharConvEncoder,
     GRUCell,
     LSTM,
@@ -33,6 +37,8 @@ from repro.nn import (
     tanh_,
 )
 from repro.nn.attention import AdditiveAttention
+from repro.text import WordEmbeddings
+from tests import oracles
 
 
 @pytest.fixture()
@@ -201,6 +207,57 @@ class TestFloat64Kernels:
             out32 = encoder.forward_np(ids)
             assert out32.dtype == np.float32
             np.testing.assert_allclose(out32, ref, atol=1e-6)
+
+
+class TestColumnEncoderTwin:
+    """Schema rebuilds run the column BiLSTM in float64 numpy; every
+    state the mention classifier reads must equal the Tensor forward's
+    bit for bit, on padded ragged batches as on single lanes."""
+
+    CLASSIFIER = ColumnMentionClassifier(
+        WordEmbeddings(dim=12, seed=4),
+        ClassifierConfig(word_dim=12, char_dim=5, char_out_per_width=3,
+                         hidden=7, attention_dim=6, mlp_hidden=5, seed=2))
+    WORDS = ["film", "director", "year", "of", "the", "x", "points",
+             "elected", "county", "state"]
+
+    # hidden >= 2: a one-output pre-transform is a per-row dot product
+    # in Linear.forward_np (see there), not the Tensor forward's gemv.
+    @given(batch=st.integers(1, 6), inputs=st.integers(1, 7),
+           hidden=st.integers(2, 6), layers=st.integers(1, 2),
+           steps=st.integers(1, 5), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bilstm_float64_bit_equal_to_forward(self, batch, inputs, hidden,
+                                                 layers, steps, data):
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        lengths = np.array(data.draw(
+            st.lists(st.integers(1, steps), min_size=batch,
+                     max_size=batch), label="lengths"))
+        rng = np.random.default_rng(seed)
+        net = BiLSTM(inputs, hidden, rng, num_layers=layers)
+        # Padding rows are random, not zero: the holds must ignore them.
+        xs = rng.standard_normal((int(lengths.max()), batch, inputs))
+        ref = net([Tensor(x) for x in xs], lengths)
+        out = net.forward_batch_np(xs, lengths)
+        assert out.dtype == np.float64
+        assert out.shape == (len(xs), batch, 2 * hidden)
+        for t in range(len(xs)):
+            assert np.array_equal(out[t], ref[t].numpy())
+
+    @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6),
+                    min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_encode_columns_bit_equal_to_tensor_reference(self, columns):
+        got = self.CLASSIFIER.encode_columns(columns)
+        want = oracles.encode_columns_tensor(self.CLASSIFIER, columns)
+        assert got.tokens == want.tokens
+        assert np.array_equal(got.lengths, want.lengths)
+        assert len(got.states) == len(want.states)
+        for ours, theirs in zip(got.states, want.states):
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(got.units, want.units)
+        for ours, theirs in zip(got.as_f32(), want.as_f32()):
+            assert np.array_equal(ours, theirs)
 
 
 class TestLinearTwins:

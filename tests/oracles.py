@@ -11,13 +11,18 @@ import hashlib
 import numpy as np
 
 from repro.core.annotate import _resolve_column, _resolve_value
-from repro.core.mention import InfluenceProfile, MentionCandidate
+from repro.core.mention import (
+    EncodedColumns,
+    InfluenceProfile,
+    MentionCandidate,
+)
 from repro.core.seq2seq.vocab import EOS, build_candidates
 from repro.nn import (
     Tensor,
     binary_cross_entropy_with_logits,
     concat,
     no_grad,
+    pack_steps,
     softmax,
 )
 from repro.errors import AnnotationError
@@ -313,6 +318,30 @@ def classifier_forward_per_pair(classifier, question: list[str],
     word_leaves = [w for w, _c, _x in q_embedded] if capture else []
     char_leaves = [c for _w, c, _x in q_embedded] if capture else []
     return logit, word_leaves, char_leaves
+
+
+def encode_columns_tensor(classifier, columns: list[list[str]],
+                          ) -> EncodedColumns:
+    """The column side of the classifier run as Tensor ops under
+    ``no_grad``: the embedder and the column BiLSTM's training
+    :meth:`~repro.nn.BiLSTM.forward` over the packed columns — what
+    :meth:`ColumnMentionClassifier.encode_columns` computes in numpy."""
+    cfg = classifier.config
+    tokens = [list(column[:cfg.max_column_words]) for column in columns]
+    with no_grad():
+        vectors = classifier._word_vectors(
+            word for column in tokens for word in column)
+        steps, lengths = pack_steps(
+            [[vectors[word] for word in column] for column in tokens])
+        states = [s.numpy() for s in classifier.column_rnn(steps, lengths)]
+    units = np.zeros((len(tokens), len(steps), cfg.emb_dim))
+    for b, column in enumerate(tokens):
+        for t, word in enumerate(column):
+            vec = vectors[word].numpy()
+            norm = np.sqrt((vec * vec).sum() + 1e-8)
+            units[b, t] = vec.reshape(-1) / norm
+    return EncodedColumns(tokens=tokens, lengths=lengths,
+                          states=states, units=units)
 
 
 def influence_per_pair(classifier, question: list[str], column: list[str],

@@ -12,6 +12,7 @@ autodiff state under ``no_grad``.
 import numpy as np
 import pytest
 
+from repro.core import build_schema_encoding
 from repro.core.mention import compute_influence
 from repro.core.seq2seq.model import TrainingPair
 from repro.nn import Tensor, allocation_events, no_grad
@@ -222,9 +223,8 @@ class TestAllocationBudget:
 
     @staticmethod
     def _request(nlidb, example):
-        # Annotation constructs Tensors (value-classifier scoring, schema
-        # encodings on a cache miss), so assemble the translator request
-        # outside the measured span.
+        # Annotation constructs Tensors (value-classifier scoring), so
+        # assemble the translator request outside the measured span.
         annotation = nlidb.annotate(example.question_tokens, example.table)
         return (annotation.annotated_tokens(),
                 nlidb.header_tokens(example.table),
@@ -258,6 +258,16 @@ class TestAllocationBudget:
         before = allocation_events()
         classifier.score_columns(example.question_tokens, encoded=encoded)
         assert allocation_events() - before == 0
+
+    def test_cold_schema_columns_construct_zero_tensors(self, nlidb, corpus):
+        # A schema-cache miss: the fresh encoding's column BiLSTM runs on
+        # the first read of ``columns``.
+        example = corpus[0]
+        before = allocation_events()
+        schema = build_schema_encoding(nlidb.annotator, example.table)
+        encoded = schema.columns
+        assert allocation_events() - before == 0
+        assert len(encoded) == len(example.table.column_names)
 
     def test_warm_influence_constructs_zero_tensors(self, nlidb, corpus):
         # With the column side taken from cached schema rows, the
