@@ -415,9 +415,19 @@ def _is_symbol(token: str, prefix: str) -> bool:
             and token[1:].isdigit())
 
 
+def _check_no_leaked_symbol(parts: list[str], role: str) -> None:
+    """A symbol stands alone: one inside a multi-token span is a
+    translation error, not part of a name or value."""
+    if len(parts) > 1 and any(_is_symbol(part, prefix) for part in parts
+                              for prefix in "cgv"):
+        raise AnnotationError(
+            f"symbol inside a multi-token {role} span: {' '.join(parts)!r}")
+
+
 def _resolve_column(parts: list[str], annotation: AnnotatedQuestion) -> str:
     if not parts:
         raise AnnotationError("empty column reference")
+    _check_no_leaked_symbol(parts, "column")
     if len(parts) == 1 and (_is_symbol(parts[0], "c")
                             or _is_symbol(parts[0], "g")):
         return annotation.column_for_symbol(parts[0])
@@ -427,6 +437,7 @@ def _resolve_column(parts: list[str], annotation: AnnotatedQuestion) -> str:
 def _resolve_value(parts: list[str], annotation: AnnotatedQuestion):
     if not parts:
         raise AnnotationError("empty value reference")
+    _check_no_leaked_symbol(parts, "value")
     if len(parts) == 1 and _is_symbol(parts[0], "v"):
         text = annotation.value_for_symbol(parts[0])
     else:

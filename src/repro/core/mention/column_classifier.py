@@ -44,7 +44,7 @@ from repro.nn import (
     sigmoid_,
     stack,
 )
-from repro.nn.rnn import _blend_, _masks_np
+from repro.nn.rnn import _masks_np
 from repro.text import CHAR_VOCAB_SIZE, WordEmbeddings, char_ids
 
 __all__ = ["ClassifierConfig", "ColumnMentionClassifier", "EncodedColumns"]
@@ -457,7 +457,7 @@ class ColumnMentionClassifier(Module):
         """
         total, batch, _ = states32.shape
         hs = self.config.hidden
-        masks = _masks_np(lengths, total, batch)
+        masks = _masks_np(lengths, total, batch, np.bool_)
         outs = []
         for direction, cell in ((0, self.fwd_cell), (1, self.bwd_cell)):
             out = np.empty((total, batch, hs), dtype=np.float32)
@@ -476,8 +476,8 @@ class ColumnMentionClassifier(Module):
                 xh[:, 3 * hs:] = h
                 hn, cn = cell.step_np(xh, c)
                 if masks is not None:
-                    _blend_(h, hn, masks[t])
-                    _blend_(c, cn, masks[t])
+                    np.copyto(h, hn, where=masks[t])
+                    np.copyto(c, cn, where=masks[t])
                 else:
                     h, c = hn, cn
                 out[t] = h
@@ -731,7 +731,7 @@ class ColumnMentionClassifier(Module):
                 live_t = None if c_live is None else c_live[t]
                 (dh_new, dh), (dc_new, dc) = (_split_hold(dh, live_t),
                                               _split_hold(dc, live_t))
-                dxh, dc_prev = cell.step_vjp(xh, c, dh_new, dc_new)
+                dxh, dc_prev, _ = cell.step_vjp(xh, c, dh_new, dc_new)
                 dc = dc + dc_prev
                 dh = dh + dxh[:, 3 * hs:]
                 d_context = dxh[:, 2 * hs:3 * hs]
@@ -795,7 +795,7 @@ class ColumnMentionClassifier(Module):
                 live_t = None if live is None else live[t]
                 (dh_new, dh), (dc_new, dc) = (_split_hold(dh, live_t),
                                               _split_hold(dc, live_t))
-                dxh, dc_prev = cell.step_vjp(xh, c, dh_new, dc_new)
+                dxh, dc_prev, _ = cell.step_vjp(xh, c, dh_new, dc_new)
                 dc = dc + dc_prev
                 dh = dh + dxh[:, hs:]
                 d_x[t] = dxh[:, :hs]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn import MLP, Adam, Tensor, binary_cross_entropy_with_logits, no_grad
+from repro.nn import MLP, Adam, Tensor, binary_cross_entropy_with_logits
 from repro.text import WordEmbeddings, is_stop_word, span_statistics
 
 __all__ = ["ValueDetectionClassifier", "candidate_spans"]
@@ -130,8 +130,7 @@ class ValueDetectionClassifier:
             raise ModelError(
                 f"stacked statistics must have shape (n, {self.dim}); "
                 f"got {span_stats.shape} and {col_stats.shape}")
-        with no_grad():
-            logits = self.mlp(Tensor(features)).numpy()[:, 0]
+        logits = self.mlp.forward_np(features)[:, 0]
         probs = 1.0 / (1.0 + np.exp(-logits))
         if single:
             return float(probs[0])

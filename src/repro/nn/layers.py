@@ -183,9 +183,9 @@ class MLP(Module):
         """Twin of :meth:`forward` on a ``(batch, in)`` array, in the
         input's dtype (float32 or float64, see :meth:`Linear.forward_np`).
 
-        Only ``tanh`` hidden and ``sigmoid``/``tanh`` output activations
-        are supported — the two configurations the frozen classifier
-        heads use.
+        Hidden layers use the configured ``relu`` or ``tanh``; the
+        output activation is ``sigmoid``, ``tanh`` or none, as in
+        :meth:`forward`.
         """
         for i, layer in enumerate(self.layers):
             x = layer.forward_np(x)

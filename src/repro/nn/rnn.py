@@ -9,6 +9,14 @@ exactly as the paper specifies for both the classifier's question/column
 LSTMs (Section IV-B) and the seq2seq encoder (Section V-B):
 ``x_i^(l+1) = L^(l+1)(h_i^(l))`` with ``L^l(x) = W_0^l x + b_0^l``.
 
+Each cell has one body, the dtype-generic ``step_np``, and its
+hand-written vector-Jacobian product ``step_vjp``.  The cell's Tensor
+``forward`` is ONE autodiff node over them: ``step_np`` in float64
+forward, ``step_vjp`` backward.  Inference runs ``step_np`` in float32
+with no graph, and the column classifier's adversarial pass (Section
+IV-C) runs both in float64 to take ``dL/dE(w)`` without a graph.  The
+GRU update is ``h + z·(h̃ − h)`` on every path.
+
 Each sequence layer has one Tensor ``forward``, a lockstep runner: B
 variable-length sequences, packed into per-step ``(B, features)``
 tensors with :func:`pack_steps`, advance through ONE cell call per time
@@ -18,15 +26,10 @@ from the end with the same ``t < len_b`` mask and stores each state at
 its original index, so lane ``b``'s outputs match running that sequence
 alone (exactly — masked lanes never contaminate live ones).  A single
 sequence is the one-lane case with no ``lengths``.  The ``*_np``
-methods are the numpy twins used at inference: float32 kernels for the
-question LSTM and the translator's BiGRU, and a float64
+methods run the same cells on arrays: float32 kernels for the question
+LSTM and the translator's BiGRU, and a float64
 ``BiLSTM.forward_batch_np`` for the column encoder, equal to the Tensor
 ``forward`` bit for bit.
-
-``LSTMCell.step_np`` also runs in float64 on float64 input, and
-:meth:`LSTMCell.step_vjp` is its hand-written backward.  The column
-classifier's adversarial pass (Section IV-C) uses the two of them to
-take ``dL/dE(w)`` without building a Tensor graph.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.errors import ShapeError
 from repro.nn.functional import sigmoid_, tanh_
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat
+from repro.nn.tensor import Tensor, concat, fused
 
 __all__ = ["LSTMCell", "GRUCell", "LSTM", "BiLSTM", "BiGRU", "pack_steps"]
 
@@ -93,13 +96,6 @@ def _masks_np(lengths: np.ndarray | None, total: int, batch: int,
             > np.arange(total)[:, None, None]).astype(dtype)
 
 
-def _blend_(h: np.ndarray, h_new: np.ndarray, m: np.ndarray) -> None:
-    """In-place hold update ``h ← h_new·m + h·(1−m)``; destroys ``h_new``."""
-    np.subtract(h_new, h, out=h_new)
-    h_new *= m
-    h += h_new
-
-
 class LSTMCell(Module):
     """A single LSTM cell with fused gates."""
 
@@ -114,21 +110,25 @@ class LSTMCell(Module):
         return Tensor.zeros(batch, self.hidden_size), Tensor.zeros(batch, self.hidden_size)
 
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+        """One step as one autodiff node: :meth:`step_np` forward,
+        :meth:`step_vjp` backward; returns ``(h_next, c_next)``."""
         if x.shape[-1] != self.input_size:
             raise ShapeError(f"LSTMCell expected input {self.input_size}, got {x.shape}")
-        z = self.gates(concat([x, h], axis=-1))
-        hs = self.hidden_size
-        i = z[:, 0 * hs:1 * hs].sigmoid()
-        f = z[:, 1 * hs:2 * hs].sigmoid()
-        g = z[:, 2 * hs:3 * hs].tanh()
-        o = z[:, 3 * hs:4 * hs].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
-        return h_next, c_next
+        xh = np.concatenate([x.data, h.data], axis=-1)
+        n, hs = self.input_size, self.hidden_size
+
+        def vjp(grad):
+            dxh, dc_prev, params = self.step_vjp(xh, c.data, grad[:, :hs],
+                                                 grad[:, hs:])
+            return (dxh[:, :n], dxh[:, n:], dc_prev, *params)
+
+        hc = fused(np.concatenate(self.step_np(xh, c.data), axis=-1),
+                   (x, h, c, self.gates.weight, self.gates.bias), vjp)
+        return hc[:, :hs], hc[:, hs:]
 
     def step_np(self, xh: np.ndarray,
                 c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Float32 twin of :meth:`forward`: ``(h_next, c_next)``.
+        """The cell's step on arrays, in their dtype: ``(h_next, c_next)``.
 
         ``xh`` is the preassembled ``(B, input+hidden)`` array; every
         nonlinearity runs in place on the fused gate matmul's output.
@@ -151,13 +151,13 @@ class LSTMCell(Module):
         return h_next, c_next
 
     def step_vjp(self, xh: np.ndarray, c: np.ndarray, dh: np.ndarray,
-                 dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 dc: np.ndarray):
         """Vector-Jacobian product of :meth:`step_np` at ``(xh, c)``.
 
         Given ``dL/dh_next`` and ``dL/dc_next``, returns ``(dL/dxh,
-        dL/dc)``.  The gates are recomputed from ``xh`` (one matmul)
-        rather than kept by the forward.  Float64 only: it is the
-        backward of :meth:`forward` through the float64 parameters.
+        dL/dc, (dL/dW, dL/db))``, the last pair for ``gates``.  The gates
+        are recomputed from ``xh`` (one matmul) rather than kept by the
+        forward.  Runs on the float64 parameters.
         """
         hs = self.hidden_size
         z = self.gates.forward_np(xh)
@@ -172,7 +172,8 @@ class LSTMCell(Module):
         dz[:, 1 * hs:2 * hs] = dc * c * f * (1.0 - f)
         dz[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
         dz[:, 3 * hs:4 * hs] = dh * tanh_c * o * (1.0 - o)
-        return dz @ self.gates.weight.data.T, dc * f
+        return (dz @ self.gates.weight.data.T, dc * f,
+                (xh.T @ dz, dz.sum(axis=0)))
 
 
 class GRUCell(Module):
@@ -190,17 +191,24 @@ class GRUCell(Module):
         return Tensor.zeros(batch, self.hidden_size)
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
+        """One step as one autodiff node: :meth:`step_np` forward,
+        :meth:`step_vjp` backward; returns the next hidden state."""
         if x.shape[-1] != self.input_size:
             raise ShapeError(f"GRUCell expected input {self.input_size}, got {x.shape}")
-        gates = self.zr(concat([x, h], axis=-1))
-        hs = self.hidden_size
-        z = gates[:, :hs].sigmoid()
-        r = gates[:, hs:].sigmoid()
-        h_tilde = self.candidate(concat([x, r * h], axis=-1)).tanh()
-        return (1.0 - z) * h + z * h_tilde
+        xh = np.concatenate([x.data, h.data], axis=-1)
+        n = self.input_size
+
+        def vjp(dh):
+            dxh, params = self.step_vjp(xh, dh)
+            return (dxh[:, :n], dxh[:, n:], *params)
+
+        return fused(self.step_np(xh.copy(), h.data),
+                     (x, h, self.zr.weight, self.zr.bias,
+                      self.candidate.weight, self.candidate.bias), vjp)
 
     def step_np(self, xh: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Float32 twin of :meth:`forward`: the next hidden state.
+        """The cell's step on arrays, in their dtype: the next hidden
+        state ``h + z·(h̃ − h)``.
 
         ``xh`` is the preassembled ``(B, input+hidden)`` array with the
         input in columns ``[:input]`` and ``h`` copied into columns
@@ -219,6 +227,34 @@ class GRUCell(Module):
         np.subtract(ht, h, out=ht)
         ht *= z
         return np.add(h, ht, out=ht)
+
+    def step_vjp(self, xh: np.ndarray, dh: np.ndarray):
+        """Vector-Jacobian product of :meth:`step_np` at ``xh``.
+
+        ``xh`` is the step's input as :meth:`step_np` received it, the
+        input and then ``h``.  Given ``dL/dh_next``, returns ``(dL/dxh,
+        (dL/dW, dL/db) of zr + (dL/dW, dL/db) of candidate)``; the hidden
+        columns of ``dL/dxh`` are the whole gradient of ``h``.  The gates
+        are recomputed from ``xh`` rather than kept by the forward.  Runs
+        on the float64 parameters.
+        """
+        n, hs = self.input_size, self.hidden_size
+        h = xh[:, n:]
+        zr = self.zr.forward_np(xh)
+        z = sigmoid_(zr[:, :hs])
+        r = sigmoid_(zr[:, hs:])
+        u = xh.copy()
+        np.multiply(r, h, out=u[:, n:])
+        ht = tanh_(self.candidate.forward_np(u))
+        dp = dh * z * (1.0 - ht * ht)
+        du = dp @ self.candidate.weight.data.T
+        dzr = np.empty_like(zr)
+        dzr[:, :hs] = dh * (ht - h) * z * (1.0 - z)
+        dzr[:, hs:] = du[:, n:] * h * r * (1.0 - r)
+        dxh = dzr @ self.zr.weight.data.T
+        dxh[:, :n] += du[:, :n]
+        dxh[:, n:] += dh * (1.0 - z) + du[:, n:] * r
+        return dxh, (xh.T @ dzr, dzr.sum(axis=0), u.T @ dp, dp.sum(axis=0))
 
 
 def _check_steps(steps: list[Tensor]) -> None:

@@ -15,6 +15,10 @@ The design goals are:
   parameters, so ``dL/dE(w)`` of the paper's adversarial text method
   (Section IV-C) can be read off embedding leaves; that is the float64
   reference its numpy pass is checked against.
+
+A step computed in numpy enters the graph as one node through
+:func:`fused`, with a hand-written vector-Jacobian product; the RNN
+cells train that way.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import numpy as np
 
 from repro.errors import GradientError, ShapeError
 
-__all__ = ["Tensor", "concat", "stack", "no_grad", "is_grad_enabled",
-           "allocation_events"]
+__all__ = ["Tensor", "concat", "stack", "fused", "no_grad",
+           "is_grad_enabled", "allocation_events"]
 
 
 class _GradMode(threading.local):
@@ -520,6 +524,21 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
             out._flow(tensor, grad[tuple(slicer)])
 
     out = tensors[0]._make(out_data, tensors, lambda g: backward(g, out))
+    return out
+
+
+def fused(data: np.ndarray, parents: Sequence[Tensor],
+          vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """One graph node whose value ``data`` was computed outside the
+    graph: ``vjp(grad)`` returns ``dL/dparent`` for each of ``parents``,
+    in order."""
+    parents = tuple(parents)
+
+    def backward(grad: np.ndarray) -> None:
+        for parent, g in zip(parents, vjp(grad)):
+            out._flow(parent, g)
+
+    out = parents[0]._make(data, parents, backward)
     return out
 
 

@@ -7,9 +7,9 @@ Three contracts:
   :func:`build_annotated_sql` / :func:`recover_sql`);
 * on sequences without ``or``/``not``/parentheses/clause tokens,
   :func:`recover_sql` agrees with the flat-conjunction scan it replaced
-  (``tests.oracles.recover_sql_flat``) except on the two shapes the
-  tree grammar refuses on purpose: a trailing ``and`` and an ``and``
-  inside a column span;
+  (``tests.oracles.recover_sql_flat``) except on the three shapes the
+  tree grammar refuses on purpose: a trailing ``and``, an ``and``
+  inside a column span, and a symbol inside a multi-token span;
 * the legacy candidate vocabulary is byte-identical with the extended
   grammar disabled, and the extended tokens slot in directly after the
   base structural block when enabled.
@@ -25,7 +25,7 @@ from repro.core.annotate import (
     ColumnAnnotation,
     ValueAnnotation,
 )
-from repro.core.seq2seq import STRUCTURAL_TOKENS, build_candidates
+from repro.core.seq2seq import STRUCTURAL_TOKENS, build_candidates, is_symbol
 from repro.core.seq2seq.vocab import (
     EXTENDED_STRUCTURAL_TOKENS,
     structural_tokens,
@@ -131,7 +131,10 @@ def _outcome(recover, tokens, annotation):
 
 def _mutations(target, annotation, rng, count):
     """Seeded edits: insert, drop or duplicate an ``and``, ``=``,
-    ``where`` or symbol token."""
+    ``where`` or symbol token, or replace a symbol by another.  Most
+    inserted or duplicated symbols land inside a span, which both
+    recoveries refuse; a replaced symbol keeps the grammar, so it is
+    what exercises agreement on accepted sequences."""
     symbols = ([f"c{a.index}" for a in annotation.columns]
                + [f"v{a.index}" for a in annotation.values] + ["g1"])
     for _ in range(count):
@@ -140,20 +143,32 @@ def _mutations(target, annotation, rng, count):
         token = rng.choice(symbols) if kind == "symbol" else kind
         at = [i for i, t in enumerate(tokens)
               if (t in symbols if kind == "symbol" else t == kind)]
-        edit = rng.choice(["insert", "drop", "duplicate"]) if at \
-            else "insert"
+        edits = ["insert", "drop", "duplicate"] \
+            + (["replace"] if kind == "symbol" else [])
+        edit = rng.choice(edits) if at else "insert"
         if edit == "insert":
             tokens.insert(rng.randrange(1, len(tokens) + 1), token)
         else:
             i = rng.choice(at)
-            tokens[i:i + 1] = [] if edit == "drop" else [tokens[i]] * 2
+            tokens[i:i + 1] = {"drop": [], "duplicate": [tokens[i]] * 2,
+                               "replace": [token]}[edit]
         yield tokens
 
 
+def _holds_symbol(text) -> bool:
+    words = str(text).split()
+    return len(words) > 1 and any(is_symbol(word) for word in words)
+
+
 def _refused_on_purpose(tokens, flat_query) -> bool:
-    """The two shapes the flat scan accepts and the tree grammar refuses."""
+    """The three shapes the flat scan accepts and the tree grammar
+    refuses: a trailing ``and``, an ``and`` inside a column span, and a
+    symbol inside a multi-token column or value span."""
+    leaves = flat_query.conditions
     return tokens[-1] == "and" or any(
-        "and" in leaf.column.split() for leaf in flat_query.conditions)
+        "and" in leaf.column.split() for leaf in leaves) or any(
+        _holds_symbol(text) for text in [flat_query.select_column]
+        + [leaf.column for leaf in leaves] + [leaf.value for leaf in leaves])
 
 
 class TestFlatRecoveryDifferential:
@@ -206,6 +221,18 @@ class TestFlatRecoveryDifferential:
             assert "and" in flat.conditions[-1].column.split()
             with pytest.raises(AnnotationError):
                 recover_sql(tokens, annotation)
+
+
+    @pytest.mark.parametrize("tokens", [
+        ["select", "g1", "where", "c1", "=", "v1", "cork"],
+        ["select", "c1", "g1"],
+        ["select", "c1", "where", "c1", "v1", "=", "v1"],
+    ])
+    def test_symbol_inside_a_span_is_refused(self, tokens):
+        # A leaked symbol is no part of a name or a value: these used to
+        # recover to the value "v1 cork" and the column "c1 g1".
+        with pytest.raises(AnnotationError, match="symbol inside"):
+            recover_sql(tokens, self.ANNOTATION)
 
 
 class TestCandidateVocabularyStability:

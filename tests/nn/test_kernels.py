@@ -1,15 +1,16 @@
 """Numpy kernels, weight snapshots, and grad-mode scoping.
 
 Every hot inference op has a float32 "kernel twin" that computes on
-plain numpy arrays instead of building Tensors.  These tests pin five
+plain numpy arrays instead of building Tensors.  These tests pin six
 contracts: numerical parity between each twin and its float64 Tensor
-original (float32 round-off tolerance), the float64 runs of the twins
-and the LSTM cell's hand-written backward against the Tensor graph
-(float64 round-off tolerance), the column encoder's float64 BiLSTM
-twin against the Tensor forward (bit for bit), the per-generation
-caching of the float32 weight snapshots, and the thread-locality of the
-``no_grad`` switch that lets twins run concurrently with training
-threads.
+original (float32 round-off tolerance), the fused RNN cell nodes
+against the composed Tensor cells (outputs bit for bit, gradients to
+float64 round-off), the float64 runs of the twins and the LSTM cell's
+hand-written backward against the Tensor graph (float64 round-off
+tolerance), the column encoder's float64 BiLSTM twin against the Tensor
+forward (bit for bit), the per-generation caching of the float32 weight
+snapshots, and the thread-locality of the ``no_grad`` switch that lets
+twins run concurrently with training threads.
 """
 
 import threading
@@ -20,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mention import ClassifierConfig, ColumnMentionClassifier
+from repro.core.seq2seq import AnnotatedSeq2Seq, Seq2SeqConfig, TrainingPair
 from repro.nn import (
     BiGRU,
     BiLSTM,
     CharConvEncoder,
-    GRUCell,
     LSTM,
     LSTMCell,
     Linear,
@@ -71,28 +72,6 @@ class TestInPlaceHelpers:
 
 
 class TestRNNKernelTwins:
-    def test_lstm_cell_step_matches_forward(self, rng):
-        cell = LSTMCell(6, 4, rng)
-        x = rng.standard_normal((3, 6))
-        h = rng.standard_normal((3, 4))
-        c = rng.standard_normal((3, 4))
-        ref_h, ref_c = cell(Tensor(x), Tensor(h), Tensor(c))
-
-        xh = np.concatenate([x, h], axis=1).astype(np.float32)
-        h_out, c_out = cell.step_np(xh, c.astype(np.float32))
-        np.testing.assert_allclose(h_out, ref_h.numpy(), atol=1e-6)
-        np.testing.assert_allclose(c_out, ref_c.numpy(), atol=1e-6)
-
-    def test_gru_cell_step_matches_forward(self, rng):
-        cell = GRUCell(5, 4, rng)
-        x = rng.standard_normal((2, 5))
-        h = rng.standard_normal((2, 4))
-        ref = cell(Tensor(x), Tensor(h))
-
-        xh = np.concatenate([x, h], axis=1).astype(np.float32)
-        h_out = cell.step_np(xh, h.astype(np.float32))
-        np.testing.assert_allclose(h_out, ref.numpy(), atol=1e-6)
-
     def test_lstm_forward_batch_np_matches(self, rng):
         lstm = LSTM(3, 4, rng, num_layers=2)
         t, b = 5, 3
@@ -128,9 +107,88 @@ class TestRNNKernelTwins:
         assert np.array_equal(encode(x), encode(longer))
 
 
+class TestFusedCells:
+    """A cell's ``forward`` is one autodiff node over ``step_np`` and
+    ``step_vjp``.  Against the composed Tensor bodies in
+    ``tests/oracles.py``, its outputs are equal bit for bit and its
+    input and parameter gradients agree to float64 round-off, through
+    the masked ragged lanes of every sequence layer and the
+    translator's decoder steps."""
+
+    TOL = {"rtol": 1e-12, "atol": 1e-15}
+
+    @staticmethod
+    def _run(module, leaves, forward):
+        """Outputs of ``forward()`` and the gradients, w.r.t. ``leaves``
+        and every parameter, of a fixed random projection of them."""
+        module.zero_grad()
+        for leaf in leaves:
+            leaf.zero_grad()
+        outs = forward()
+        weights = np.random.default_rng(0)
+        loss = sum((out * Tensor(weights.standard_normal(out.shape))).sum()
+                   for out in outs)
+        loss.backward()
+        grads = [t.grad for t in leaves + module.parameters()]
+        return [out.numpy().copy() for out in outs], \
+            [None if g is None else g.copy() for g in grads]
+
+    def _assert_fused_matches_composed(self, module, leaves, forward):
+        fused_outs, fused_grads = self._run(module, leaves, forward)
+        with oracles.composed_cells():
+            outs, grads = self._run(module, leaves, forward)
+        assert len(fused_outs) == len(outs)
+        for ours, theirs in zip(fused_outs, outs):
+            assert np.array_equal(ours, theirs)
+        assert [g is None for g in fused_grads] == [g is None for g in grads]
+        for ours, theirs in zip(fused_grads, grads):
+            if theirs is not None:
+                np.testing.assert_allclose(ours, theirs, **self.TOL)
+
+    # hidden >= 2: a one-output candidate layer (GRU hidden 1) is a
+    # per-row dot product in Linear.forward_np, not the Tensor gemv.
+    @pytest.mark.parametrize("layer", [LSTM, BiLSTM, BiGRU])
+    @given(batch=st.integers(1, 5), inputs=st.integers(1, 6),
+           hidden=st.integers(2, 6), layers=st.integers(1, 2),
+           steps=st.integers(1, 5), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_layer_matches_composed(self, layer, batch, inputs, hidden,
+                                    layers, steps, data):
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        lengths = np.array(data.draw(
+            st.lists(st.integers(1, steps), min_size=batch,
+                     max_size=batch), label="lengths"))
+        rng = np.random.default_rng(seed)
+        net = layer(inputs, hidden, rng, num_layers=layers)
+        # Padding rows are random, not zero: the holds must ignore them.
+        xs = [Tensor(x, requires_grad=True) for x in rng.standard_normal(
+            (int(lengths.max()), batch, inputs))]
+        self._assert_fused_matches_composed(net, xs,
+                                            lambda: net(xs, lengths))
+
+    @given(seed=st.integers(0, 2 ** 16), pair=st.sampled_from(range(2)))
+    @settings(max_examples=10, deadline=None)
+    def test_translator_loss_matches_composed(self, seed, pair):
+        # Teacher forcing runs the BiGRU encoder and one decoder-cell
+        # step per target token.
+        model = AnnotatedSeq2Seq(
+            WordEmbeddings(dim=8, seed=1),
+            Seq2SeqConfig(hidden=5, attention_dim=4, seed=seed))
+        pair = [
+            TrainingPair(["which", "c1", "film", "c2", "year", "v2", "?"],
+                         ["select", "c1", "where", "c2", "=", "v2"],
+                         ["film", "year"], ("c1", "v2", "c2")),
+            TrainingPair(["count", "c1", "items"], ["select", "count", "c1"],
+                         ["item"], ("c1",)),
+        ][pair]
+        self._assert_fused_matches_composed(model, [],
+                                            lambda: [model.loss(pair)])
+
+
 class TestFloat64Kernels:
     """The influence pass runs the twins in float64 on the parameters
-    themselves and reverses the LSTM cell with ``step_vjp``."""
+    themselves and reverses the LSTM cell with ``step_vjp``, checked
+    here against the backward of the composed Tensor cell."""
 
     @given(batch=st.integers(1, 5), inputs=st.integers(1, 6),
            hidden=st.integers(1, 6), steps=st.integers(1, 5),
@@ -156,13 +214,14 @@ class TestFloat64Kernels:
         h = h_leaf = Tensor(h0, requires_grad=True)
         c = c_leaf = Tensor(c0, requires_grad=True)
         loss = None
-        for t in range(steps):
-            m = Tensor(live[t].astype(np.float64))
-            h_new, c_new = cell(x_leaves[t], h, c)
-            h = h_new * m + h * (1.0 - m)
-            c = c_new * m + c * (1.0 - m)
-            term = (h * Tensor(dout[t])).sum()
-            loss = term if loss is None else loss + term
+        with oracles.composed_cells():
+            for t in range(steps):
+                m = Tensor(live[t].astype(np.float64))
+                h_new, c_new = cell(x_leaves[t], h, c)
+                h = h_new * m + h * (1.0 - m)
+                c = c_new * m + c * (1.0 - m)
+                term = (h * Tensor(dout[t])).sum()
+                loss = term if loss is None else loss + term
         (loss + (c * Tensor(dc_last)).sum()).backward()
 
         h, c, tape = h0, c0, []
@@ -174,20 +233,26 @@ class TestFloat64Kernels:
             c = np.where(live[t], c_new, c)
         dh, dc = np.zeros((batch, hidden)), dc_last
         dx = np.empty_like(xs)
+        dw = np.zeros_like(cell.gates.weight.data)
+        db = np.zeros_like(cell.gates.bias.data)
         for t in range(steps - 1, -1, -1):
             dh = dh + dout[t]
-            dxh, dc_prev = cell.step_vjp(*tape[t], np.where(live[t], dh, 0.0),
-                                         np.where(live[t], dc, 0.0))
+            dxh, dc_prev, (dw_t, db_t) = cell.step_vjp(
+                *tape[t], np.where(live[t], dh, 0.0),
+                np.where(live[t], dc, 0.0))
             dh = np.where(live[t], 0.0, dh) + dxh[:, inputs:]
             dc = np.where(live[t], 0.0, dc) + dc_prev
             dx[t] = dxh[:, :inputs]
+            dw += dw_t
+            db += db_t
 
         tol = {"rtol": 1e-12, "atol": 1e-15}
         for t in range(steps):
             np.testing.assert_allclose(dx[t], x_leaves[t].grad, **tol)
         np.testing.assert_allclose(dh, h_leaf.grad, **tol)
         np.testing.assert_allclose(dc, c_leaf.grad, **tol)
-        assert cell.gates.weight.grad is not None  # the Tensor side only
+        np.testing.assert_allclose(dw, cell.gates.weight.grad, **tol)
+        np.testing.assert_allclose(db, cell.gates.bias.grad, **tol)
 
     def test_linear_float64_runs_on_parameters(self, rng):
         layer = Linear(6, 3, rng)

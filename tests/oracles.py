@@ -7,10 +7,11 @@ differential tests assert the fast path returns exactly what these do.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.annotate import _resolve_column, _resolve_value
+from repro.core.annotate import _is_symbol
 from repro.core.mention import (
     EncodedColumns,
     InfluenceProfile,
@@ -18,6 +19,8 @@ from repro.core.mention import (
 )
 from repro.core.seq2seq.vocab import EOS, build_candidates
 from repro.nn import (
+    GRUCell,
+    LSTMCell,
     Tensor,
     binary_cross_entropy_with_logits,
     concat,
@@ -153,6 +156,44 @@ def find_mentions(matcher, tokens: list[str],
     candidates.sort(key=lambda c: (priority[c.method], -c.score,
                                    c.start, c.end))
     return candidates
+
+
+def lstm_cell_composed(cell, x: Tensor, h: Tensor,
+                       c: Tensor) -> tuple[Tensor, Tensor]:
+    """:class:`~repro.nn.LSTMCell` as Tensor ops, one graph node per
+    gate op — the body the fused cell node replaced."""
+    z = cell.gates(concat([x, h], axis=-1))
+    hs = cell.hidden_size
+    i = z[:, 0 * hs:1 * hs].sigmoid()
+    f = z[:, 1 * hs:2 * hs].sigmoid()
+    g = z[:, 2 * hs:3 * hs].tanh()
+    o = z[:, 3 * hs:4 * hs].sigmoid()
+    c_next = f * c + i * g
+    h_next = o * c_next.tanh()
+    return h_next, c_next
+
+
+def gru_cell_composed(cell, x: Tensor, h: Tensor) -> Tensor:
+    """:class:`~repro.nn.GRUCell` as Tensor ops, with the production
+    update ``h + z·(h̃ − h)``."""
+    gates = cell.zr(concat([x, h], axis=-1))
+    hs = cell.hidden_size
+    z = gates[:, :hs].sigmoid()
+    r = gates[:, hs:].sigmoid()
+    h_tilde = cell.candidate(concat([x, r * h], axis=-1)).tanh()
+    return h + z * (h_tilde - h)
+
+
+@contextmanager
+def composed_cells():
+    """Run every LSTM and GRU cell call on its composed Tensor body
+    (not thread-safe: it swaps the classes' ``forward``)."""
+    saved = LSTMCell.forward, GRUCell.forward
+    LSTMCell.forward, GRUCell.forward = lstm_cell_composed, gru_cell_composed
+    try:
+        yield
+    finally:
+        LSTMCell.forward, GRUCell.forward = saved
 
 
 def decode_per_beam(model, source: list[str], header_tokens: list[str],
@@ -377,8 +418,31 @@ def recover_sql_flat(tokens: list[str], annotation) -> Query:
     every token up to the next operator and a value every token up to
     the next ``and``.  So it accepts a trailing ``and`` and reads an
     ``and`` before an operator as part of the column; the tree grammar
-    refuses both.  Symbols resolve as in production.
+    refuses both.  A one-token span that is a symbol resolves through
+    the annotation; a longer span is its tokens joined, symbols and
+    all, where production refuses a symbol inside a span.
     """
+    def resolve_column(parts: list[str]) -> str:
+        if not parts:
+            raise AnnotationError("empty column reference")
+        if len(parts) == 1 and (_is_symbol(parts[0], "c")
+                                or _is_symbol(parts[0], "g")):
+            return annotation.column_for_symbol(parts[0])
+        return " ".join(parts)
+
+    def resolve_value(parts: list[str]):
+        if not parts:
+            raise AnnotationError("empty value reference")
+        if len(parts) == 1 and _is_symbol(parts[0], "v"):
+            text = annotation.value_for_symbol(parts[0])
+        else:
+            text = " ".join(parts)
+        try:
+            number = float(text)
+        except ValueError:
+            return text
+        return int(number) if number.is_integer() else number
+
     def take_until(pos: int, stops: set[str]) -> tuple[list[str], int]:
         out = []
         while pos < len(tokens) and tokens[pos] not in stops:
@@ -396,7 +460,7 @@ def recover_sql_flat(tokens: list[str], annotation) -> Query:
         aggregate = Aggregate.from_token(tokens[pos])
         pos += 1
     select_tokens, pos = take_until(pos, {"where"})
-    select_column = _resolve_column(select_tokens, annotation)
+    select_column = resolve_column(select_tokens)
 
     conditions: list[Condition] = []
     if pos < len(tokens):
@@ -411,7 +475,7 @@ def recover_sql_flat(tokens: list[str], annotation) -> Query:
             val_tokens, pos = take_until(pos + 1, {"and"})
             pos += 1  # consume 'and' (or step past the end)
             conditions.append(Condition(
-                _resolve_column(col_tokens, annotation), operator,
-                _resolve_value(val_tokens, annotation)))
+                resolve_column(col_tokens), operator,
+                resolve_value(val_tokens)))
     return Query(select_column=select_column, aggregate=aggregate,
                  conditions=conditions)

@@ -15,7 +15,7 @@ import pytest
 from repro.core import build_schema_encoding
 from repro.core.mention import compute_influence
 from repro.core.seq2seq.model import TrainingPair
-from repro.nn import Tensor, allocation_events, no_grad
+from repro.nn import GRUCell, LSTMCell, Tensor, allocation_events, no_grad
 from repro.text import tokenize
 from tests import oracles
 
@@ -217,14 +217,14 @@ class TestAllocationBudget:
     """The float32 kernels' allocation contract, as a regression test.
 
     The no-graph spy above proves the fast paths build no *autodiff*
-    state; these pin the stronger property: a warm decode or column
-    scoring performs zero ``Tensor`` constructions at all.
+    state; these pin the stronger property: a warm translation — and
+    each kernel in it — performs zero ``Tensor`` constructions at all.
+    Training builds a graph, but a recurrent cell adds one node to it
+    per call.
     """
 
     @staticmethod
     def _request(nlidb, example):
-        # Annotation constructs Tensors (value-classifier scoring), so
-        # assemble the translator request outside the measured span.
         annotation = nlidb.annotate(example.question_tokens, example.table)
         return (annotation.annotated_tokens(),
                 nlidb.header_tokens(example.table),
@@ -268,6 +268,28 @@ class TestAllocationBudget:
         encoded = schema.columns
         assert allocation_events() - before == 0
         assert len(encoded) == len(example.table.column_names)
+
+    def test_warm_translate_constructs_zero_tensors(self, nlidb, corpus):
+        # The whole serving path: annotation (value and column scoring,
+        # influence, the cached schema encoding), translation, recovery.
+        for example in corpus[:8]:
+            nlidb.translate(example.question_tokens, example.table)
+        before = allocation_events()
+        for example in corpus[:8]:
+            nlidb.translate(example.question_tokens, example.table)
+        assert allocation_events() - before == 0
+
+    @pytest.mark.parametrize("cell_type", [LSTMCell, GRUCell])
+    def test_training_cell_call_is_one_node(self, cell_type):
+        # A grad-enabled cell call is one autodiff node (an LSTM cell's
+        # node plus a slice per state), whatever its gate count.
+        cell = cell_type(5, 4, np.random.default_rng(0))
+        x = Tensor(np.ones((3, 5)), requires_grad=True)
+        state = [Tensor(np.zeros((3, 4)), requires_grad=True)
+                 for _ in range(2 if cell_type is LSTMCell else 1)]
+        before = allocation_events()
+        cell(x, *state)
+        assert allocation_events() - before <= 3
 
     def test_warm_influence_constructs_zero_tensors(self, nlidb, corpus):
         # With the column side taken from cached schema rows, the
