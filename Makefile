@@ -32,9 +32,10 @@ test-pipeline:
 # cohort-vs-solo and early-retirement tests, the column classifier's
 # batched forward and batched influence against their per-pair oracles,
 # and the kernels' parity (float32 and float64 twins, the fused cell
-# nodes against the composed Tensor cells, the LSTM cell's hand-written
-# backward) and padded-lane bit-equality tests under hash seeds 0-4,
-# each run with fresh Hypothesis examples.
+# nodes against the composed Tensor cells, the fused char-CNN and
+# classifier-network nodes against their composed graphs, the LSTM
+# cell's hand-written backward) and padded-lane bit-equality tests
+# under hash seeds 0-4, each run with fresh Hypothesis examples.
 DECODE_TESTS = tests/pipeline/test_batched_inference.py \
 	tests/pipeline/test_coalesced_kernels.py \
 	tests/pipeline/test_decode_retirement.py \

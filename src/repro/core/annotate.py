@@ -431,7 +431,10 @@ def _resolve_column(parts: list[str], annotation: AnnotatedQuestion) -> str:
     if len(parts) == 1 and (_is_symbol(parts[0], "c")
                             or _is_symbol(parts[0], "g")):
         return annotation.column_for_symbol(parts[0])
-    return " ".join(parts)
+    name = " ".join(parts)
+    if not annotation.table.has_column(name):
+        raise AnnotationError(f"no column {name!r} in the table")
+    return name
 
 
 def _resolve_value(parts: list[str], annotation: AnnotatedQuestion):

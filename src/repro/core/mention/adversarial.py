@@ -12,11 +12,11 @@ where ``p`` is a norm (ℓ2 by default, as in the experiments, which use
 ``α = 1, β = 0``).  No span supervision is needed — the method reuses
 only what the classifier already learned.
 
-The gradients are not taken through the autodiff graph: the classifier
-runs its network once in float64 numpy over all pairs and reverses it
-by hand to the question's embeddings
-(:meth:`ColumnMentionClassifier.embedding_gradients`), which matches
-the Tensor graph to rounding at a fraction of its per-node cost.
+The gradients come from the body the classifier trains on, without
+an autodiff graph: :meth:`ColumnMentionClassifier.embedding_gradients`
+runs the float64 forward of the classifier's network node once over
+all pairs and its hand-written reverse only as far as the question's
+embeddings, forming no parameter gradient.
 """
 
 from __future__ import annotations

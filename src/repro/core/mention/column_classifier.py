@@ -17,11 +17,19 @@ following the paper:
 
 Training needs only (question, SQL) pairs: the positive label for
 ``(q, c)`` is "column ``c`` appears in the SQL of ``q``".
+
+The network above the column encoder (question LSTM, attention,
+attentive BiLSTM, similarity features and head) has one float64 body,
+``ColumnMentionClassifier._network64``, with a hand-written reverse.
+Training runs it as ONE autodiff node (``forward``), adversarial
+localization without a graph (``embedding_gradients``); serving
+scores with the float32 kernel ``score_columns_multi``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from repro.nn import (
     stack,
 )
 from repro.nn.rnn import _masks_np
+from repro.nn.tensor import fused
 from repro.text import CHAR_VOCAB_SIZE, WordEmbeddings, char_ids
 
 __all__ = ["ClassifierConfig", "ColumnMentionClassifier", "EncodedColumns"]
@@ -221,98 +230,52 @@ class ColumnMentionClassifier(Module):
         return rows
 
     def forward(self, pairs: list[tuple[list[str], list[str]]]) -> Tensor:
-        """Logits ``(P,)`` of P ``(question, column)`` pairs in one
-        masked graph — the training forward.
-
-        Every op is row-wise across pairs: padded question and column
-        steps are length-masked, attention and the max feature give
-        padding zero weight, and feature rows past a column's length are
-        zero.  So pair ``p``'s logit depends only on its own rows, and
-        backpropagating the *sum* of the per-pair losses gives each pair
-        exactly its own gradients.  The char CNN, the column BiLSTM and
-        the column unit vectors run in the graph.  Serving does not
-        come here: the schema side runs the float64 column encoder
-        (:meth:`encode_columns`), scoring the float32 kernels
-        (:meth:`score_columns_multi`) and adversarial localization the
-        float64 numpy pass (:meth:`embedding_gradients`);
-        :meth:`predict_proba` is its one-pair ``no_grad`` use.
-        """
+        """Logits ``(P,)`` of P ``(question, column)`` pairs, for
+        training and :meth:`predict_proba`: the embedder (one char-CNN
+        node per word), the column BiLSTM and the unit vectors in the
+        graph, and ONE node above them (:meth:`_network`).  Every op is
+        row-wise across pairs, so the *sum* of the per-pair losses gives
+        each pair exactly its own gradients."""
         if not pairs:
             raise ModelError("forward() needs at least one pair")
         if any(not question or not column for question, column in pairs):
             raise ModelError("question and column must be non-empty")
         cfg = self.config
-        count = len(pairs)
         questions = [question for question, _column in pairs]
         columns = [column[:cfg.max_column_words] for _q, column in pairs]
-        q_lengths = np.array([len(q) for q in questions], dtype=np.intp)
-        n_max = int(q_lengths.max())
 
         vectors = self._word_vectors(
             word for sequence in questions + columns for word in sequence)
-        steps, _ = pack_steps([[vectors[w] for w in q] for q in questions])
+        steps, q_lengths = pack_steps([[vectors[w] for w in q]
+                                       for q in questions])
         c_steps, c_lengths = pack_steps(
             [[vectors[w] for w in column] for column in columns])
         states = self.column_rnn(c_steps, c_lengths)
-        units = [(x / ((x * x).sum(axis=1, keepdims=True) + 1e-8) ** 0.5
-                  ).reshape(count, 1, cfg.emb_dim) for x in c_steps]
+        c_matrix = stack(c_steps, axis=1)                        # (P, T, emb)
+        units = c_matrix / ((c_matrix * c_matrix).sum(axis=2, keepdims=True)
+                            + 1e-8) ** 0.5
+        return self._network(steps, q_lengths, states, c_lengths, units)
 
-        # Question side: masked lockstep LSTM, padded memory.
-        memory = stack(self.question_rnn(steps, q_lengths), axis=1)  # (P, n, H)
-        memory_proj = self.attention.memory_proj(memory)
-        pad_bias = Tensor(np.where(
-            np.arange(n_max)[None, :] < q_lengths[:, None], 0.0, -1e9))
-        q_matrix = stack(steps, axis=1)                         # (P, n, emb)
-        q_norms = ((q_matrix * q_matrix).sum(axis=2, keepdims=True)
-                   + 1e-8) ** 0.5
-        q_unit = q_matrix / q_norms
+    def _network(self, steps: list[Tensor], q_lengths: np.ndarray,
+                 states: list[Tensor], c_lengths: np.ndarray,
+                 units: Tensor) -> Tensor:
+        """The network above the column encoder as ONE autodiff node
+        over the packed question steps, the column BiLSTM states and the
+        ``(P, T, emb)`` unit vectors: :meth:`_network64` forward,
+        :meth:`_network_reverse` and :meth:`_network_grads` backward."""
+        logits, tape = self._network64(
+            np.stack([step.data for step in steps]), q_lengths,
+            [state.data for state in states], c_lengths, units.data)
+        params = [param for module in (self.question_rnn, self.attention,
+                                       self.fwd_cell, self.bwd_cell, self.head)
+                  for param in module.parameters()]
 
-        # Attentive BiLSTM over the column states (part iii),
-        # length-masked like ``LSTM.forward``.
-        total = len(states)
-        masks = [None if (c_lengths > t).all() else Tensor(
-                     (c_lengths > t).astype(np.float64).reshape(-1, 1))
-                 for t in range(total)]
+        def vjp(grad):
+            d_steps = self._network_reverse(tape, grad)
+            d_states, d_units, d_params = self._network_grads(tape)
+            return [*d_steps, *d_states, d_units, *d_params]
 
-        def run_direction(cell, order):
-            h, c = cell.initial_state(count)
-            outputs: list[Tensor | None] = [None] * total
-            for t in order:
-                s_t = states[t]
-                context = self.attention.forward_padded(
-                    memory, memory_proj, concat([s_t, h], axis=-1), pad_bias)
-                h_new, c_new = cell(concat([s_t, context], axis=-1), h, c)
-                m = masks[t]
-                if m is None:
-                    h, c = h_new, c_new
-                else:
-                    h = h_new * m + h * (1.0 - m)
-                    c = c_new * m + c * (1.0 - m)
-                outputs[t] = h
-            return outputs
-
-        fwd = run_direction(self.fwd_cell, range(total))
-        bwd = run_direction(self.bwd_cell, range(total - 1, -1, -1))
-
-        # BiDAF-style similarity features: per column word, the max and
-        # mean cosine similarity against the pair's own question words,
-        # as row-wise product sums (not a gemv, whose rounding depends
-        # on the row's position), so repeated question words tie exactly
-        # and ``max`` splits their gradient evenly.
-        lengths_col = q_lengths.astype(np.float64).reshape(count, 1)
-        width = 2 * cfg.hidden + 2
-        features = []
-        for t in range(cfg.max_column_words):
-            if t >= total:
-                features.append(Tensor.zeros(count, width))
-                continue
-            sims = (q_unit * units[t]).sum(axis=2)
-            row = concat([fwd[t], bwd[t],
-                          (sims + pad_bias).max(axis=1, keepdims=True),
-                          sims.sum(axis=1, keepdims=True) / lengths_col],
-                         axis=-1)
-            features.append(row if masks[t] is None else row * masks[t])
-        return self.head(concat(features, axis=-1)).reshape(count)
+        return fused(logits, [*steps, *states, units, *params], vjp)
 
     # ------------------------------------------------------------------
     # Training / inference
@@ -578,7 +541,7 @@ class ColumnMentionClassifier(Module):
         return [probs[rows].astype(np.float64) for rows in slices]
 
     # ------------------------------------------------------------------
-    # Adversarial input gradients (Section IV-C), float64 without a graph
+    # The float64 body: training node and adversarial gradients
     # ------------------------------------------------------------------
 
     def embedding_gradients(
@@ -589,25 +552,18 @@ class ColumnMentionClassifier(Module):
         toward label 0 with respect to each question word's embeddings.
 
         Returns ``(logits (P,), dL/dE_word (P, n, word_dim), dL/dE_char
-        (P, n, char_out))``, with rows past a question's length zero.
-        The forward is :meth:`forward`'s network run in float64 numpy
-        on the parameters themselves, and it keeps what the reverse
-        pass needs.  The column side is constant: ``encoded`` (one row
-        per pair, e.g. cached ``SchemaEncoding`` rows) when given, else
-        :meth:`encode_columns`.  The reverse pass is written by hand and
-        stops at the question's embeddings: MLP head, similarity
-        features, both attentive-LSTM directions with their attention
-        over the question memory, and the question LSTM.  Pairs share no
-        activations, so each pair gets the gradients of its own loss.
-        Only parameter values are read, so concurrent calls on one
-        shared classifier are safe.
+        (P, n, char_out))``, zero past a question's length: the training
+        node's body (:meth:`_network64`, :meth:`_network_reverse`) with
+        the column side constant, ``encoded`` (one row per pair, e.g.
+        cached ``SchemaEncoding`` rows) or else :meth:`encode_columns`.
+        No column-side or parameter gradient is formed, and only
+        parameter values are read, so concurrent calls are safe.
         """
         if not pairs:
             raise ModelError("embedding_gradients() needs at least one pair")
         if any(not question or not column for question, column in pairs):
             raise ModelError("question and column must be non-empty")
         cfg = self.config
-        hs = cfg.hidden
         count = len(pairs)
         if encoded is None:
             encoded = self.encode_columns([column for _q, column in pairs])
@@ -615,198 +571,251 @@ class ColumnMentionClassifier(Module):
             raise ModelError(f"{len(encoded)} encoded columns for "
                              f"{count} pairs")
         q_lengths = np.array([len(q) for q, _column in pairs], dtype=np.intp)
-        n_max = int(q_lengths.max())
-        steps = np.zeros((n_max, count, cfg.emb_dim))      # (n, P, emb)
+        steps = np.zeros((int(q_lengths.max()), count, cfg.emb_dim))
         rows = self._embed_rows64(word for question, _column in pairs
                                   for word in question)
         for p, (question, _column) in enumerate(pairs):
-            for i, word in enumerate(question):
-                steps[i, p] = rows[word]
-        q_live = _masks_np(q_lengths, n_max, count, np.bool_)
+            steps[:len(question), p] = [rows[word] for word in question]
+        logits, tape = self._network64(
+            steps, q_lengths, encoded.states, encoded.lengths,
+            encoded.units[:, :len(encoded.states)])
+        # BCE toward 0 has gradient σ(x) except at a logit of exactly 0,
+        # where the |x| in its stable form gives 0.
+        e = np.exp(-np.abs(logits))
+        d_steps = self._network_reverse(
+            tape, (logits > 0) - np.sign(logits) * (e / (1.0 + e)))
+        if tape.q_live is not None:
+            d_steps *= tape.q_live
+        grads = d_steps.transpose(1, 0, 2)
+        return (logits, grads[..., :cfg.word_dim],
+                grads[..., cfg.word_dim:])
+
+    def _network64(self, steps: np.ndarray, q_lengths: np.ndarray,
+                   states, c_lengths: np.ndarray, units: np.ndarray,
+                   ) -> tuple[np.ndarray, SimpleNamespace]:
+        """The network above the column encoder in float64 on the
+        parameters: logits ``(P,)`` and the tape its reverse reads, from
+        ``(n, P, emb)`` question steps (zero past each length), T ``(P,
+        2·hidden)`` column states and ``(P, T, emb)`` unit vectors."""
+        cfg, attention = self.config, self.attention
+        hs = cfg.hidden
+        n_max, count, _ = steps.shape
+        total = len(states)
+        tape = SimpleNamespace(
+            q_lengths=q_lengths, units=units, q_layers=[], directions=[],
+            q_live=_masks_np(q_lengths, n_max, count, np.bool_),
+            c_live=_masks_np(c_lengths, total, count, np.bool_))
 
         # Question side: LSTM, attention memory, unit vectors.
-        q_states, q_tape = self._question_lstm64(steps, q_live)
-        memory = q_states.transpose(1, 0, 2)               # (P, n, H)
-        attention = self.attention
+        out = steps
+        for pre, cell in zip(self.question_rnn.pre, self.question_rnn.cells):
+            x = pre.forward_np(out)
+            layer = SimpleNamespace(input=out, order=range(n_max))
+            out, layer.xh, layer.c = _run_lstm64(
+                cell, layer.order, count, tape.q_live, lambda t, _h: (x[t],))
+            tape.q_layers.append(layer)
+        memory = tape.memory = out.transpose(1, 0, 2)     # (P, n, H)
         memory_proj = attention.memory_proj.forward_np(memory)
         pad_bias = np.where(
             np.arange(n_max)[None, :] < q_lengths[:, None], 0.0, -1e9)
-        q_matrix = steps.transpose(1, 0, 2)                # (P, n, emb)
-        q_norms = np.sqrt((q_matrix * q_matrix).sum(axis=2, keepdims=True)
-                          + 1e-8)
-        q_unit = q_matrix / q_norms
+        q_matrix = tape.q_matrix = steps.transpose(1, 0, 2)  # (P, n, emb)
+        tape.q_norms = np.sqrt((q_matrix * q_matrix).sum(axis=2, keepdims=True)
+                               + 1e-8)
+        tape.q_unit = q_matrix / tape.q_norms
 
-        # Attentive BiLSTM over the constant column states.
-        states = encoded.states
-        total = len(states)
-        c_live = _masks_np(encoded.lengths, total, count, np.bool_)
+        # Attentive BiLSTM over the column states.
         v = attention.v.data
+        for cell, order in ((self.fwd_cell, range(total)),
+                            (self.bwd_cell, range(total - 1, -1, -1))):
+            run = SimpleNamespace(
+                order=order, query=np.empty((total, count, 3 * hs)),
+                weights=np.empty((total, count, n_max)),
+                hidden=np.empty((total, count) + memory_proj.shape[1:]))
 
-        def run_direction(cell, order):
-            h = np.zeros((count, hs))
-            c = np.zeros((count, hs))
-            outputs = np.empty((total, count, hs))
-            tape = []
-            for t in order:
-                s_t = states[t]
-                qp = attention.query_proj.forward_np(
-                    np.concatenate([s_t, h], axis=1))
-                hidden = np.tanh(memory_proj + qp[:, None, :])
+            def attend(t, h, run=run):
+                query = run.query[t] = np.concatenate([states[t], h], axis=1)
+                hidden = run.hidden[t] = np.tanh(
+                    memory_proj + attention.query_proj.forward_np(query)[:, None])
                 scores = hidden @ v + pad_bias
                 weights = np.exp(scores - scores.max(axis=1, keepdims=True))
                 weights /= weights.sum(axis=1, keepdims=True)
-                context = np.matmul(weights[:, None, :], memory)[:, 0]
-                xh = np.concatenate([s_t, context, h], axis=1)
-                h_new, c_new = cell.step_np(xh, c)
-                tape.append((t, xh, c, weights, hidden))
-                if c_live is None:
-                    h, c = h_new, c_new
-                else:
-                    h = np.where(c_live[t], h_new, h)
-                    c = np.where(c_live[t], c_new, c)
-                outputs[t] = h
-            return outputs, tape
+                run.weights[t] = weights
+                return states[t], np.matmul(weights[:, None], memory)[:, 0]
 
-        fwd, fwd_tape = run_direction(self.fwd_cell, range(total))
-        bwd, bwd_tape = run_direction(self.bwd_cell,
-                                      range(total - 1, -1, -1))
+            run.out, run.xh, run.c = _run_lstm64(cell, order, count,
+                                                 tape.c_live, attend)
+            tape.directions.append(run)
 
         # Similarity features as row-wise product sums, so repeated
-        # question words tie exactly in the max, as in the graph.
-        sims = (q_unit[:, None] * encoded.units[:, :total, None]).sum(axis=3)
-        masked = sims + pad_bias[:, None, :]               # (P, T, n)
-        sim_max = masked.max(axis=2)
-        width = 2 * hs + 2
-        features = np.zeros((count, cfg.max_column_words, width))
+        # question words tie exactly in the max.
+        sims = (tape.q_unit[:, None] * units[:, :, None]).sum(axis=3)
+        tape.masked = sims + pad_bias[:, None, :]          # (P, T, n)
+        tape.sim_max = tape.masked.max(axis=2)
+        features = np.zeros((count, cfg.max_column_words, 2 * hs + 2))
         filled = features[:, :total]
-        filled[..., :hs] = fwd.transpose(1, 0, 2)
-        filled[..., hs:2 * hs] = bwd.transpose(1, 0, 2)
-        filled[..., 2 * hs] = sim_max
+        for i, run in enumerate(tape.directions):
+            filled[..., i * hs:(i + 1) * hs] = run.out.transpose(1, 0, 2)
+        filled[..., 2 * hs] = tape.sim_max
         filled[..., 2 * hs + 1] = sims.sum(axis=2) / q_lengths[:, None]
-        if c_live is not None:
-            filled[~c_live.transpose(1, 0, 2)[..., 0]] = 0.0
+        if tape.c_live is not None:
+            filled[~tape.c_live.transpose(1, 0, 2)[..., 0]] = 0.0
 
         # Tanh MLP head.
         x = features.reshape(count, -1)
-        activations = []
+        tape.head_inputs = [x]
         for layer in self.head.layers[:-1]:
             x = np.tanh(layer.forward_np(x))
-            activations.append(x)
-        logits = self.head.layers[-1].forward_np(x)[:, 0]
+            tape.head_inputs.append(x)
+        return self.head.layers[-1].forward_np(x)[:, 0], tape
 
-        # Reverse pass.  BCE toward 0 has gradient σ(x) except at a
-        # logit of exactly 0, where the |x| in its stable form gives 0.
-        e = np.exp(-np.abs(logits))
-        grad = ((logits > 0) - np.sign(logits) * (e / (1.0 + e)))[:, None]
+    def _network_reverse(self, tape: SimpleNamespace,
+                         d_logits: np.ndarray) -> np.ndarray:
+        """Reverse of :meth:`_network64` to the question steps: ``dL/d
+        steps (n, P, emb)`` from ``dL/d logits (P,)``, padding rows
+        included.  The gate, attention and head gradients are left on the
+        tape for :meth:`_network_grads`."""
+        cfg, attention = self.config, self.attention
+        hs = cfg.hidden
+        grad, tape.d_head = d_logits[:, None], []
         for layer, act in zip(self.head.layers[::-1],
-                              [None] + activations[::-1]):
+                              [None] + tape.head_inputs[:0:-1]):
             if act is not None:
                 grad = grad * (1.0 - act * act)
+            tape.d_head.insert(0, grad)
             grad = grad @ layer.weight.data.T
-        d_features = grad.reshape(features.shape)[:, :total]
+
+        # Similarity features.
+        c_live = tape.c_live
+        count, total = tape.units.shape[:2]
+        d_features = grad.reshape(count, cfg.max_column_words, -1)[:, :total]
         if c_live is not None:
             d_features = d_features * c_live.transpose(1, 0, 2)
-        ties = masked == sim_max[:, :, None]
-        d_sims = (d_features[..., 2 * hs, None] * ties
-                  / ties.sum(axis=2, keepdims=True)
-                  + (d_features[..., 2 * hs + 1]
-                     / q_lengths[:, None])[..., None])
-        d_unit = np.matmul(d_sims.transpose(0, 2, 1),
-                           encoded.units[:, :total])       # (P, n, emb)
+        ties = tape.masked == tape.sim_max[:, :, None]
+        tape.d_sims = (d_features[..., 2 * hs, None] * ties
+                       / ties.sum(axis=2, keepdims=True)
+                       + (d_features[..., 2 * hs + 1]
+                          / tape.q_lengths[:, None])[..., None])
+        d_unit = np.matmul(tape.d_sims.transpose(0, 2, 1), tape.units)
+        q_matrix, q_norms = tape.q_matrix, tape.q_norms
         d_norms = -(d_unit * q_matrix).sum(axis=2, keepdims=True) \
             / (q_norms * q_norms)
         d_steps = (d_unit / q_norms + q_matrix * (d_norms / q_norms)
                    ).transpose(1, 0, 2)
 
+        # Attentive BiLSTM and its attention over the question memory.
+        memory, v = tape.memory, attention.v.data
         d_memory = np.zeros_like(memory)
-        d_proj = np.zeros_like(memory_proj)
+        d_proj = tape.d_proj = np.zeros(memory.shape[:2] + (v.size,))
         w_query_h = attention.query_proj.weight.data[2 * hs:]
-        for cell, tape, d_out in (
-                (self.fwd_cell, fwd_tape, d_features[..., :hs]),
-                (self.bwd_cell, bwd_tape, d_features[..., hs:2 * hs])):
-            dh = np.zeros((count, hs))
-            dc = np.zeros((count, hs))
-            for t, xh, c, weights, hidden in reversed(tape):
-                dh = dh + d_out[:, t]
-                live_t = None if c_live is None else c_live[t]
-                (dh_new, dh), (dc_new, dc) = (_split_hold(dh, live_t),
-                                              _split_hold(dc, live_t))
-                dxh, dc_prev, _ = cell.step_vjp(xh, c, dh_new, dc_new)
-                dc = dc + dc_prev
-                dh = dh + dxh[:, 3 * hs:]
-                d_context = dxh[:, 2 * hs:3 * hs]
-                d_memory += weights[:, :, None] * d_context[:, None, :]
+        for cell, run, d_out in zip(
+                (self.fwd_cell, self.bwd_cell), tape.directions,
+                (d_features[..., :hs], d_features[..., hs:2 * hs])):
+            run.d_query = np.empty((total, count, v.size))
+            run.d_scores = np.empty_like(run.weights)
+
+            def attend_vjp(t, d_input, run=run):
+                weights, hidden = run.weights[t], run.hidden[t]
+                d_context = d_input[:, 2 * hs:]
+                d_memory[...] += weights[:, :, None] * d_context[:, None, :]
                 d_weights = np.matmul(memory, d_context[:, :, None])[..., 0]
-                d_scores = weights * (d_weights - (weights * d_weights).sum(
-                    axis=1, keepdims=True))
+                d_scores = run.d_scores[t] = weights * (
+                    d_weights - (weights * d_weights).sum(axis=1,
+                                                          keepdims=True))
                 d_hidden = d_scores[:, :, None] * v * (1.0 - hidden * hidden)
-                d_proj += d_hidden
-                dh = dh + d_hidden.sum(axis=1) @ w_query_h.T
+                d_proj[...] += d_hidden
+                run.d_query[t] = d_hidden.sum(axis=1)
+                return run.d_query[t] @ w_query_h.T
+
+            run.dz, run.d_input = _reverse_lstm64(
+                cell, run, c_live, d_out.transpose(1, 0, 2), attend_vjp)
         d_memory += d_proj @ attention.memory_proj.weight.data.T
-        d_steps += self._question_lstm_vjp(
-            q_tape, d_memory.transpose(1, 0, 2), q_live)
-        if q_live is not None:
-            d_steps *= q_live
-        grads = d_steps.transpose(1, 0, 2)
-        return (logits, grads[..., :cfg.word_dim],
-                grads[..., cfg.word_dim:])
 
-    def _question_lstm64(self, steps: np.ndarray, live: np.ndarray | None,
-                         ) -> tuple[np.ndarray, list]:
-        """The question LSTM in float64 over ``(n, P, emb)`` steps:
-        ``(top-layer states (n, P, H), tape)``, the tape being each
-        layer's per-step cell inputs and memory states."""
-        out = steps
-        tape = []
-        for pre, cell in zip(self.question_rnn.pre, self.question_rnn.cells):
-            x = pre.forward_np(out)
-            count, hs = x.shape[1], cell.hidden_size
-            h = np.zeros((count, hs))
-            c = np.zeros((count, hs))
-            out = np.empty_like(x)
-            layer_tape = []
-            for t in range(len(x)):
-                xh = np.concatenate([x[t], h], axis=1)
-                h_new, c_new = cell.step_np(xh, c)
-                layer_tape.append((xh, c))
-                if live is None:
-                    h, c = h_new, c_new
-                else:
-                    h = np.where(live[t], h_new, h)
-                    c = np.where(live[t], c_new, c)
-                out[t] = h
-            tape.append(layer_tape)
-        return out, tape
+        # Question LSTM.
+        d_out = d_memory.transpose(1, 0, 2)
+        for pre, cell, layer in reversed(list(zip(
+                self.question_rnn.pre, self.question_rnn.cells,
+                tape.q_layers))):
+            layer.dz, layer.d_x = _reverse_lstm64(cell, layer, tape.q_live,
+                                                  d_out, lambda t, d: 0.0)
+            d_out = layer.d_x @ pre.weight.data.T
+        return d_steps + d_out
 
-    def _question_lstm_vjp(self, tape: list, d_out: np.ndarray,
-                           live: np.ndarray | None) -> np.ndarray:
-        """Backward of :meth:`_question_lstm64`: ``dL/d(steps)`` from
-        ``dL/d(top-layer states)``, both ``(n, P, ·)``."""
-        rnn = self.question_rnn
-        for pre, cell, layer_tape in reversed(
-                list(zip(rnn.pre, rnn.cells, tape))):
-            hs = cell.hidden_size
-            d_x = np.empty_like(d_out)
-            dh = np.zeros_like(d_out[0])
-            dc = np.zeros_like(d_out[0])
-            for t in range(len(layer_tape) - 1, -1, -1):
-                xh, c = layer_tape[t]
-                dh = dh + d_out[t]
-                live_t = None if live is None else live[t]
-                (dh_new, dh), (dc_new, dc) = (_split_hold(dh, live_t),
-                                              _split_hold(dc, live_t))
-                dxh, dc_prev, _ = cell.step_vjp(xh, c, dh_new, dc_new)
-                dc = dc + dc_prev
-                dh = dh + dxh[:, hs:]
-                d_x[t] = dxh[:, :hs]
-            d_out = d_x @ pre.weight.data.T
-        return d_out
+    def _network_grads(self, tape: SimpleNamespace,
+                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The training half of the reverse, after
+        :meth:`_network_reverse`: ``(dL/d states (T, P, 2·hidden), dL/d
+        units (P, T, emb), parameter gradients)``, the last in the order
+        :meth:`_network` lists the parameters."""
+        hs = self.config.hidden
+        layers = tape.q_layers
+        grads = [g for layer in layers for g in (
+            _gemm_tn(layer.input, layer.d_x), layer.d_x.sum(axis=(0, 1)))]
+        grads += [g for run in layers for g in (
+            _gemm_tn(run.xh, run.dz), run.dz.sum(axis=(0, 1)))]
+        runs = tape.directions
+        query, d_query, d_scores, hidden = (
+            np.concatenate([getattr(run, name) for run in runs])
+            for name in ("query", "d_query", "d_scores", "hidden"))
+        grads += [_gemm_tn(tape.memory, tape.d_proj),
+                  _gemm_tn(query, d_query), d_query.sum(axis=(0, 1)),
+                  _gemm_tn(hidden, d_scores[..., None])[:, 0]]
+        grads += [g for run in runs for g in (
+            _gemm_tn(run.xh, run.dz), run.dz.sum(axis=(0, 1)))]
+        for x_in, d_out in zip(tape.head_inputs, tape.d_head):
+            grads += [x_in.T @ d_out, d_out.sum(axis=0)]
+        w_query_s = self.attention.query_proj.weight.data[:2 * hs]
+        d_states = sum(run.d_input[..., :2 * hs] + run.d_query @ w_query_s.T
+                       for run in runs)
+        return d_states, np.matmul(tape.d_sims, tape.q_unit), grads
 
 
-def _split_hold(grad: np.ndarray, live: np.ndarray | None,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of the hold ``h ← h_new if live else h``: the gradient
-    ``(dL/dh_new, dL/dh)``."""
-    if live is None:
-        return grad, np.zeros_like(grad)
-    return np.where(live, grad, 0.0), np.where(live, 0.0, grad)
+def _run_lstm64(cell, order: range, count: int, live: np.ndarray | None,
+                inputs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One masked LSTM direction in float64 through ``order``, step
+    ``t``'s input being ``inputs(t, h)`` then ``h``: the held states,
+    each step's ``xh`` and its memory state ``c``, indexed by time."""
+    hs = cell.hidden_size
+    h = c = np.zeros((count, hs))
+    outputs, cs = np.empty((2, len(order), count, hs))
+    xhs = np.empty((len(order), count, cell.input_size + hs))
+    for t in order:
+        np.concatenate([*inputs(t, h), h], axis=1, out=xhs[t])
+        cs[t] = c
+        h_new, c_new = cell.step_np(xhs[t], c)
+        if live is None:
+            h, c = h_new, c_new
+        else:
+            h = np.where(live[t], h_new, h)
+            c = np.where(live[t], c_new, c)
+        outputs[t] = h
+    return outputs, xhs, cs
+
+
+def _reverse_lstm64(cell, run: SimpleNamespace, live: np.ndarray | None,
+                    d_out: np.ndarray, input_vjp,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse of :func:`_run_lstm64` from ``dL/d outputs``: each step's
+    gate gradients and input-part gradients, which ``input_vjp(t, d)``
+    takes back through the inputs, returning its ``dL/dh`` share."""
+    hs = cell.hidden_size
+    dz = np.empty(run.xh.shape[:2] + (4 * hs,))
+    d_parts = np.empty(run.xh.shape[:2] + (run.xh.shape[2] - hs,))
+    dh = dc = np.zeros_like(d_out[0])
+    for t in reversed(run.order):
+        dh = dh + d_out[t]
+        if live is None:     # the hold's backward: live rows go to h_new
+            dh_new, dc_new, dh, dc = dh, dc, 0.0, 0.0
+        else:
+            dh_new, dh = np.where(live[t], dh, 0.0), np.where(live[t], 0.0, dh)
+            dc_new, dc = np.where(live[t], dc, 0.0), np.where(live[t], 0.0, dc)
+        dxh, dc_prev, dz[t] = cell.step_vjp(run.xh[t], run.c[t], dh_new,
+                                            dc_new)
+        d_parts[t] = dxh[:, :-hs]
+        dc = dc + dc_prev
+        dh = dh + dxh[:, -hs:] + input_vjp(t, d_parts[t])
+    return dz, d_parts
+
+
+def _gemm_tn(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Σ_r a_rᵀ b_r`` over every leading index: ``(a_in, b_out)``."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])

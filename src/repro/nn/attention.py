@@ -6,18 +6,19 @@ and inside the seq2seq decoder (Section V-B).  Both compute
 
 ``e_j = v^T tanh(W_1 s_j + W_2 query + b)``, ``α = softmax(e)``,
 ``context = Σ_j α_j s_j``.
+
+The module holds the parameters and the float32 serving kernel; the
+classifier's float64 attention is part of its network node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.nn import init
-from repro.nn.functional import softmax, softmax_rows_, tanh_
+from repro.nn.functional import softmax_rows_, tanh_
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter, current_generation
-from repro.nn.tensor import Tensor
 
 __all__ = ["AdditiveAttention"]
 
@@ -51,31 +52,6 @@ class AdditiveAttention(Module):
             self._v32_gen = gen
         return self._v32
 
-    def forward_padded(self, memory: Tensor, memory_proj: Tensor,
-                       queries: Tensor, pad_bias: Tensor) -> Tensor:
-        """B queries, each over its own zero-padded memory: ``(B, md)``.
-
-        ``memory`` is ``(B, T, md)`` and ``memory_proj`` its
-        ``memory_proj`` projection (computed once, reused per query);
-        ``pad_bias`` is a constant ``(B, T)`` tensor, 0 on live positions
-        and ``-1e9`` on padding, so padding gets exactly zero weight and
-        row ``b`` equals attending over row ``b``'s live prefix alone.
-        One query over one memory is the ``B = 1`` case.
-        """
-        if memory.ndim != 3:
-            raise ShapeError(
-                f"padded attention memory must be 3-D, got {memory.shape}")
-        b, t, attn = memory_proj.shape
-        hidden = (memory_proj + self.query_proj(queries).reshape(b, 1, attn)
-                  ).tanh()
-        scores = (hidden.reshape(b * t, attn) @ self.v).reshape(b, t)
-        weights = softmax(scores + pad_bias, axis=-1)
-        return (weights.reshape(b, 1, t) @ memory).reshape(b, memory.shape[2])
-
-    # ------------------------------------------------------------------
-    # Float32 kernel twins
-    # ------------------------------------------------------------------
-
     def project_memory_np(self, memory: np.ndarray) -> np.ndarray:
         """``W_1 memory`` once per request: ``(T, md) → (T, attn)``."""
         return self.memory_proj.forward_np(memory)
@@ -83,8 +59,7 @@ class AdditiveAttention(Module):
     def forward_batch_np(self, memory: np.ndarray, memory_proj: np.ndarray,
                          queries: np.ndarray,
                          ) -> tuple[np.ndarray, np.ndarray]:
-        """B queries over one memory: ``(contexts, weights)``, the float32
-        twin of :meth:`forward_padded` over that memory tiled B times.
+        """B queries over one memory: ``(contexts, weights)`` in float32.
 
         ``memory_proj`` is the ``(T, attn)`` output of
         :meth:`project_memory_np`; ``queries`` is ``(B, query_dim)``.

@@ -6,6 +6,10 @@ character of a word, sliding one-dimensional convolutions of widths
 projections element-wise, and concatenating across widths.  The
 projection is linear and shared across slices; inputs shorter than ``k``
 are zero-padded so at least one slice exists.
+
+The encoder has one body, :meth:`CharConvEncoder.forward_np`: float32
+for inference, float64 for training, whose Tensor ``forward`` is ONE
+node over it with a hand-written vector-Jacobian product.
 """
 
 from __future__ import annotations
@@ -17,17 +21,16 @@ from numpy.lib.stride_tricks import as_strided
 from repro.errors import ShapeError
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, concat, stack
+from repro.nn.tensor import Tensor, fused
 
 __all__ = ["Conv1d", "CharConvEncoder"]
 
 
 class Conv1d(Module):
-    """Width-``k`` 1-D convolution over a ``(length, channels)`` matrix.
-
-    Each length-``k`` slice is flattened and passed through a shared
-    linear projection; the output is the element-wise average of all
-    slice projections (the paper's composition rule).
+    """The parameters of a width-``k`` 1-D convolution over a
+    ``(length, channels)`` matrix: each length-``k`` slice is flattened
+    through the shared ``projection`` and the slice projections are
+    averaged (the paper's composition rule), in :class:`CharConvEncoder`.
     """
 
     def __init__(self, width: int, in_channels: int, out_channels: int,
@@ -39,23 +42,6 @@ class Conv1d(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.projection = Linear(width * in_channels, out_channels, rng)
-
-    def forward(self, matrix: Tensor) -> Tensor:
-        """Apply the convolution; returns a ``(out_channels,)`` vector."""
-        if matrix.ndim != 2 or matrix.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"Conv1d expected (length, {self.in_channels}), got {matrix.shape}")
-        length = matrix.shape[0]
-        if length < self.width:
-            # Zero-pad so at least one slice is available.
-            pad = Tensor.zeros(self.width - length, self.in_channels)
-            matrix = concat([matrix, pad], axis=0)
-            length = self.width
-        slices = [matrix[i:i + self.width].reshape(1, self.width * self.in_channels)
-                  for i in range(length - self.width + 1)]
-        stacked = concat(slices, axis=0)
-        projected = self.projection(stacked)
-        return projected.mean(axis=0)
 
 
 class CharConvEncoder(Module):
@@ -77,44 +63,67 @@ class CharConvEncoder(Module):
         self.out_dim = out_dim_per_width * len(widths)
 
     def forward(self, char_ids: list[int]) -> Tensor:
-        """Encode one word given its character id sequence."""
-        if not char_ids:
-            raise ShapeError("CharConvEncoder received an empty character sequence")
-        matrix = self.char_embedding(np.asarray(char_ids, dtype=np.intp))
-        parts = [conv(matrix) for conv in self.convs]
-        return concat(parts, axis=-1)
+        """Encode one word as ONE autodiff node: :meth:`forward_np` in
+        float64 forward, :meth:`_vjp` backward; ``(out_dim,)``."""
+        ids = np.asarray(char_ids, dtype=np.intp)
+        return fused(self.forward_np(ids, np.float64), self.parameters(),
+                     lambda grad: self._vjp(ids, grad))
 
-    def encode_batch(self, words_char_ids: list[list[int]]) -> Tensor:
-        """Encode several words; returns ``(num_words, out_dim)``."""
-        return stack([self(ids) for ids in words_char_ids], axis=0)
+    def _windows(self, char_ids, table: np.ndarray):
+        """The word's character rows, zero-padded to the widest width,
+        and per width ``(conv, windows)``: a strided ``(n, k·char_dim)``
+        view of the ``n = max(length − k + 1, 1)`` sliding windows."""
+        if not len(char_ids):
+            raise ShapeError("CharConvEncoder received an empty character sequence")
+        length, char_dim, size = len(char_ids), table.shape[1], table.itemsize
+        chars = np.zeros((max(length, max(self.widths)), char_dim),
+                         dtype=table.dtype)
+        np.take(table, np.asarray(char_ids, dtype=np.intp), axis=0,
+                out=chars[:length])
+        return chars, [(conv, as_strided(
+            chars, shape=(max(length - conv.width + 1, 1),
+                          conv.width * char_dim),
+            strides=(char_dim * size, size))) for conv in self.convs]
 
     def forward_np(self, char_ids: list[int],
                    dtype=np.float32) -> np.ndarray:
-        """Twin of :meth:`forward`; returns ``(out_dim,)`` in ``dtype``.
+        """The encoder on arrays; returns ``(out_dim,)`` in ``dtype``.
 
         Float32 runs on the float32 weight snapshots (the inference
         kernels), float64 on the parameters themselves.  Sliding windows
         are materialized with one strided copy per width (BLAS needs
         contiguous rows).
         """
-        if not char_ids:
-            raise ShapeError("CharConvEncoder received an empty character sequence")
         table = (self.char_embedding.weight.data if dtype == np.float64
                  else self.char_embedding.table32())
-        ids = np.asarray(char_ids, dtype=np.intp)
-        char_dim = table.shape[1]
-        length = len(ids)
-        padded = max(length, max(self.widths))
-        chars = np.zeros((padded, char_dim), dtype=table.dtype)
-        np.take(table, ids, axis=0, out=chars[:length])
+        _chars, windows = self._windows(char_ids, table)
         per = self.convs[0].out_channels
         out = np.empty(self.out_dim, dtype=table.dtype)
-        size = table.itemsize
-        for wi, conv in enumerate(self.convs):
-            k = conv.width
-            n = max(length - k + 1, 1)
-            windows = as_strided(chars, shape=(n, k * char_dim),
-                                 strides=(char_dim * size, size))
-            proj = conv.projection.forward_np(windows.copy())
+        for wi, (conv, rows) in enumerate(windows):
+            proj = conv.projection.forward_np(rows.copy())
             np.mean(proj, axis=0, out=out[wi * per:(wi + 1) * per])
         return out
+
+    def _vjp(self, ids: np.ndarray, grad: np.ndarray) -> list[np.ndarray]:
+        """``dL/d(char table)`` and each width's ``(dL/dW, dL/db)``, in
+        :meth:`parameters` order.
+
+        The mean hands each of a width's ``n`` windows ``g / n``: the
+        weight gradient is the window sum's outer product with it, and
+        every window sends ``W (g / n)`` back to the rows it covers.
+        """
+        table = self.char_embedding.weight.data
+        chars, windows = self._windows(ids, table)
+        per = self.convs[0].out_channels
+        d_chars = np.zeros_like(chars)
+        params = []
+        for wi, (conv, rows) in enumerate(windows):
+            g, n = grad[wi * per:(wi + 1) * per], len(rows)
+            params += [np.outer(rows.sum(axis=0), g / n), g]
+            d_window = (conv.projection.weight.data @ (g / n)).reshape(
+                conv.width, -1)
+            for offset in range(conv.width):
+                d_chars[offset:offset + n] += d_window[offset]
+        d_table = np.zeros_like(table)
+        np.add.at(d_table, ids, d_chars[:len(ids)])
+        return [d_table, *params]

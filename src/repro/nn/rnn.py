@@ -118,9 +118,10 @@ class LSTMCell(Module):
         n, hs = self.input_size, self.hidden_size
 
         def vjp(grad):
-            dxh, dc_prev, params = self.step_vjp(xh, c.data, grad[:, :hs],
-                                                 grad[:, hs:])
-            return (dxh[:, :n], dxh[:, n:], dc_prev, *params)
+            dxh, dc_prev, dz = self.step_vjp(xh, c.data, grad[:, :hs],
+                                             grad[:, hs:])
+            return (dxh[:, :n], dxh[:, n:], dc_prev, xh.T @ dz,
+                    dz.sum(axis=0))
 
         hc = fused(np.concatenate(self.step_np(xh, c.data), axis=-1),
                    (x, h, c, self.gates.weight, self.gates.bias), vjp)
@@ -155,9 +156,9 @@ class LSTMCell(Module):
         """Vector-Jacobian product of :meth:`step_np` at ``(xh, c)``.
 
         Given ``dL/dh_next`` and ``dL/dc_next``, returns ``(dL/dxh,
-        dL/dc, (dL/dW, dL/db))``, the last pair for ``gates``.  The gates
-        are recomputed from ``xh`` (one matmul) rather than kept by the
-        forward.  Runs on the float64 parameters.
+        dL/dc, dz)``; ``dz``, the gates' pre-activation gradient, gives
+        training ``dL/dW = xh.T @ dz`` and ``dL/db = Σ dz``.  The gates
+        are recomputed from ``xh``.  Runs on the float64 parameters.
         """
         hs = self.hidden_size
         z = self.gates.forward_np(xh)
@@ -172,8 +173,7 @@ class LSTMCell(Module):
         dz[:, 1 * hs:2 * hs] = dc * c * f * (1.0 - f)
         dz[:, 2 * hs:3 * hs] = dc * i * (1.0 - g * g)
         dz[:, 3 * hs:4 * hs] = dh * tanh_c * o * (1.0 - o)
-        return (dz @ self.gates.weight.data.T, dc * f,
-                (xh.T @ dz, dz.sum(axis=0)))
+        return dz @ self.gates.weight.data.T, dc * f, dz
 
 
 class GRUCell(Module):
@@ -199,8 +199,9 @@ class GRUCell(Module):
         n = self.input_size
 
         def vjp(dh):
-            dxh, params = self.step_vjp(xh, dh)
-            return (dxh[:, :n], dxh[:, n:], *params)
+            dxh, dzr, u, dp = self.step_vjp(xh, dh)
+            return (dxh[:, :n], dxh[:, n:], xh.T @ dzr, dzr.sum(axis=0),
+                    u.T @ dp, dp.sum(axis=0))
 
         return fused(self.step_np(xh.copy(), h.data),
                      (x, h, self.zr.weight, self.zr.bias,
@@ -233,10 +234,11 @@ class GRUCell(Module):
 
         ``xh`` is the step's input as :meth:`step_np` received it, the
         input and then ``h``.  Given ``dL/dh_next``, returns ``(dL/dxh,
-        (dL/dW, dL/db) of zr + (dL/dW, dL/db) of candidate)``; the hidden
-        columns of ``dL/dxh`` are the whole gradient of ``h``.  The gates
-        are recomputed from ``xh`` rather than kept by the forward.  Runs
-        on the float64 parameters.
+        dzr, u, dp)``: the hidden columns of ``dL/dxh`` are the whole
+        gradient of ``h``, and ``dzr``/``dp`` the pre-activation
+        gradients of ``zr``/``candidate``, whose inputs are ``xh`` and
+        ``u``.  The gates are recomputed from ``xh``.  Runs on the float64
+        parameters.
         """
         n, hs = self.input_size, self.hidden_size
         h = xh[:, n:]
@@ -254,7 +256,7 @@ class GRUCell(Module):
         dxh = dzr @ self.zr.weight.data.T
         dxh[:, :n] += du[:, :n]
         dxh[:, n:] += dh * (1.0 - z) + du[:, n:] * r
-        return dxh, (xh.T @ dzr, dzr.sum(axis=0), u.T @ dp, dp.sum(axis=0))
+        return dxh, dzr, u, dp
 
 
 def _check_steps(steps: list[Tensor]) -> None:

@@ -18,7 +18,7 @@ The design goals are:
 
 A step computed in numpy enters the graph as one node through
 :func:`fused`, with a hand-written vector-Jacobian product; the RNN
-cells train that way.
+cells, the char CNN and the column classifier's network train that way.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ Three contracts:
   :func:`build_annotated_sql` / :func:`recover_sql`);
 * on sequences without ``or``/``not``/parentheses/clause tokens,
   :func:`recover_sql` agrees with the flat-conjunction scan it replaced
-  (``tests.oracles.recover_sql_flat``) except on the three shapes the
+  (``tests.oracles.recover_sql_flat``) except on the four shapes the
   tree grammar refuses on purpose: a trailing ``and``, an ``and``
-  inside a column span, and a symbol inside a multi-token span;
+  inside a column span, a symbol inside a multi-token span, and a
+  column span that names no column of the table;
 * the legacy candidate vocabulary is byte-identical with the extended
   grammar disabled, and the extended tokens slot in directly after the
   base structural block when enabled.
@@ -160,15 +161,18 @@ def _holds_symbol(text) -> bool:
     return len(words) > 1 and any(is_symbol(word) for word in words)
 
 
-def _refused_on_purpose(tokens, flat_query) -> bool:
-    """The three shapes the flat scan accepts and the tree grammar
-    refuses: a trailing ``and``, an ``and`` inside a column span, and a
-    symbol inside a multi-token column or value span."""
+def _refused_on_purpose(tokens, flat_query, table) -> bool:
+    """The four shapes the flat scan accepts and the tree grammar
+    refuses: a trailing ``and``, an ``and`` inside a column span, a
+    symbol inside a multi-token column or value span, and a column span
+    that names no column of ``table``."""
     leaves = flat_query.conditions
+    columns = [flat_query.select_column] + [leaf.column for leaf in leaves]
     return tokens[-1] == "and" or any(
         "and" in leaf.column.split() for leaf in leaves) or any(
-        _holds_symbol(text) for text in [flat_query.select_column]
-        + [leaf.column for leaf in leaves] + [leaf.value for leaf in leaves])
+        _holds_symbol(text)
+        for text in columns + [leaf.value for leaf in leaves]) or any(
+        not table.has_column(column) for column in columns)
 
 
 class TestFlatRecoveryDifferential:
@@ -190,7 +194,8 @@ class TestFlatRecoveryDifferential:
                     assert tree is None, tokens
                     seen["both_raise"] += 1
                 elif tree is None:
-                    assert _refused_on_purpose(tokens, flat), tokens
+                    assert _refused_on_purpose(tokens, flat,
+                                               annotation.table), tokens
                     seen["refused"] += 1
                 else:
                     assert tree == flat, tokens
@@ -233,6 +238,26 @@ class TestFlatRecoveryDifferential:
         # recover to the value "v1 cork" and the column "c1 g1".
         with pytest.raises(AnnotationError, match="symbol inside"):
             recover_sql(tokens, self.ANNOTATION)
+
+
+    @pytest.mark.parametrize("tokens", [
+        ["select", "c1", "where", "zip", "=", "v1"],
+        ["select", "population"],
+        ["select", "name", "city", "where", "c1", "=", "v1"],
+    ])
+    def test_column_missing_from_table_is_refused(self, tokens):
+        # A literal column span must name a column of the table, by the
+        # executor's own lookup: these used to recover and then fail to
+        # execute.
+        assert oracles.recover_sql_flat(tokens, self.ANNOTATION) is not None
+        with pytest.raises(AnnotationError, match="no column"):
+            recover_sql(tokens, self.ANNOTATION)
+
+    def test_literal_column_of_the_table_recovers(self):
+        query = recover_sql(["select", " Name ", "where", "c1", "=", "v1"],
+                            self.ANNOTATION)
+        assert query.select_column == " Name "
+        assert execute(query, self.ANNOTATION.table) == ["anna"]
 
 
 class TestCandidateVocabularyStability:

@@ -1,35 +1,49 @@
-"""Tests for the character-CNN encoder and additive attention."""
+"""Tests for the character-CNN encoder and additive attention.
+
+The char CNN runs in production (one fused node per word); the padded
+Tensor attention is the composed oracle in ``tests/oracles.py`` that
+the column classifier's network node is checked against.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.nn import AdditiveAttention, CharConvEncoder, Conv1d, Tensor
+from tests import oracles
 
 RNG = np.random.default_rng(21)
 
 
 class TestConv1d:
+    """A width's arithmetic runs in ``CharConvEncoder``'s node; these
+    drive one width through it (the channel check is the composed
+    oracle's, since the node takes character ids, not a matrix)."""
+
     def test_output_shape(self):
-        conv = Conv1d(3, 4, 6, RNG)
-        out = conv(Tensor(RNG.standard_normal((8, 4))))
-        assert out.shape == (6,)
+        enc = CharConvEncoder(20, 4, 6, RNG, widths=(3,))
+        assert enc([1, 2, 3, 4, 5, 6, 7, 8]).shape == (6,)
 
     def test_short_input_zero_padded(self):
-        conv = Conv1d(5, 4, 6, RNG)
-        out = conv(Tensor(RNG.standard_normal((2, 4))))
+        enc = CharConvEncoder(20, 4, 6, RNG, widths=(5,))
+        out = enc([1, 2])
         assert out.shape == (6,)
         assert np.isfinite(out.numpy()).all()
+        conv = enc.convs[0]
+        padded = np.zeros((5, 4))
+        padded[:2] = enc.char_embedding.weight.data[[1, 2]]
+        np.testing.assert_allclose(
+            out.numpy(), conv.projection.forward_np(padded.reshape(1, -1))[0],
+            rtol=1e-14)
 
     def test_input_exactly_width(self):
-        conv = Conv1d(3, 2, 4, RNG)
-        out = conv(Tensor(RNG.standard_normal((3, 2))))
-        assert out.shape == (4,)
+        enc = CharConvEncoder(20, 2, 4, RNG, widths=(3,))
+        assert enc([1, 2, 3]).shape == (4,)
 
     def test_bad_channels_raises(self):
         conv = Conv1d(3, 4, 6, RNG)
         with pytest.raises(ShapeError):
-            conv(Tensor(np.ones((5, 3))))
+            oracles.conv1d_composed(conv, Tensor(np.ones((5, 3))))
 
     def test_bad_width_raises(self):
         with pytest.raises(ShapeError):
@@ -37,19 +51,17 @@ class TestConv1d:
 
     def test_shared_projection_across_slices(self):
         """A constant input makes all slices equal → output equals one slice."""
-        conv = Conv1d(2, 3, 4, RNG)
-        row = RNG.standard_normal(3)
-        matrix = np.tile(row, (6, 1))
-        out = conv(Tensor(matrix)).numpy()
-        single = conv(Tensor(np.tile(row, (2, 1)))).numpy()
+        enc = CharConvEncoder(20, 3, 4, RNG, widths=(2,))
+        out = enc([7] * 6).numpy()
+        single = enc([7, 7]).numpy()
         np.testing.assert_allclose(out, single, atol=1e-12)
 
     def test_gradient_flows(self):
-        conv = Conv1d(3, 4, 6, RNG)
-        x = Tensor(RNG.standard_normal((8, 4)), requires_grad=True)
-        conv(x).sum().backward()
-        assert x.grad is not None
-        assert conv.projection.weight.grad is not None
+        enc = CharConvEncoder(20, 4, 6, RNG, widths=(3,))
+        enc([1, 2, 3, 4, 5, 6, 7, 8]).sum().backward()
+        assert np.abs(enc.char_embedding.weight.grad[1:9]).sum() > 0
+        assert not enc.char_embedding.weight.grad[9:].any()
+        assert enc.convs[0].projection.weight.grad is not None
 
 
 class TestCharConvEncoder:
@@ -72,11 +84,6 @@ class TestCharConvEncoder:
         with pytest.raises(ShapeError):
             enc([])
 
-    def test_encode_batch(self):
-        enc = CharConvEncoder(20, 5, 4, RNG, widths=(3,))
-        out = enc.encode_batch([[1, 2], [3, 4, 5], [6]])
-        assert out.shape == (3, 4)
-
     def test_char_embedding_shared_across_widths(self):
         """Gradients from every conv width accumulate on one char table."""
         enc = CharConvEncoder(20, 5, 4, RNG, widths=(2, 3))
@@ -92,14 +99,19 @@ class TestCharConvEncoder:
         assert np.linalg.norm(a - b) < np.linalg.norm(a - c)
 
 
+# The padded Tensor attention is the classifier's composed oracle; its
+# float32 serving kernel is checked against it in test_kernels.py.
+forward_padded = oracles.attention_padded_composed
+
+
 def attend(att, memory, query, pad_bias=None):
     """One ``(q,)`` query over one ``(T, md)`` memory: ``(1, md)``."""
     t, md = memory.shape
     memory = memory.reshape(1, t, md)
     bias = np.zeros(t) if pad_bias is None else pad_bias
-    return att.forward_padded(memory, att.memory_proj(memory),
-                              query.reshape(1, query.shape[-1]),
-                              Tensor(bias.reshape(1, t)))
+    return forward_padded(att, memory, att.memory_proj(memory),
+                          query.reshape(1, query.shape[-1]),
+                          Tensor(bias.reshape(1, t)))
 
 
 class TestAdditiveAttention:
@@ -136,10 +148,10 @@ class TestAdditiveAttention:
     def test_bad_memory_raises(self):
         att = AdditiveAttention(6, 4, 5, RNG)
         with pytest.raises(ShapeError):
-            att.forward_padded(Tensor(np.zeros((2, 6))),
-                               Tensor(np.zeros((2, 5))),
-                               Tensor(np.zeros((1, 4))),
-                               Tensor(np.zeros((1, 2))))
+            forward_padded(att, Tensor(np.zeros((2, 6))),
+                           Tensor(np.zeros((2, 5))),
+                           Tensor(np.zeros((1, 4))),
+                           Tensor(np.zeros((1, 2))))
 
     def test_gradients_flow_to_all_parameters(self):
         att = AdditiveAttention(6, 4, 5, RNG)
@@ -153,7 +165,7 @@ class TestAdditiveAttention:
 
 
 class TestBatchedAdditiveAttention:
-    """B queries through ``forward_padded`` must match one-query calls."""
+    """B padded queries must match one-query calls."""
 
     def make(self, seed=13):
         att = AdditiveAttention(6, 4, 5, np.random.default_rng(seed))
@@ -166,9 +178,9 @@ class TestBatchedAdditiveAttention:
         # One memory shared by every query: the memory tiled B times.
         att, memory, queries = self.make()
         tiled = Tensor(np.tile(memory, (3, 1, 1)))
-        contexts = att.forward_padded(tiled, att.memory_proj(tiled),
-                                      Tensor(queries),
-                                      Tensor(np.zeros((3, 7)))).numpy()
+        contexts = forward_padded(att, tiled, att.memory_proj(tiled),
+                                  Tensor(queries),
+                                  Tensor(np.zeros((3, 7)))).numpy()
         assert contexts.shape == (3, 6)
         for b in range(3):
             single = attend(att, Tensor(memory), Tensor(queries[b])).numpy()
@@ -185,9 +197,8 @@ class TestBatchedAdditiveAttention:
         pad_bias = np.where(np.arange(7)[None, :] < lengths[:, None],
                             0.0, -1e9)
         padded_t = Tensor(padded)
-        contexts = att.forward_padded(padded_t, att.memory_proj(padded_t),
-                                      Tensor(queries),
-                                      Tensor(pad_bias)).numpy()
+        contexts = forward_padded(att, padded_t, att.memory_proj(padded_t),
+                                  Tensor(queries), Tensor(pad_bias)).numpy()
         for b, n in enumerate(lengths):
             single = attend(att, Tensor(padded[b, :n]),
                             Tensor(queries[b])).numpy()
@@ -198,7 +209,7 @@ class TestBatchedAdditiveAttention:
         att, memory, queries = self.make(seed=19)
         queries = Tensor(queries, requires_grad=True)
         tiled = Tensor(np.tile(memory, (3, 1, 1)))
-        att.forward_padded(tiled, att.memory_proj(tiled), queries,
-                           Tensor(np.zeros((3, 7)))).sum().backward()
+        forward_padded(att, tiled, att.memory_proj(tiled), queries,
+                       Tensor(np.zeros((3, 7)))).sum().backward()
         assert queries.grad is not None
         assert att.v.grad is not None

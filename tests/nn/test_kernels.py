@@ -107,6 +107,43 @@ class TestRNNKernelTwins:
         assert np.array_equal(encode(x), encode(longer))
 
 
+FUSED_TOL = {"rtol": 1e-12, "atol": 1e-15}
+
+
+def _run(module, leaves, forward):
+    """Outputs of ``forward()`` and the gradients, w.r.t. ``leaves`` and
+    every parameter, of a fixed random projection of them."""
+    module.zero_grad()
+    for leaf in leaves:
+        leaf.zero_grad()
+    outs = forward()
+    weights = np.random.default_rng(0)
+    loss = sum((out * Tensor(weights.standard_normal(out.shape))).sum()
+               for out in outs)
+    loss.backward()
+    grads = [t.grad for t in leaves + module.parameters()]
+    return [out.numpy().copy() for out in outs], \
+        [None if g is None else g.copy() for g in grads]
+
+
+def _assert_fused_matches_composed(module, leaves, forward, exact=True):
+    """Fused nodes against the composed graphs of ``tests/oracles.py``:
+    outputs equal (or within rtol 1e-12), gradients within FUSED_TOL."""
+    fused_outs, fused_grads = _run(module, leaves, forward)
+    with oracles.composed_cells(), oracles.composed_classifier():
+        outs, grads = _run(module, leaves, forward)
+    assert len(fused_outs) == len(outs)
+    for ours, theirs in zip(fused_outs, outs):
+        if exact:
+            assert np.array_equal(ours, theirs)
+        else:
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+    assert [g is None for g in fused_grads] == [g is None for g in grads]
+    for ours, theirs in zip(fused_grads, grads):
+        if theirs is not None:
+            np.testing.assert_allclose(ours, theirs, **FUSED_TOL)
+
+
 class TestFusedCells:
     """A cell's ``forward`` is one autodiff node over ``step_np`` and
     ``step_vjp``.  Against the composed Tensor bodies in
@@ -114,36 +151,6 @@ class TestFusedCells:
     input and parameter gradients agree to float64 round-off, through
     the masked ragged lanes of every sequence layer and the
     translator's decoder steps."""
-
-    TOL = {"rtol": 1e-12, "atol": 1e-15}
-
-    @staticmethod
-    def _run(module, leaves, forward):
-        """Outputs of ``forward()`` and the gradients, w.r.t. ``leaves``
-        and every parameter, of a fixed random projection of them."""
-        module.zero_grad()
-        for leaf in leaves:
-            leaf.zero_grad()
-        outs = forward()
-        weights = np.random.default_rng(0)
-        loss = sum((out * Tensor(weights.standard_normal(out.shape))).sum()
-                   for out in outs)
-        loss.backward()
-        grads = [t.grad for t in leaves + module.parameters()]
-        return [out.numpy().copy() for out in outs], \
-            [None if g is None else g.copy() for g in grads]
-
-    def _assert_fused_matches_composed(self, module, leaves, forward):
-        fused_outs, fused_grads = self._run(module, leaves, forward)
-        with oracles.composed_cells():
-            outs, grads = self._run(module, leaves, forward)
-        assert len(fused_outs) == len(outs)
-        for ours, theirs in zip(fused_outs, outs):
-            assert np.array_equal(ours, theirs)
-        assert [g is None for g in fused_grads] == [g is None for g in grads]
-        for ours, theirs in zip(fused_grads, grads):
-            if theirs is not None:
-                np.testing.assert_allclose(ours, theirs, **self.TOL)
 
     # hidden >= 2: a one-output candidate layer (GRU hidden 1) is a
     # per-row dot product in Linear.forward_np, not the Tensor gemv.
@@ -163,8 +170,7 @@ class TestFusedCells:
         # Padding rows are random, not zero: the holds must ignore them.
         xs = [Tensor(x, requires_grad=True) for x in rng.standard_normal(
             (int(lengths.max()), batch, inputs))]
-        self._assert_fused_matches_composed(net, xs,
-                                            lambda: net(xs, lengths))
+        _assert_fused_matches_composed(net, xs, lambda: net(xs, lengths))
 
     @given(seed=st.integers(0, 2 ** 16), pair=st.sampled_from(range(2)))
     @settings(max_examples=10, deadline=None)
@@ -181,8 +187,87 @@ class TestFusedCells:
             TrainingPair(["count", "c1", "items"], ["select", "count", "c1"],
                          ["item"], ("c1",)),
         ][pair]
-        self._assert_fused_matches_composed(model, [],
-                                            lambda: [model.loss(pair)])
+        _assert_fused_matches_composed(model, [], lambda: [model.loss(pair)])
+
+
+class TestFusedClassifierNodes:
+    """The char CNN and the column classifier's network above the column
+    encoder are one autodiff node each.  Against the composed Tensor
+    graphs in ``tests/oracles.py``, the char CNN's output is equal bit
+    for bit and the network's logits to rtol 1e-12 (the head's
+    one-output layer is a per-row dot in numpy and a gemv in the
+    graph); input and parameter gradients agree to float64 round-off."""
+
+    WORDS = ["x", "of", "film", "director", "year", "elected", "the",
+             "county", "points", "a"]
+
+    # out_channels >= 2: a one-output projection is a per-row dot
+    # product in Linear.forward_np, not the Tensor gemm.  Words run
+    # shorter than the widest width (zero-padded windows) and repeat
+    # characters (scatter-added table rows).
+    @given(char_dim=st.integers(1, 5), per=st.integers(2, 4),
+           widths=st.lists(st.integers(1, 7), min_size=1, max_size=3,
+                           unique=True),
+           words=st.lists(st.lists(st.integers(0, 9), min_size=1,
+                                   max_size=9), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_char_cnn_matches_composed(self, char_dim, per, widths, words,
+                                       seed):
+        encoder = CharConvEncoder(10, char_dim, per,
+                                  np.random.default_rng(seed),
+                                  widths=tuple(widths))
+        _assert_fused_matches_composed(
+            encoder, [], lambda: [encoder(ids) for ids in words])
+
+    @given(hidden=st.integers(2, 5), layers=st.integers(1, 2),
+           max_words=st.integers(1, 4), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_network_matches_composed(self, hidden, layers, max_words, data):
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        q_lengths = np.array(data.draw(st.lists(
+            st.integers(1, 6), min_size=1, max_size=4), label="q_lengths"))
+        c_lengths = np.array(data.draw(st.lists(
+            st.integers(1, max_words), min_size=len(q_lengths),
+            max_size=len(q_lengths)), label="c_lengths"))
+        config = ClassifierConfig(
+            word_dim=4, char_dim=3, char_out_per_width=2, char_widths=(2, 3),
+            hidden=hidden, question_layers=layers,
+            attention_dim=data.draw(st.integers(2, 5), label="attention"),
+            mlp_hidden=data.draw(st.integers(2, 5), label="mlp"),
+            max_column_words=max_words, seed=seed)
+        classifier = ColumnMentionClassifier(WordEmbeddings(dim=4, seed=0),
+                                             config)
+        rng = np.random.default_rng(seed)
+        count, emb = len(q_lengths), config.emb_dim
+        # Question rows drawn from three vectors, so repeated words tie
+        # in the max feature; rows past a question's length are zero, as
+        # pack_steps pads them.  Column-side padding is random: the
+        # holds and the feature mask must ignore it.
+        pool = rng.standard_normal((3, emb))
+        questions = pool[rng.integers(0, 3, (int(q_lengths.max()), count))]
+        questions[np.arange(len(questions))[:, None] >= q_lengths] = 0.0
+        steps = [Tensor(x, requires_grad=True) for x in questions]
+        states = [Tensor(x, requires_grad=True) for x in rng.standard_normal(
+            (int(c_lengths.max()), count, 2 * hidden))]
+        units = Tensor(rng.standard_normal((count, len(states), emb)),
+                       requires_grad=True)
+        _assert_fused_matches_composed(
+            classifier, steps + states + [units],
+            lambda: [classifier._network(steps, q_lengths, states, c_lengths,
+                                         units)], exact=False)
+
+    # Columns run past max_column_words (4); short words are narrower
+    # than the widest convolution.
+    @given(st.lists(st.tuples(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=7),
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=6)),
+        min_size=1, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_training_forward_matches_composed(self, pairs):
+        classifier = TestColumnEncoderTwin.CLASSIFIER
+        _assert_fused_matches_composed(
+            classifier, [], lambda: [classifier.forward(pairs)], exact=False)
 
 
 class TestFloat64Kernels:
@@ -237,14 +322,14 @@ class TestFloat64Kernels:
         db = np.zeros_like(cell.gates.bias.data)
         for t in range(steps - 1, -1, -1):
             dh = dh + dout[t]
-            dxh, dc_prev, (dw_t, db_t) = cell.step_vjp(
+            dxh, dc_prev, dz = cell.step_vjp(
                 *tape[t], np.where(live[t], dh, 0.0),
                 np.where(live[t], dc, 0.0))
             dh = np.where(live[t], 0.0, dh) + dxh[:, inputs:]
             dc = np.where(live[t], 0.0, dc) + dc_prev
             dx[t] = dxh[:, :inputs]
-            dw += dw_t
-            db += db_t
+            dw += tape[t][0].T @ dz
+            db += dz.sum(axis=0)
 
         tol = {"rtol": 1e-12, "atol": 1e-15}
         for t in range(steps):
@@ -265,7 +350,7 @@ class TestFloat64Kernels:
     def test_char_encoder_float64_matches_forward(self, rng):
         encoder = CharConvEncoder(40, 5, 3, rng, widths=(2, 3, 7))
         for ids in ([4], [1, 2, 3], list(range(1, 12))):
-            ref = encoder(ids).numpy()
+            ref = oracles.char_cnn_composed(encoder, ids).numpy()
             out = encoder.forward_np(ids, np.float64)
             assert out.dtype == np.float64
             np.testing.assert_allclose(out, ref, rtol=1e-14, atol=1e-15)
@@ -354,8 +439,9 @@ class TestAttentionTwin:
         queries = rng.standard_normal((3, 4))
         # Reference: the Tensor attention over the memory tiled per query.
         tiled = Tensor(np.tile(memory, (3, 1, 1)))
-        ref_ctx = att.forward_padded(tiled, att.memory_proj(tiled),
-                                     Tensor(queries), Tensor(np.zeros((3, 7))))
+        ref_ctx = oracles.attention_padded_composed(
+            att, tiled, att.memory_proj(tiled), Tensor(queries),
+            Tensor(np.zeros((3, 7))))
 
         m32 = memory.astype(np.float32)
         mp = att.project_memory_np(m32)

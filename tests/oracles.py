@@ -13,12 +13,14 @@ import numpy as np
 
 from repro.core.annotate import _is_symbol
 from repro.core.mention import (
+    ColumnMentionClassifier,
     EncodedColumns,
     InfluenceProfile,
     MentionCandidate,
 )
 from repro.core.seq2seq.vocab import EOS, build_candidates
 from repro.nn import (
+    CharConvEncoder,
     GRUCell,
     LSTMCell,
     Tensor,
@@ -27,8 +29,9 @@ from repro.nn import (
     no_grad,
     pack_steps,
     softmax,
+    stack,
 )
-from repro.errors import AnnotationError
+from repro.errors import AnnotationError, ShapeError
 from repro.sqlengine import Aggregate, Condition, Operator, Query, Table
 from repro.text import (
     char_ids,
@@ -194,6 +197,129 @@ def composed_cells():
         yield
     finally:
         LSTMCell.forward, GRUCell.forward = saved
+
+
+def conv1d_composed(conv, matrix: Tensor) -> Tensor:
+    """:class:`~repro.nn.Conv1d` as Tensor ops: one slice node per
+    window, the shared projection over their stack and the mean — a
+    ``(out_channels,)`` vector."""
+    if matrix.ndim != 2 or matrix.shape[1] != conv.in_channels:
+        raise ShapeError(
+            f"Conv1d expected (length, {conv.in_channels}), got {matrix.shape}")
+    length = matrix.shape[0]
+    if length < conv.width:
+        # Zero-pad so at least one slice is available.
+        pad = Tensor.zeros(conv.width - length, conv.in_channels)
+        matrix = concat([matrix, pad], axis=0)
+        length = conv.width
+    slices = [matrix[i:i + conv.width].reshape(1, conv.width
+                                                * conv.in_channels)
+              for i in range(length - conv.width + 1)]
+    return conv.projection(concat(slices, axis=0)).mean(axis=0)
+
+
+def char_cnn_composed(encoder, char_ids: list[int]) -> Tensor:
+    """:class:`~repro.nn.CharConvEncoder` as Tensor ops — the graph its
+    fused node replaced."""
+    if not char_ids:
+        raise ShapeError("CharConvEncoder received an empty character sequence")
+    matrix = encoder.char_embedding(np.asarray(char_ids, dtype=np.intp))
+    return concat([conv1d_composed(conv, matrix) for conv in encoder.convs],
+                  axis=-1)
+
+
+def attention_padded_composed(attention, memory: Tensor, memory_proj: Tensor,
+                              queries: Tensor, pad_bias: Tensor) -> Tensor:
+    """B queries of :class:`~repro.nn.AdditiveAttention`, each over its
+    own zero-padded memory, as Tensor ops: ``(B, md)``.
+
+    ``memory`` is ``(B, T, md)`` and ``memory_proj`` its ``memory_proj``
+    projection; ``pad_bias`` is ``(B, T)``, 0 on live positions and
+    ``-1e9`` on padding, so padding gets exactly zero weight.
+    """
+    if memory.ndim != 3:
+        raise ShapeError(
+            f"padded attention memory must be 3-D, got {memory.shape}")
+    b, t, attn = memory_proj.shape
+    hidden = (memory_proj + attention.query_proj(queries).reshape(b, 1, attn)
+              ).tanh()
+    scores = (hidden.reshape(b * t, attn) @ attention.v).reshape(b, t)
+    weights = softmax(scores + pad_bias, axis=-1)
+    return (weights.reshape(b, 1, t) @ memory).reshape(b, memory.shape[2])
+
+
+def network_composed(classifier, steps: list[Tensor], q_lengths: np.ndarray,
+                     states: list[Tensor], c_lengths: np.ndarray,
+                     units: Tensor) -> Tensor:
+    """:meth:`ColumnMentionClassifier._network` as one masked Tensor
+    graph over the P pairs — the graph its fused node replaced: the
+    question LSTM, padded attention, both attentive-LSTM directions,
+    the similarity features and the head."""
+    cfg = classifier.config
+    count = len(q_lengths)
+    n_max = int(q_lengths.max())
+    attention = classifier.attention
+    memory = stack(classifier.question_rnn(steps, q_lengths), axis=1)
+    memory_proj = attention.memory_proj(memory)
+    pad_bias = Tensor(np.where(
+        np.arange(n_max)[None, :] < q_lengths[:, None], 0.0, -1e9))
+    q_matrix = stack(steps, axis=1)                             # (P, n, emb)
+    q_unit = q_matrix / ((q_matrix * q_matrix).sum(axis=2, keepdims=True)
+                         + 1e-8) ** 0.5
+
+    total = len(states)
+    masks = [None if (c_lengths > t).all() else Tensor(
+                 (c_lengths > t).astype(np.float64).reshape(-1, 1))
+             for t in range(total)]
+
+    def run_direction(cell, order):
+        h, c = cell.initial_state(count)
+        outputs: list[Tensor | None] = [None] * total
+        for t in order:
+            s_t = states[t]
+            context = attention_padded_composed(
+                attention, memory, memory_proj, concat([s_t, h], axis=-1),
+                pad_bias)
+            h_new, c_new = cell(concat([s_t, context], axis=-1), h, c)
+            m = masks[t]
+            if m is None:
+                h, c = h_new, c_new
+            else:
+                h = h_new * m + h * (1.0 - m)
+                c = c_new * m + c * (1.0 - m)
+            outputs[t] = h
+        return outputs
+
+    fwd = run_direction(classifier.fwd_cell, range(total))
+    bwd = run_direction(classifier.bwd_cell, range(total - 1, -1, -1))
+    lengths_col = q_lengths.astype(np.float64).reshape(count, 1)
+    width = 2 * cfg.hidden + 2
+    features = []
+    for t in range(cfg.max_column_words):
+        if t >= total:
+            features.append(Tensor.zeros(count, width))
+            continue
+        sims = (q_unit * units[:, t:t + 1]).sum(axis=2)
+        row = concat([fwd[t], bwd[t],
+                      (sims + pad_bias).max(axis=1, keepdims=True),
+                      sims.sum(axis=1, keepdims=True) / lengths_col],
+                     axis=-1)
+        features.append(row if masks[t] is None else row * masks[t])
+    return classifier.head(concat(features, axis=-1)).reshape(count)
+
+
+@contextmanager
+def composed_classifier():
+    """Run the char CNN and the column classifier's network above the
+    column encoder on their composed Tensor graphs (not thread-safe: it
+    swaps the classes' methods)."""
+    saved = CharConvEncoder.forward, ColumnMentionClassifier._network
+    CharConvEncoder.forward = char_cnn_composed
+    ColumnMentionClassifier._network = network_composed
+    try:
+        yield
+    finally:
+        CharConvEncoder.forward, ColumnMentionClassifier._network = saved
 
 
 def decode_per_beam(model, source: list[str], header_tokens: list[str],

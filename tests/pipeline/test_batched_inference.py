@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core import build_schema_encoding
-from repro.core.mention import compute_influence
+from repro.core.mention import ColumnMentionClassifier, compute_influence
 from repro.core.seq2seq.model import TrainingPair
 from repro.nn import GRUCell, LSTMCell, Tensor, allocation_events, no_grad
-from repro.text import tokenize
+from repro.text import WordEmbeddings, tokenize
 from tests import oracles
 
 
@@ -220,7 +220,7 @@ class TestAllocationBudget:
     state; these pin the stronger property: a warm translation — and
     each kernel in it — performs zero ``Tensor`` constructions at all.
     Training builds a graph, but a recurrent cell adds one node to it
-    per call.
+    per call and the classifier's char CNN one per word, however long.
     """
 
     @staticmethod
@@ -290,6 +290,21 @@ class TestAllocationBudget:
         before = allocation_events()
         cell(x, *state)
         assert allocation_events() - before <= 3
+
+    def test_training_forward_tensors_ignore_word_length(self):
+        # The char CNN is one node per distinct word and the network
+        # above the column encoder one node per forward, so a training
+        # step's graph does not grow with the characters of its words.
+        classifier = ColumnMentionClassifier(WordEmbeddings(dim=32, seed=0))
+
+        def tensors(question, column):
+            before = allocation_events()
+            classifier.forward([(question, column)])
+            return allocation_events() - before
+
+        assert tensors(["ab", "cd", "ef"], ["gh", "ij"]) == tensors(
+            ["abcdefghijkl", "mnopqrstuvw", "xyzxyzxyzxyz"],
+            ["population", "millions"])
 
     def test_warm_influence_constructs_zero_tensors(self, nlidb, corpus):
         # With the column side taken from cached schema rows, the
