@@ -2,7 +2,7 @@
 
 Shared by the annotator's per-table schema-encoding cache and the
 serving layer's translation cache, both keyed by the table's content
-fingerprint (computed once per request).  Kept dependency-free
+fingerprint (computed once per table value).  Kept dependency-free
 (``collections`` + ``threading`` only) so any layer of the library may
 use it without import cycles.
 

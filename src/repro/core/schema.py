@@ -11,9 +11,10 @@ all depend only on the table.  A :class:`SchemaEncoding` bundles that
 work so one table's encoding is computed once and reused for every
 question asked against it.  The annotator keeps these in its single
 per-table LRU, keyed by the table's *content* fingerprint
-(:func:`repro.sqlengine.table_fingerprint`) — computed once per request
-and carried on the pipeline context — so a recreated-but-equal table
-hits the warm entry while any schema or data edit recomputes.
+(:func:`repro.sqlengine.table_fingerprint`) — computed once per table
+value, read once per request and carried on the pipeline context — so
+a recreated-but-equal table hits the warm entry while any schema or
+data edit recomputes.
 
 Only the parsing of the cells is eager.  The column-RNN states are
 encoded on first use, so the context-free rung, which never runs the

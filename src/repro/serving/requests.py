@@ -58,8 +58,14 @@ class TranslationRequest:
 
     @property
     def fingerprint(self) -> str:
-        """The table's content fingerprint, computed once per request
-        and reused by every cache the request meets."""
+        """The table's content fingerprint, read once per request and
+        reused by every cache the request meets.
+
+        The table computes it once per value (see
+        :class:`~repro.sqlengine.Table`), so a request over an
+        already-hashed table hashes nothing.  Pinning it here keeps the
+        request's key fixed even if the table is reassigned while the
+        request is in flight."""
         fingerprint = self._fingerprint
         if fingerprint is None:
             fingerprint = table_fingerprint(self.table)

@@ -123,13 +123,15 @@ class TranslationResult:
                          attempts: int = 0,
                          timings: dict[str, float] | None = None,
                          cached: bool = False,
-                         trace=None) -> "TranslationResult":
+                         trace=None,
+                         sql: str | None = None) -> "TranslationResult":
         """Envelope a completed pipeline rung.
 
         A translation whose recovery failed (``query is None``) is a
         ``"failed"`` result — the service produced no SQL — with the
         recovery message as the structured error.  ``trace`` defaults
-        to the translation's own run trace.
+        to the translation's own run trace; ``sql`` to the query
+        rendered afresh (a cache hit passes the SQL it stored).
         """
         timings = timings or {}
         trace = tuple(trace) if trace is not None else \
@@ -145,7 +147,9 @@ class TranslationResult:
         status = STATUS_DEGRADED if degraded else STATUS_OK
         error = describe_error(cause) if degraded and cause is not None \
             else None
-        return cls(status=status, sql=translation.query.to_sql(),
+        if sql is None:
+            sql = translation.query.to_sql()
+        return cls(status=status, sql=sql,
                    translation=translation, error=error,
                    attempts=attempts, timings=timings, cached=cached,
                    trace=trace)

@@ -22,9 +22,13 @@ without touching model semantics:
   which requests resolve at once with a retryable ``Overloaded``
   envelope;
 * a bounded LRU **translation cache** keyed on
-  ``(question tokens, table content fingerprint, beam width)`` — the
-  fingerprint is computed once per request, at admission, and travels
-  with it to the annotator's per-table cache — plus
+  ``(question tokens, table content fingerprint, beam width)`` and
+  holding each translation with its rendered SQL — the fingerprint is
+  computed once per table value (a :class:`~repro.sqlengine.Table`
+  changes content only by ``insert`` or attribute assignment, which
+  drop it), read once per request at admission, and travels with the
+  request to the annotator's per-table cache, so a hit hashes no table
+  and renders no SQL — plus
   within-batch request deduplication (identical concurrent requests
   compute once);
 * a :class:`~repro.serving.metrics.MetricsRegistry` with request /
@@ -470,7 +474,8 @@ class TranslationService:
         try:
             result, cacheable = self._compute_resilient(p, first)
             if cacheable and result.translation is not None:
-                self._cache.put(p.key, result.translation)
+                # The rendered SQL rides along, so a hit renders none.
+                self._cache.put(p.key, (result.translation, result.sql))
             p.future.set_result(self._finish(result))
         except BaseException as exc:  # noqa: BLE001 — future must resolve
             if not p.future.done():
@@ -500,10 +505,13 @@ class TranslationService:
                     pass
 
     @staticmethod
-    def _cache_hit(cached: Translation) -> TranslationResult:
+    def _cache_hit(cached: tuple[Translation, str | None],
+                   ) -> TranslationResult:
+        translation, sql = cached
         record = StageRecord(stage="cache", outcome=OUTCOME_CACHED,
                              cached=True)
-        return TranslationResult.from_translation(cached, cached=True,
+        return TranslationResult.from_translation(translation, sql=sql,
+                                                  cached=True,
                                                   trace=(record,))
 
     def _finish(self, result: TranslationResult) -> TranslationResult:

@@ -8,11 +8,15 @@ value produces a different digest.  The digest is computed with
 :mod:`hashlib`, so it is stable across processes (unlike the built-in
 ``hash()``, which is salted per interpreter).
 
-The serving layer computes it once per request and keys its translation
-cache and the annotator's per-table
-:class:`~repro.core.schema.SchemaEncoding` cache on it, so recreating an
-equal table (e.g. after reloading a dataset) still hits warm entries
-while any schema or data edit is an automatic invalidation.
+A :class:`~repro.sqlengine.Table` changes content only by attribute
+assignment or ``insert``, and either drops the digest the table
+remembers; so the digest is computed once per table *value* and every
+later call returns the remembered string.  The serving layer asks for it
+once per request and keys its translation cache and the annotator's
+per-table :class:`~repro.core.schema.SchemaEncoding` cache on it, so
+recreating an equal table (e.g. after reloading a dataset) still hits
+warm entries, any schema or data edit is an automatic invalidation, and
+a request over an already-hashed table hashes nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +44,20 @@ def table_fingerprint(table: Table) -> str:
 
     The table *name* is deliberately excluded: annotation and
     translation depend only on schema and data, so content-equal tables
-    under different names may share cached work.
+    under different names may share cached work.  The digest is
+    remembered on the table until its content is reassigned; two
+    threads racing on a fresh table compute and store the same string,
+    so no lock is needed.
     """
+    fingerprint = table._fingerprint
+    if fingerprint is None:
+        fingerprint = _digest(table)
+        table._fingerprint = fingerprint
+    return fingerprint
+
+
+def _digest(table: Table) -> str:
+    """The sha256 over every length-prefixed field of the table."""
     parts = [b"schema"]
     for column in table.columns:
         parts += (_field(column.name.encode("utf-8")),

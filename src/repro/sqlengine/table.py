@@ -31,7 +31,19 @@ class Column:
 
 @dataclass
 class Table:
-    """An ordered-schema table with rows stored as tuples.
+    """An ordered-schema table: a value whose content changes only by
+    attribute assignment or :meth:`insert`.
+
+    ``columns`` and ``rows`` are stored as tuples (a list passed in, or
+    assigned later, is copied into one), and cells must be immutable
+    scalars (``str``, ``int``, ``float``, ``bool``, ``None``).  So an
+    in-place edit such as ``table.rows[i] = row`` or
+    ``table.rows.append(row)`` raises instead of changing the content
+    behind the back of anything that remembers it.  Every assignment to
+    ``name``, ``columns`` or ``rows`` — :meth:`insert` included, which
+    rebinds ``rows`` — drops the remembered content fingerprint, so
+    :func:`~repro.sqlengine.table_fingerprint` hashes each table value
+    once.
 
     Parameters
     ----------
@@ -45,8 +57,21 @@ class Table:
     """
 
     name: str
-    columns: list[Column]
-    rows: list[tuple] = field(default_factory=list)
+    columns: tuple[Column, ...]
+    rows: tuple[tuple, ...] = ()
+    # The content fingerprint, set by ``table_fingerprint`` on first
+    # use and dropped by ``__setattr__`` whenever the content may change.
+    _fingerprint: str | None = field(default=None, init=False,
+                                     compare=False, repr=False)
+
+    def __setattr__(self, attr: str, value) -> None:
+        if attr == "columns":
+            value = tuple(value)
+        elif attr == "rows":
+            value = tuple(map(tuple, value))
+        if attr in ("name", "columns", "rows"):
+            object.__setattr__(self, "_fingerprint", None)
+        object.__setattr__(self, attr, value)
 
     def __post_init__(self) -> None:
         names = [c.name.lower() for c in self.columns]
@@ -97,11 +122,12 @@ class Table:
         return [row[idx] for row in self.rows]
 
     def insert(self, row: tuple) -> None:
-        """Append one row, validating arity."""
+        """Append one row, validating arity; rebinds ``rows`` to a new
+        tuple, which drops the remembered fingerprint."""
         if len(row) != len(self.columns):
             raise SchemaError(
                 f"row arity {len(row)} != schema arity {len(self.columns)}")
-        self.rows.append(tuple(row))
+        self.rows = self.rows + (tuple(row),)
 
     def __len__(self) -> int:
         return len(self.rows)

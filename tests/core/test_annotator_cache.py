@@ -42,6 +42,15 @@ class TestStatsCache:
         after = stats_for(annotator, table)
         assert after is not before
         assert len(annotator._schema_cache) == 2
+        # Reassigning the rows or the columns drops the table's
+        # remembered fingerprint as well.
+        table.rows = table.rows[1:]
+        fewer_rows = stats_for(annotator, table)
+        assert fewer_rows is not after
+        table.columns = [Column("movie"), Column("year", DataType.REAL)]
+        renamed = stats_for(annotator, table)
+        assert renamed is not fewer_rows and "movie" in renamed
+        assert len(annotator._schema_cache) == 4
 
     def test_dead_object_slot_cannot_be_hit_by_a_new_table(self):
         """The id()-reuse hazard: a new table created after another was

@@ -9,15 +9,20 @@ and a differential against the field-at-a-time reference
 (``tests/oracles.py``) pin that the digest never changes.
 """
 
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqlengine import Column, DataType, Table, table_fingerprint
+from repro.sqlengine import fingerprint as fingerprint_module
 from tests import oracles
 
 WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "omega",
@@ -69,9 +74,9 @@ class TestSeparation:
     @settings(max_examples=60, deadline=None)
     def test_renaming_any_column_changes_hash(self, table, data):
         i = data.draw(st.integers(0, len(table.columns) - 1))
-        mutated = _rebuild(table)
-        mutated.columns[i] = Column(table.columns[i].name + "x",
-                                    table.columns[i].dtype)
+        columns = list(table.columns)
+        columns[i] = Column(columns[i].name + "x", columns[i].dtype)
+        mutated = Table(table.name, columns, table.rows)
         assert table_fingerprint(mutated) != table_fingerprint(table)
 
     @given(tables(), st.data())
@@ -81,8 +86,9 @@ class TestSeparation:
         old = table.columns[i]
         flipped = (DataType.REAL if old.dtype is DataType.TEXT
                    else DataType.TEXT)
-        mutated = _rebuild(table)
-        mutated.columns[i] = Column(old.name, flipped)
+        columns = list(table.columns)
+        columns[i] = Column(old.name, flipped)
+        mutated = Table(table.name, columns, table.rows)
         assert table_fingerprint(mutated) != table_fingerprint(table)
 
     @given(tables(), st.data())
@@ -92,10 +98,9 @@ class TestSeparation:
             return
         r = data.draw(st.integers(0, len(table.rows) - 1))
         c = data.draw(st.integers(0, len(table.columns) - 1))
-        mutated = _rebuild(table)
-        row = list(mutated.rows[r])
-        row[c] = str(row[c]) + "_edited"
-        mutated.rows[r] = tuple(row)
+        rows = [list(row) for row in table.rows]
+        rows[r][c] = str(rows[r][c]) + "_edited"
+        mutated = Table(table.name, table.columns, rows)
         assert table_fingerprint(mutated) != table_fingerprint(table)
 
     @given(tables())
@@ -114,6 +119,107 @@ class TestSeparation:
         forward = Table("t", [Column("a")], [("x",), ("y",)])
         backward = Table("t", [Column("a")], [("y",), ("x",)])
         assert table_fingerprint(forward) != table_fingerprint(backward)
+
+
+def films() -> Table:
+    return Table("films", [Column("film"), Column("year", DataType.REAL)],
+                 [("solaris", 1972), ("stalker", 1979)])
+
+
+class TestTableValue:
+    """A table's content changes only through code that drops its
+    remembered fingerprint."""
+
+    def test_in_place_edits_raise(self):
+        table = films()
+        with pytest.raises(TypeError):
+            table.rows[0] = ("mirror", 1975)
+        with pytest.raises(AttributeError):
+            table.rows.append(("mirror", 1975))
+        with pytest.raises(TypeError):
+            table.rows[0][1] = 1975
+        with pytest.raises(TypeError):
+            table.columns[0] = Column("movie")
+        assert table == films()
+
+    def test_lists_are_stored_as_tuples(self):
+        table = Table("t", [Column("a")], [["x"], ["y"]])
+        assert table.columns == (Column("a"),)
+        assert table.rows == (("x",), ("y",))
+        table.rows = [["z"]]
+        assert table.rows == (("z",),)
+
+    @pytest.mark.parametrize("edit", ["insert", "rows", "columns"])
+    def test_edit_after_memo_changes_the_digest(self, edit):
+        table = films()
+        before = table_fingerprint(table)
+        if edit == "insert":
+            table.insert(("mirror", 1975))
+        elif edit == "rows":
+            table.rows = table.rows[:1]
+        else:
+            table.columns = [Column("movie"), Column("year", DataType.REAL)]
+        after = table_fingerprint(table)
+        assert after != before
+        assert after == oracles.table_fingerprint(table)
+
+    def test_renaming_keeps_the_digest(self):
+        table = films()
+        before = table_fingerprint(table)
+        table.name = "films_reloaded"
+        assert table_fingerprint(table) == before
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy,
+        lambda table: dataclasses.replace(table),
+        lambda table: dataclasses.replace(table, name="other"),
+        lambda table: pickle.loads(pickle.dumps(table))])
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_copies_hash_like_the_oracle(self, duplicate, hashed_first):
+        table = films()
+        if hashed_first:
+            table_fingerprint(table)
+        twin = duplicate(table)
+        assert table_fingerprint(twin) == oracles.table_fingerprint(table)
+        twin.insert(("mirror", 1975))
+        assert table_fingerprint(twin) == oracles.table_fingerprint(twin)
+        assert table_fingerprint(table) == oracles.table_fingerprint(table)
+
+    def test_racing_threads_agree(self):
+        table = Table("wide", [Column(f"c{j}") for j in range(8)],
+                      [tuple(f"r{i}c{j}" for j in range(8))
+                       for i in range(400)])
+        barrier = threading.Barrier(8, timeout=30)
+        digests = []
+
+        def worker():
+            barrier.wait()
+            digests.append(table_fingerprint(table))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [oracles.table_fingerprint(table)] * 8
+
+    def test_memo_hashes_each_value_once(self, monkeypatch):
+        fields = []
+        original = fingerprint_module._field
+        monkeypatch.setattr(fingerprint_module, "_field",
+                            lambda data: fields.append(data) or original(data))
+        table = films()
+        first = table_fingerprint(table)
+        hashed = len(fields)
+        assert hashed > 0
+        assert table_fingerprint(table) == first
+        assert len(fields) == hashed
 
 
 _SNIPPET = """

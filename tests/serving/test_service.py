@@ -27,7 +27,8 @@ from repro.serving import (
     as_request,
     normalize_question,
 )
-from repro.sqlengine import Column, DataType, Table
+from repro.sqlengine import Column, DataType, Query, Table
+from repro.sqlengine import fingerprint as fingerprint_module
 from repro.text import WordEmbeddings
 
 EMB = WordEmbeddings(dim=16, seed=0)
@@ -373,6 +374,33 @@ class TestServiceCache:
         stub_service.translate(QUESTION, table)
         assert stub.calls == 2
         assert stub_service.metrics.counter("cache_misses") == 2
+        # Reassigning the rows or the columns of a hashed table is an
+        # edit too: each drops the remembered fingerprint.
+        table.rows = table.rows[1:]
+        stub_service.translate(QUESTION, table)
+        table.columns = [Column("movie"), Column("director"),
+                         Column("year", DataType.REAL)]
+        stub_service.translate(QUESTION, table)
+        assert stub.calls == 4
+        assert stub_service.metrics.counter("cache_misses") == 4
+        assert stub_service.stats()["schema_cache"]["misses"] == 4
+
+    def test_warm_hit_hashes_nothing_and_renders_no_sql(
+            self, stub_service, stub, monkeypatch):
+        table = make_table()
+        first = stub_service.translate(QUESTION, table)
+        fields, renders = [], []
+        field, to_sql = fingerprint_module._field, Query.to_sql
+        monkeypatch.setattr(fingerprint_module, "_field",
+                            lambda data: fields.append(data) or field(data))
+        monkeypatch.setattr(Query, "to_sql",
+                            lambda self: renders.append(self) or to_sql(self))
+        hits = [stub_service.translate(QUESTION, table) for _ in range(3)]
+        assert all(hit.cached for hit in hits)
+        assert fields == [] and renders == []
+        assert all(hit.sql == first.sql for hit in hits)
+        assert all(hit.to_dict()["sql"] == first.to_dict()["sql"]
+                   for hit in hits)
 
     def test_beam_width_is_part_of_the_key(self, stub_service, stub):
         table = make_table()
