@@ -67,15 +67,16 @@ test-eval:
 lint:
 	ruff check src tests benchmarks
 
-# Serving harness smoke: the `batch`, `interactive` and `hot_cache`
-# workloads of benchmarks/perf for about two seconds each (`hot_cache`
-# takes the cache-hit path).  Timings are not gated;
+# Serving harness smoke: all four workloads of benchmarks/perf for
+# about two seconds each (`hot_cache` takes the cache-hit path,
+# `wide_tables` the schema-rebuild path).  Timings are not gated;
 # the run must pass its correctness gate, i.e. its last line reports
 # "correct": true.
 bench-perf-smoke:
 	mkdir -p .bench_build
 	PYTHONHASHSEED=0 OPENBLAS_NUM_THREADS=1 $(PYTHON) benchmarks/perf/run.py \
 		--workload batch --workload interactive --workload hot_cache \
+		--workload wide_tables \
 		--seconds 2 \
 		| tee .bench_build/perf-smoke.log
 	tail -n 1 .bench_build/perf-smoke.log | grep -q '"correct": true'

@@ -47,6 +47,7 @@ from repro.nn import (
     binary_cross_entropy_with_logits,
     clip_grad_norm,
     concat,
+    current_generation,
     no_grad,
     pack_steps,
     sigmoid_,
@@ -198,7 +199,11 @@ class ColumnMentionClassifier(Module):
             [(2 * cfg.hidden + 2) * cfg.max_column_words, cfg.mlp_hidden, 1],
             rng, hidden_activation="tanh")
         self._trained = False
-        self._wordvec32: dict[str, np.ndarray] = {}
+        # emb(w) rows per dtype, valid for one model generation (see
+        # _word_rows).
+        self._rows32: dict[str, np.ndarray] = {}
+        self._rows64: dict[str, np.ndarray] = {}
+        self._rows_gen = -1
 
     # ------------------------------------------------------------------
     # Forward
@@ -216,18 +221,44 @@ class ColumnMentionClassifier(Module):
                          1, self.config.char_out)], axis=-1)
         return vectors
 
+    def _word_rows(self, dtype) -> dict[str, np.ndarray]:
+        """The ``emb(w)`` rows of ``dtype`` computed under the current
+        model generation, keyed by word.
+
+        ``emb(w)`` depends only on the word and the weights, so a row is
+        computed once per generation.  A generation change clears both
+        dicts in place (they are never rebound, so inference adds or
+        rebinds no attribute); every row is a pure function of its word
+        and the weights, so threads racing to fill or clear a dict store
+        the same bits.  Rows are read-only: a caller that wrote into one
+        would corrupt every later request.
+        """
+        gen = current_generation()
+        if self._rows_gen != gen:
+            self._rows32.clear()
+            self._rows64.clear()
+            self._rows_gen = gen
+        return self._rows64 if dtype == np.float64 else self._rows32
+
+    def _embed_row(self, word: str, dtype) -> np.ndarray:
+        """``[E_word(w); E_char(w)]`` as a read-only ``(emb_dim,)`` row of
+        ``dtype``, from :meth:`_word_rows` or, on a miss, the char CNN."""
+        rows = self._word_rows(dtype)
+        row = rows.get(word)
+        if row is None:
+            row = np.concatenate(
+                [self.embeddings.vector(word).astype(dtype, copy=False),
+                 self.char_encoder.forward_np(char_ids(word), dtype)])
+            row.flags.writeable = False
+            rows[word] = row
+        return row
+
     def _embed_rows64(self, words) -> dict[str, np.ndarray]:
-        """``emb(w)`` in float64 numpy on the parameters, one row per
-        distinct word: the column encoder's and the adversarial pass's
-        input, equal to :meth:`_word_vectors` bit for bit."""
-        rows: dict[str, np.ndarray] = {}
-        for word in words:
-            if word not in rows:
-                rows[word] = np.concatenate(
-                    [self.embeddings.vector(word),
-                     self.char_encoder.forward_np(char_ids(word),
-                                                  np.float64)])
-        return rows
+        """``emb(w)`` in float64 on the parameters, one read-only row per
+        distinct word, from the float64 :meth:`_word_rows` cache: the
+        column encoder's and the adversarial pass's input, equal to
+        :meth:`_word_vectors` bit for bit."""
+        return {word: self._embed_row(word, np.float64) for word in words}
 
     def forward(self, pairs: list[tuple[list[str], list[str]]]) -> Tensor:
         """Logits ``(P,)`` of P ``(question, column)`` pairs, for
@@ -328,9 +359,10 @@ class ColumnMentionClassifier(Module):
 
         One lockstep column-BiLSTM pass over all B columns, in float64
         numpy on the parameters (:meth:`BiLSTM.forward_batch_np`, equal
-        to the Tensor forward bit for bit); the result is a numpy
-        artifact reusable across every question asked against the same
-        schema (see :class:`EncodedColumns`).
+        to the Tensor forward bit for bit), over header-word rows from
+        the float64 word-row cache (:meth:`_embed_rows64`); the result
+        is a numpy artifact reusable across every question asked against
+        the same schema (see :class:`EncodedColumns`).
         """
         if not columns:
             raise ModelError("encode_columns() needs at least one column")
@@ -375,30 +407,18 @@ class ColumnMentionClassifier(Module):
     # Float32 inference kernels (no Tensor constructions)
     # ------------------------------------------------------------------
 
-    def _embed_word_np(self, word: str, out: np.ndarray) -> None:
-        """Write ``[E_word(w); E_char(w)]`` into ``out`` (emb_dim,)."""
-        cfg = self.config
-        vec = self._wordvec32.get(word)
-        if vec is None:
-            # Frozen hash embeddings never change; cache float32 rows
-            # permanently so warm requests skip the hash computation.
-            vec = self.embeddings.vector(word).astype(np.float32)
-            self._wordvec32[word] = vec
-        out[:cfg.word_dim] = vec
-        out[cfg.word_dim:] = self.char_encoder.forward_np(char_ids(word))
-
     def _question_side_np(self, question: list[str],
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float32 question side of :meth:`score_columns_multi`.
 
         Returns ``(memory (n, hidden), memory_proj (n, attn), q_unit
-        (n, emb))``.
+        (n, emb))``.  The question's rows are copied from the float32
+        :meth:`_word_rows` cache.
         """
         cfg = self.config
         n = len(question)
-        emb = np.empty((n, cfg.emb_dim), dtype=np.float32)
-        for i, word in enumerate(question):
-            self._embed_word_np(word, emb[i])
+        emb = np.stack([self._embed_row(word, np.float32)
+                        for word in question])
         memory = self.question_rnn.forward_batch_np(
             emb.reshape(n, 1, cfg.emb_dim), None).reshape(n, cfg.hidden)
         mp = self.attention.project_memory_np(memory)
@@ -556,8 +576,12 @@ class ColumnMentionClassifier(Module):
         node's body (:meth:`_network64`, :meth:`_network_reverse`) with
         the column side constant, ``encoded`` (one row per pair, e.g.
         cached ``SchemaEncoding`` rows) or else :meth:`encode_columns`.
-        No column-side or parameter gradient is formed, and only
-        parameter values are read, so concurrent calls are safe.
+        The question's rows come from the float64 word-row cache
+        (:meth:`_embed_rows64`), so a word's char CNN runs once per
+        model generation.  No column-side or parameter gradient is
+        formed; parameters are only read, and the one thing written is
+        that cache, whose rows depend only on word and weights, so
+        concurrent calls are safe.
         """
         if not pairs:
             raise ModelError("embedding_gradients() needs at least one pair")

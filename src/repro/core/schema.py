@@ -30,6 +30,7 @@ is cheap enough that the simpler whole-cache invalidation wins.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -38,6 +39,7 @@ import numpy as np
 
 from repro.sqlengine import Table, table_fingerprint
 from repro.text import tokenize
+from repro.text.stats import counted_mean
 
 from repro.core.mention import EncodedColumns, cell_index
 from repro.core.seq2seq.vocab import is_symbol, structural_tokens
@@ -51,12 +53,14 @@ class ColumnStats(Mapping):
 
     A column's cells are embedded when its ``s_c`` is first read, and
     the result is kept.  Averaging the distinct cells' mean word vectors
-    in row order keeps ``s_c`` bit-identical to
-    :func:`repro.text.column_statistics`.
+    in the sorted order of their strings, each weighted by its count
+    (:func:`repro.text.stats.counted_mean`), keeps ``s_c`` independent of
+    row order and bit-identical to :func:`repro.text.column_statistics`.
     """
 
-    def __init__(self, cell_tokens: list[list[str]],
+    def __init__(self, cell_texts: list[str], cell_tokens: list[list[str]],
                  column_slots: dict[str, list[int]], embeddings):
+        self._cell_texts = cell_texts
         self._cell_tokens = cell_tokens
         self._slots = column_slots
         self._embeddings = embeddings
@@ -67,12 +71,13 @@ class ColumnStats(Mapping):
         if stats is None:
             slots = self._slots[name]
             if slots:
-                distinct = list(dict.fromkeys(slots))
-                row_of = {slot: i for i, slot in enumerate(distinct)}
+                counts = Counter(slots)
+                distinct = sorted(counts, key=self._cell_texts.__getitem__)
                 vectors = _cell_vectors(
                     [self._cell_tokens[slot] for slot in distinct],
                     self._embeddings)
-                stats = vectors[[row_of[slot] for slot in slots]].mean(axis=0)
+                stats = counted_mean(vectors,
+                                     [counts[slot] for slot in distinct])
             else:
                 stats = np.zeros(self._embeddings.dim)
             self._stats[name] = stats
@@ -213,7 +218,9 @@ def _profile_cells(table: Table, embeddings):
             margin = (hi - lo) * 0.5 + 1.0
             ranges[name] = (lo - margin, hi + margin)
         cells[column.name] = cell_index(cell_tokens[slot] for slot in slots)
-    return ColumnStats(cell_tokens, column_slots, embeddings), ranges, cells
+    # slot_of lists each distinct cell string at its slot.
+    return (ColumnStats(list(slot_of), cell_tokens, column_slots,
+                        embeddings), ranges, cells)
 
 
 def _cell_vectors(cell_tokens: list[list[str]], embeddings) -> np.ndarray:

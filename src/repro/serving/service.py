@@ -74,9 +74,12 @@ needing the bare :class:`~repro.core.nlidb.Translation` read
 Thread safety: the substrate's grad-mode flag is thread-local, so
 ``no_grad`` on a worker thread cannot corrupt training elsewhere, and
 the inference kernels keep no per-call state on the model.  What still
-needs serializing is the refresh of the per-generation float32 weight
-snapshots, and :meth:`TranslationService.swap`, which must not replace
-a model mid-batch.  Model inference is therefore serialized — within a
+needs serializing is the refresh of the per-generation state the model
+keeps — the float32 weight snapshots and the column classifier's
+word-row caches (one ``[E_word; E_char]`` row per word and dtype,
+cleared in place when the generation moves) — and
+:meth:`TranslationService.swap`, which must not replace a model
+mid-batch.  Model inference is therefore serialized — within a
 service by the scheduler's single worker thread, and across services by
 the model's own ``inference_lock``, which every batch holds while it
 runs.

@@ -43,7 +43,10 @@ class Table:
     ``name``, ``columns`` or ``rows`` — :meth:`insert` included, which
     rebinds ``rows`` — drops the remembered content fingerprint, so
     :func:`~repro.sqlengine.table_fingerprint` hashes each table value
-    once.
+    once.  Assigning ``columns`` or ``rows`` is checked like
+    construction: duplicate column names or a row whose arity differs
+    from the schema's raise :class:`~repro.errors.SchemaError` and leave
+    the table as it was.
 
     Parameters
     ----------
@@ -65,22 +68,27 @@ class Table:
                                      compare=False, repr=False)
 
     def __setattr__(self, attr: str, value) -> None:
+        # Construction assigns name, columns, then rows through here, so
+        # a later reassignment is checked exactly like a new table.
         if attr == "columns":
             value = tuple(value)
+            names = [c.name.lower() for c in value]
+            if len(set(names)) != len(names):
+                raise SchemaError(
+                    f"duplicate column names in table {self.name!r}")
+            self._check_arity(value, self.__dict__.get("rows", ()))
         elif attr == "rows":
             value = tuple(map(tuple, value))
+            self._check_arity(self.columns, value)
         if attr in ("name", "columns", "rows"):
             object.__setattr__(self, "_fingerprint", None)
         object.__setattr__(self, attr, value)
 
-    def __post_init__(self) -> None:
-        names = [c.name.lower() for c in self.columns]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate column names in table {self.name!r}")
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    def _check_arity(self, columns: tuple, rows: tuple) -> None:
+        for row in rows:
+            if len(row) != len(columns):
                 raise SchemaError(
-                    f"row arity {len(row)} != schema arity {len(self.columns)} "
+                    f"row arity {len(row)} != schema arity {len(columns)} "
                     f"in table {self.name!r}")
 
     # ------------------------------------------------------------------
@@ -124,9 +132,6 @@ class Table:
     def insert(self, row: tuple) -> None:
         """Append one row, validating arity; rebinds ``rows`` to a new
         tuple, which drops the remembered fingerprint."""
-        if len(row) != len(self.columns):
-            raise SchemaError(
-                f"row arity {len(row)} != schema arity {len(self.columns)}")
         self.rows = self.rows + (tuple(row),)
 
     def __len__(self) -> int:

@@ -3,11 +3,14 @@
 A column's statistics ``s_c`` is the dimension-wise average over all
 cells of the cell's average word embedding — an ``O(1)``-size summary
 that characterizes the column without storing its values, which is what
-lets the value classifier handle *counterfactual* values.
+lets the value classifier handle *counterfactual* values.  The average
+runs over the distinct cell strings in sorted order, each weighted by
+its count, so it does not depend on the order of the rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -41,7 +44,18 @@ def column_statistics(values: list, embed: EmbedFn, dim: int) -> np.ndarray:
     """
     if not values:
         return np.zeros(dim)
-    return np.mean([_cell_vector(v, embed, dim) for v in values], axis=0)
+    counts = Counter(map(str, values))
+    texts = sorted(counts)
+    return counted_mean(np.stack([_cell_vector(t, embed, dim) for t in texts]),
+                        [counts[t] for t in texts])
+
+
+def counted_mean(vectors: np.ndarray, counts: list[int]) -> np.ndarray:
+    """The mean of ``(D, dim)`` rows where row ``d`` occurs ``counts[d]``
+    times: ``Σ_d counts[d] · vectors[d] / Σ_d counts[d]``, summed in row
+    order."""
+    weights = np.asarray(counts, dtype=np.float64)
+    return (weights[:, None] * vectors).sum(axis=0) / weights.sum()
 
 
 def span_statistics(tokens: list[str], embed: EmbedFn, dim: int) -> np.ndarray:

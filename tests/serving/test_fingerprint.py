@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchemaError
 from repro.sqlengine import Column, DataType, Table, table_fingerprint
 from repro.sqlengine import fingerprint as fingerprint_module
 from tests import oracles
@@ -162,6 +163,30 @@ class TestTableValue:
         after = table_fingerprint(table)
         assert after != before
         assert after == oracles.table_fingerprint(table)
+
+    @pytest.mark.parametrize("attr, value", [
+        ("rows", [("only-one",)]),
+        ("columns", [Column("film")]),
+        ("columns", [Column("film"), Column("FILM")])])
+    def test_malformed_edit_raises_and_keeps_the_memo(self, attr, value):
+        table = films()
+        before = table_fingerprint(table)
+        with pytest.raises(SchemaError):
+            setattr(table, attr, value)
+        assert table == films()
+        assert table._fingerprint == before
+        assert table_fingerprint(table) == oracles.table_fingerprint(table)
+
+    @pytest.mark.parametrize("attr, value", [
+        ("rows", [("mirror", 1975)]),
+        ("columns", [Column("movie"), Column("year", DataType.REAL)])])
+    def test_valid_edit_drops_the_memo(self, attr, value):
+        table = films()
+        table_fingerprint(table)
+        assert table._fingerprint is not None
+        setattr(table, attr, value)
+        assert table._fingerprint is None
+        assert table_fingerprint(table) == oracles.table_fingerprint(table)
 
     def test_renaming_keeps_the_digest(self):
         table = films()

@@ -62,6 +62,32 @@ class TestTable:
         with pytest.raises(SchemaError):
             Table("t", [Column("a"), Column("b")], [("only-one",)])
 
+    @pytest.mark.parametrize("attr, value", [
+        ("rows", [("only-one",)]),
+        ("rows", [("x", "y"), ("x", "y", "z")]),
+        ("columns", [Column("a")]),
+        ("columns", [Column("a"), Column("b"), Column("c")]),
+        ("columns", [Column("a"), Column("A")])])
+    def test_reassignment_checked_like_construction(self, attr, value):
+        table = Table("t", [Column("a"), Column("b")], [("x", "y")])
+        fields = {"columns": table.columns, "rows": table.rows, attr: value}
+        with pytest.raises(SchemaError) as built:
+            Table("t", **fields)
+        with pytest.raises(SchemaError) as assigned:
+            setattr(table, attr, value)
+        assert str(assigned.value) == str(built.value)
+        assert table == Table("t", [Column("a"), Column("b")], [("x", "y")])
+
+    def test_valid_reassignment_accepted(self):
+        table = Table("t", [Column("a"), Column("b")], [("x", "y")])
+        table.columns = [Column("b"), Column("a")]
+        table.rows = [("1", "2"), ("3", "4")]
+        assert table == Table("t", [Column("b"), Column("a")],
+                              [("1", "2"), ("3", "4")])
+        empty = Table("e", [Column("a")])
+        empty.columns = [Column("a"), Column("b"), Column("c")]
+        assert empty.column_names == ["a", "b", "c"]
+
     def test_insert_validates_arity(self):
         table = films_table()
         with pytest.raises(SchemaError):
